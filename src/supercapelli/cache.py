@@ -6,9 +6,11 @@ database dependency.  A corrupt or stale entry is treated as a miss (the
 caller recomputes and overwrites) with a warning.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 import warnings
 
 CACHE_VERSION = '1'
@@ -57,10 +59,20 @@ class DiskCache:
         digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
         data = {'version': CACHE_VERSION, 'key': list(parts),
                 'payload': payload, 'hash': digest}
-        tmp = self._path(parts) + '.tmp'
-        with open(tmp, 'w') as fh:
-            json.dump(data, fh)
-        os.replace(tmp, self._path(parts))
+        # A temp file of its own per writer, renamed into place, so that
+        # concurrent stores of one key never share a half-written file.
+        path = self._path(parts)
+        fd, tmp = tempfile.mkstemp(dir=self.directory,
+                                   prefix=os.path.basename(path) + '.',
+                                   suffix='.tmp')
+        try:
+            with os.fdopen(fd, 'w') as fh:
+                json.dump(data, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
 
 
 def default_cache(cache_dir=None):

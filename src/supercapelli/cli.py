@@ -422,7 +422,8 @@ def suite_theta_one(args):
 def suite_duality(args):
     cases = []
     dmax = args.dmax or 3
-    params = HookParams(args.m or 1, args.n or 1, 'half')
+    params = HookParams(1 if args.m is None else args.m,
+                        1 if args.n is None else args.n, 'half')
     for b in enumerate_hooks(params, dmax, upto=True):
         if not b.size:
             continue
@@ -465,6 +466,11 @@ def cmd_verify(args):
     if args.suite not in SUITES and args.suite != 'all':
         raise ValueError('unknown suite %r; choose from %s or all'
                          % (args.suite, ', '.join(SUITES)))
+    for flag in ('m', 'n'):
+        if getattr(args, flag) is not None and getattr(args, flag) < 0:
+            raise ValueError('--%s must be nonnegative' % flag)
+    if args.dmax is not None and args.dmax < 1:
+        raise ValueError('--dmax must be at least 1')
     records = []
     lines = []
     all_ok = True
@@ -479,7 +485,11 @@ def cmd_verify(args):
                                              'pass' if ok else
                                              'FAIL %s' % detail))
             all_ok = all_ok and ok
-        lines.append('%-22s (%d cases, %.1fs)' % (name, len(cases), elapsed))
+        lines.append('%-22s (%d cases, %.1fs)%s'
+                     % (name, len(cases), elapsed,
+                        '' if cases else ' FAIL no case ran'))
+        # a suite that checks nothing must not read as a pass
+        all_ok = all_ok and bool(cases)
     payload = {'suites': names, 'passed': all_ok, 'cases': records}
     lines.append('overall: %s' % ('pass' if all_ok else 'FAIL'))
     return payload, '\n'.join(lines), 0 if all_ok else 1

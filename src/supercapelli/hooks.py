@@ -107,6 +107,8 @@ def parse_partition(text, params):
 def enumerate_hooks(params, d, upto=False):
     """All (m|n)-hook partitions of size d (or of size <= d when upto),
     graded then reverse-lexicographic within each size."""
+    if d < 0:
+        raise ValueError('size must be nonnegative, got %d' % d)
     sizes = range(d + 1) if upto else (d,)
     out = []
     for size in sizes:

@@ -13,17 +13,14 @@ from math import factorial
 
 from .multipoly import MultiPoly, AffineSubstitution
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
-from .hooks import (HookParams, enumerate_hooks, gamma_map, gamma_star_map,
-                    dual_weight, hook_product_H, classical_hook_product,
-                    frobenius_point, frobenius_affine_map, a_context,
-                    eps_context, xy_context, eps_extension)
+from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
+                    classical_hook_product, frobenius_point,
+                    frobenius_affine_map, a_context, xy_context)
 from .superlie import (Ambient, UEAElement, gelfand_element, hc_project,
-                       q_projection, gd_element, omega, omega_cartan,
-                       q_context)
-from .weyl import (WeylElement, rho_check, rho_check_gen, symbol, weyl_mul,
-                   invariant_spanning_set, _partitions_of, _commutator,
-                   consecutive_cycles_perm, t_sigma, capelli_operator,
-                   spherical_poly)
+                       q_projection, gd_element, omega_cartan)
+from .weyl import (WeylElement, rho_check_gen, symbol, gelfand_product_image,
+                   _partitions_of, _commutator, consecutive_cycles_perm,
+                   capelli_operator, spherical_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,12 @@ def symbol_preimage(ambient, sigma):
 
 def full_preimage(D, check_invariant=True):
     """A central enveloping algebra element z with polarized image exactly
-    D, built by peeling top symbols down the order filtration."""
+    D, built by peeling top symbols down the order filtration.
+
+    At order d the symbols of the polarized Gelfand products, one per
+    partition of d, span the invariant symbols; the same images, kept for
+    the duration of the call, give the term subtracted from the
+    remainder, so rho_check is never applied to the growing z."""
     amb = D.ambient
     if check_invariant:
         for i in range(amb.dim):
@@ -132,6 +134,7 @@ def full_preimage(D, check_invariant=True):
                     raise ValueError('operator is not invariant')
     z = UEAElement.zero(amb)
     R = D
+    images = {}
     while not R.is_zero():
         d = R.order()
         if d == 0:
@@ -141,21 +144,26 @@ def full_preimage(D, check_invariant=True):
             z = z + UEAElement.one(amb).scale(c)
             break
         s = symbol(R, d)
-        span = invariant_spanning_set(amb, d)
-        coeffs = solve_in_span([t.terms for _, t in span], s.terms)
+        parts = _partitions_of(d)
+        span = [gelfand_product_image(amb, part, images) for part in parts]
+        coeffs = solve_in_span([symbol(img, d).terms for img in span],
+                               s.terms)
         if coeffs is None:
             raise AssertionError('symbol of order %d not in the invariant '
                                  'span' % d)
         zd = UEAElement.zero(amb)
-        for c, (part, _) in zip(coeffs, span):
+        rest = dict(R.terms)
+        for c, part, img in zip(coeffs, parts, span):
             if not c:
                 continue
             prod = UEAElement.one(amb)
             for b in part:
                 prod = prod * gelfand_element(amb, b).scale(Fraction(-1, 2) ** b)
             zd = zd + prod.scale(c)
+            for t, v in img.terms.items():
+                rest[t] = rest.get(t, 0) - c * v
         z = z + zd
-        R = R - rho_check(zd)
+        R = WeylElement(amb, rest)
         if not R.is_zero() and R.order() >= d:
             raise AssertionError('order did not drop during recursion')
     return z

@@ -20,7 +20,7 @@ Elements of the polynomial algebra P(W) are plain dicts
 from fractions import Fraction
 from itertools import product
 
-from .superlie import Ambient, UEAElement
+from .superlie import Ambient, UEAElement, gelfand_element
 
 _ctx_cache = {}
 
@@ -408,15 +408,41 @@ def rho_check(x):
     algebra elements."""
     amb = x.ambient
     gen_img = {}
-    out = WeylElement.zero(amb)
+    terms = {}
     for w, c in x.terms.items():
         acc = WeylElement.one(amb)
         for g in w:
             if g not in gen_img:
                 gen_img[g] = rho_check_gen(amb, *g)
             acc = weyl_mul(acc, gen_img[g])
-        out = out + acc.scale(c)
-    return out
+        for t, v in acc.terms.items():
+            terms[t] = terms.get(t, 0) + c * v
+    return WeylElement(amb, terms)
+
+
+def gelfand_product_image(ambient, part, memo=None):
+    """rho_check of the product over the blocks b of part, in order, of
+    (-1/2)^b C_b, with C_b the Gelfand element.  Since rho_check is
+    multiplicative, this is the weyl_mul product of the images of the
+    single blocks.  memo, a dict keyed by partition, keeps the images of
+    the blocks and of the leading sub-products for later calls."""
+    part = tuple(part)
+    if memo is None:
+        memo = {}
+    img = memo.get(part)
+    if img is not None:
+        return img
+    if not part:
+        img = WeylElement.one(ambient)
+    elif len(part) == 1:
+        b = part[0]
+        img = rho_check(gelfand_element(ambient, b)).scale(
+            Fraction(-1, 2) ** b)
+    else:
+        img = weyl_mul(gelfand_product_image(ambient, part[:-1], memo),
+                       gelfand_product_image(ambient, part[-1:], memo))
+    memo[part] = img
+    return img
 
 
 def rho_gen_action(ambient, i, j, xpoly):

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -78,3 +80,49 @@ def test_default_cache_env(tmp_path, monkeypatch):
     assert os.path.isdir(str(tmp_path / 'env'))
     explicit = default_cache(str(tmp_path / 'explicit'))
     assert explicit.directory == str(tmp_path / 'explicit')
+
+
+def test_concurrent_stores_leave_one_entry(tmp_path):
+    # Writers storing one key at once: with a shared temp path one
+    # writer's rename could find the file already moved away.
+    key = ('capelli-op', 2, 1, 'half', [3, 1])
+    payloads = [{'writer': w, 'terms': list(range(200))} for w in range(4)]
+    errors = []
+
+    def writer(payload):
+        cache = DiskCache(str(tmp_path))
+        try:
+            for _ in range(25):
+                cache.store(key, payload)
+        except Exception as exc:  # collected for the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert DiskCache(str(tmp_path)).load(key) in payloads
+    assert sorted(os.listdir(str(tmp_path))) == [cache_key(key) + '.json']
+
+
+def test_failed_store_leaves_no_temp_file(tmp_path, monkeypatch):
+    cache = DiskCache(str(tmp_path))
+    key = ('basis', 1, 1, 4)
+
+    def broken_dump(obj, fh):
+        fh.write('{"partial')
+        raise OSError('disk full')
+
+    monkeypatch.setattr(json, 'dump', broken_dump)
+    with pytest.raises(OSError):
+        cache.store(key, {'v': 1})
+    assert os.listdir(str(tmp_path)) == []
+    assert cache.load(key) is None

@@ -136,3 +136,43 @@ def test_verify_unknown_suite_exits_2(capsys):
 
 def test_suite_registry_complete():
     assert len(SUITES) == 11
+
+
+def test_verify_empty_suite_fails(capsys):
+    # eigenvalue-coherence has no configuration at (3,1): nothing is checked
+    code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
+                       '--m', '3', '--n', '1')
+    assert code == 1
+    assert '(0 cases' in out and 'overall: FAIL' in out
+    code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
+                       '--m', '3', '--n', '1', '--format', 'json')
+    assert code == 1
+    data = json.loads(out)
+    assert data['passed'] is False and data['cases'] == []
+
+
+def test_verify_duality_honours_zero_rank(capsys):
+    code, out, _ = run(capsys, 'verify', '--suite', 'duality', '--m', '0',
+                       '--n', '1', '--dmax', '2', '--format', 'json')
+    assert code == 0
+    cases = {rec['case'] for rec in json.loads(out)['cases']}
+    # (0|1)-hook partitions are single columns; (1,1) would add '2'
+    assert cases == {'duality for 1', 'duality for 1,1',
+                     'minus projection of omega d=1',
+                     'minus projection of omega d=2'}
+
+
+@pytest.mark.parametrize('flags', [('--m', '-1', '--n', '1'),
+                                   ('--m', '1', '--n', '-1'),
+                                   ('--dmax', '0'), ('--dmax', '-2')])
+def test_verify_bad_sizes_exit_2(capsys, flags):
+    code, out, err = run(capsys, 'verify', '--suite', 'duality', *flags)
+    assert code == 2
+    assert out == '' and 'error:' in err
+
+
+def test_hooks_negative_size_exits_2(capsys):
+    code, out, err = run(capsys, 'hooks', '--m', '1', '--n', '1',
+                         '--size', '-1')
+    assert code == 2
+    assert out == '' and 'error:' in err

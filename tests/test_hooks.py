@@ -44,6 +44,12 @@ def test_enumeration_counts():
     assert names == ['3', '2,1', '1,1,1']
 
 
+def test_enumeration_rejects_negative_size():
+    for upto in (False, True):
+        with pytest.raises(ValueError):
+            enumerate_hooks(P11, -1, upto=upto)
+
+
 def test_transpose_involution():
     rng = random.Random(2)
     for _ in range(30):

@@ -9,10 +9,11 @@ from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
                                 gamma_star_map, dual_weight, hook_product_H,
                                 xy_context)
 from supercapelli.multipoly import MultiPoly
-from supercapelli.superlie import Ambient, gelfand_element, q_projection, \
-    gd_element, hc_project
+from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
+    q_projection, gd_element, hc_project
 from supercapelli.weyl import (t_sigma, rho_check, symbol, capelli_operator,
-                               consecutive_cycles_perm)
+                               consecutive_cycles_perm, gelfand_product_image,
+                               invariant_symbol_space, _partitions_of)
 from supercapelli.solver import (perm_compose, hyperoctahedral, sigma_normalize,
                                  symbol_preimage, full_preimage,
                                  central_preimage, c_poly_hc, c_poly_interp,
@@ -70,12 +71,56 @@ def test_symbol_preimage_s4():
         assert symbol(rho_check(z), 2) == t_sigma(amb, sig), sig
 
 
-def test_full_preimage_round_trip():
-    params = P11
-    for b in enumerate_hooks(params, 2, upto=True):
-        D = capelli_operator(params, b)
-        z = full_preimage(D, check_invariant=True)
-        assert rho_check(z) == D
+def _round_trips(m, n, dmax):
+    """(b, D_b, z) for every hook partition of size <= dmax, with z from
+    full_preimage under its invariance check."""
+    params = HookParams(m, n, 'half')
+    amb = Ambient(m, 2 * n)
+    out = []
+    for d in range(dmax + 1):
+        inv = invariant_symbol_space(amb, d, verify=False)
+        for b in enumerate_hooks(params, d):
+            D = capelli_operator(params, b, inv_basis=inv)
+            out.append((b, D, full_preimage(D, check_invariant=True)))
+    return out
+
+
+@pytest.fixture(scope='module')
+def round_trips_21():
+    return _round_trips(2, 1, 3)
+
+
+def test_gelfand_product_image_symbols_are_t_sigma():
+    # the span full_preimage peels with equals the literal t_sigma span
+    for amb in (Ambient(1, 2), Ambient(2, 2), Ambient(1, 4)):
+        memo = {}
+        for d in (1, 2, 3):
+            for part in _partitions_of(d):
+                img = gelfand_product_image(amb, part, memo)
+                assert symbol(img, d) == \
+                    t_sigma(amb, consecutive_cycles_perm(part)), (amb, part)
+
+
+def test_gelfand_product_image_is_rho_check_of_product():
+    amb = Ambient(1, 2)
+    z = gelfand_element(amb, 2).scale(Fraction(1, 4)) \
+        * gelfand_element(amb, 1).scale(Fraction(-1, 2))
+    assert gelfand_product_image(amb, (2, 1)) == rho_check(z)
+    assert gelfand_product_image(amb, ()) == rho_check(UEAElement.one(amb))
+
+
+def test_full_preimage_round_trip(round_trips_21):
+    # literal rho_check of the whole preimage, word by word
+    for b, D, z in _round_trips(1, 1, 2) + round_trips_21:
+        assert rho_check(z) == D, b
+
+
+def test_eigen_poly_routes_agree_degree_3(round_trips_21):
+    params = HookParams(2, 1, 'half')
+    for b, _, z in round_trips_21:
+        if b.size == 3:
+            assert c_poly_hc(params, b, preimage=z).poly == \
+                c_poly_interp(params, b).poly, b
 
 
 def test_full_preimage_rejects_noninvariant():
