@@ -2,8 +2,10 @@
 
 One file per key.  Each file holds a version tag, the JSON payload and a
 content hash of the payload, so corruption is detected without any
-database dependency.  A corrupt or stale entry is treated as a miss (the
-caller recomputes and overwrites) with a warning.
+database dependency.  The version tag names both the file format and the
+library version, so an entry written by another version of the code
+loads as a silent miss.  A corrupt entry is also treated as a miss (the
+caller recomputes and overwrites), with a warning.
 """
 
 import contextlib
@@ -18,6 +20,14 @@ CACHE_VERSION = '1'
 
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(',', ':'))
+
+
+def _version_tag():
+    """Format and library version of the entries this code writes.  The
+    import is at call time because the package defines __version__ only
+    after it has imported this module."""
+    from . import __version__
+    return '%s/%s' % (CACHE_VERSION, __version__)
 
 
 def cache_key(parts):
@@ -43,7 +53,7 @@ class DiskCache:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            if data.get('version') != CACHE_VERSION:
+            if data.get('version') != _version_tag():
                 return None
             payload = data['payload']
             digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
@@ -57,7 +67,7 @@ class DiskCache:
 
     def store(self, parts, payload):
         digest = hashlib.sha256(_canonical(payload).encode()).hexdigest()
-        data = {'version': CACHE_VERSION, 'key': list(parts),
+        data = {'version': _version_tag(), 'key': list(parts),
                 'payload': payload, 'hash': digest}
         # A temp file of its own per writer, renamed into place, so that
         # concurrent stores of one key never share a half-written file.

@@ -193,13 +193,6 @@ def _ambients(args, default):
     return default
 
 
-def _pairs(args, default):
-    """(superpair (m,n), lambda-degree bound) configurations."""
-    if args.m is not None and args.n is not None:
-        return [((args.m, args.n), default[0][1])]
-    return default
-
-
 def suite_centrality(args):
     cases = []
     dmax = args.dmax or 4

@@ -1,12 +1,19 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions.  Dimensions here are desk scale
-(at most a few thousand), so plain Gaussian elimination with exact
-rationals is both fast enough and trivially correct.  lin_solve verifies
-its own answer by back-substitution on every call.
+Matrices are lists of rows of Fraction-coercible values.  Dimensions here
+are desk scale (at most a few thousand), so plain Gauss-Jordan elimination
+is fast enough and trivially correct.  It runs fraction-free: each row is
+scaled by the lcm of its denominators to a row of integers, eliminations
+cross-multiply, and every updated row is divided by its content (the gcd
+of its entries), which keeps the integers small without any gcd work per
+entry.  Each integer row is a nonzero multiple of the row the Fraction
+elimination would hold, so pivots, rank, reduced row echelon form and
+kernel are exactly those of elimination over Fractions.  lin_solve
+verifies its own answer by back-substitution on every call.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ReducedMatrix:
@@ -19,13 +26,27 @@ class ReducedMatrix:
         self.kernel = kernel
 
 
+def _primitive(row):
+    """Row divided by the gcd of its entries (unchanged when zero)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """Row of Fraction-coercible values scaled to a primitive integer row."""
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fr))
+    return _primitive([x.numerator * (den // x.denominator) for x in fr])
+
+
 def mat_reduce(rows, ncols=None):
     """Reduced row echelon form with pivot bookkeeping and kernel basis.
 
     rows: list of rows (lists of Fraction-coercible values).  ncols must be
-    given when rows is empty.
+    given when rows is empty.  The pivot of each column is the first row
+    at or below the current rank with a nonzero entry there.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [_integer_row(row) for row in rows]
     if ncols is None:
         if not m:
             raise ValueError('ncols required for an empty matrix')
@@ -44,15 +65,19 @@ def mat_reduce(rows, ncols=None):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
+        prow = m[rank]
+        p = prow[col]
         for r in range(len(m)):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
         pivots.append(col)
         rank += 1
-    rref = m[:rank]
+    zero = Fraction(0)
+    rref = []
+    for row, pc in zip(m, pivots):
+        p = row[pc]
+        rref.append([Fraction(x, p) if x else zero for x in row])
     free = [c for c in range(ncols) if c not in pivots]
     kernel = []
     for fc in free:

@@ -9,7 +9,7 @@ sums.  Their exact agreement is the flagship consistency check.
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from .multipoly import MultiPoly, AffineSubstitution
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
@@ -219,15 +219,24 @@ def c_star_poly(params, b, preimage=None):
 
 class InterpolationBasis:
 
-    __slots__ = ('context', 'polys', 'records')
+    __slots__ = ('context', 'gens', 'polys', 'records')
 
-    def __init__(self, context, polys, records):
+    def __init__(self, context, gens, polys, records):
         self.context = context
+        self.gens = gens                # generator degree -> MultiPoly
         self.polys = polys
         self.records = records          # generator-degree multisets
 
     def __len__(self):
         return len(self.polys)
+
+    def values_at(self, point):
+        """[p.evaluate(point) for p in self.polys], from one evaluation
+        of each generator: evaluation is a ring homomorphism and each
+        basis element is the product of the generators its record names."""
+        vals = {k: g.evaluate(point) for k, g in self.gens.items()}
+        return [prod((vals[k] for k in rec), start=Fraction(1))
+                for rec in self.records]
 
 
 def _filtered_products(gens_by_degree, d, context):
@@ -263,7 +272,7 @@ def ia_star_basis(params, d):
         raise AssertionError('interpolation algebra dimension %d does not '
                              'match hook count %d at degree %d'
                              % (len(polys), expected, d))
-    return InterpolationBasis(ctx, polys, records)
+    return InterpolationBasis(ctx, gens, polys, records)
 
 
 def c_poly_interp(params, b, basis=None):
@@ -278,7 +287,7 @@ def c_poly_interp(params, b, basis=None):
     rhs = []
     for bp in hooks:
         mu = gamma_star_map(bp)
-        rows.append([p.evaluate(mu.coords) for p in basis.polys])
+        rows.append(basis.values_at(mu.coords))
         rhs.append(Fraction(factorial(d)) if bp == b else Fraction(0))
     res = lin_solve(rows, rhs, len(basis))
     if not res.unique:
@@ -327,7 +336,7 @@ def sp_basis(params, d):
     if len(polys) != expected:
         raise AssertionError('interpolation basis dimension mismatch: '
                              '%d vs %d hooks' % (len(polys), expected))
-    return InterpolationBasis(ctx, polys, records)
+    return InterpolationBasis(ctx, gens, polys, records)
 
 
 def sp_star(params, b, basis=None):
@@ -344,7 +353,7 @@ def sp_star(params, b, basis=None):
     rhs = []
     for bp in hooks:
         pt = frobenius_point(bp).coords()
-        rows.append([p.evaluate(pt) for p in basis.polys])
+        rows.append(basis.values_at(pt))
         rhs.append(target if bp == b else Fraction(0))
     res = lin_solve(rows, rhs, len(basis))
     if not res.unique:

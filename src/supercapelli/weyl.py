@@ -165,11 +165,6 @@ class WeylElement:
             raise ValueError('element is not homogeneous in parity')
         return ps.pop() if ps else 0
 
-    def bidegree_part(self, ydeg, ddeg):
-        return WeylElement(self.ambient,
-                           {(y, d): c for (y, d), c in self.terms.items()
-                            if len(y) == ydeg and len(d) == ddeg})
-
     def ddeg_part(self, ddeg):
         return WeylElement(self.ambient,
                            {(y, d): c for (y, d), c in self.terms.items()
@@ -367,20 +362,6 @@ class GradedPieceBasis:
 
     def __len__(self):
         return len(self.monos)
-
-
-def apply_matrix(op, basis_src, basis_dst):
-    """Exact matrix of op from one graded piece to another (columns indexed
-    by the source basis)."""
-    cols = []
-    for mono in basis_src.monos:
-        img = apply_weyl(op, {mono: Fraction(1)})
-        col = [Fraction(0)] * len(basis_dst)
-        for mm, c in img.items():
-            col[basis_dst.index[mm]] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(len(basis_src))]
-            for i in range(len(basis_dst))]
 
 
 # ---------------------------------------------------------------------------

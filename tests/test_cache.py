@@ -2,9 +2,11 @@ import json
 import os
 import sys
 import threading
+import warnings
 
 import pytest
 
+import supercapelli
 from supercapelli.cache import DiskCache, default_cache, cache_key
 
 
@@ -69,6 +71,24 @@ def test_version_mismatch_is_a_silent_miss(tmp_path):
     with open(cache._path(key), 'w') as fh:
         json.dump(data, fh)
     assert cache.load(key) is None
+
+
+def test_entry_of_another_library_version_is_a_miss(tmp_path, monkeypatch):
+    cache = DiskCache(str(tmp_path))
+    key = ('capelli-op', 1, 1, 'half', [2])
+    current = supercapelli.__version__
+    monkeypatch.setattr(supercapelli, '__version__', current + '.other')
+    cache.store(key, {'v': 'old'})
+    assert cache.load(key) == {'v': 'old'}
+    monkeypatch.setattr(supercapelli, '__version__', current)
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        assert cache.load(key) is None
+    cache.store(key, {'v': 'new'})
+    assert cache.load(key) == {'v': 'new'}
+    with open(cache._path(key)) as fh:
+        assert current in json.load(fh)['version']
+    assert os.listdir(str(tmp_path)) == [os.path.basename(cache._path(key))]
 
 
 def test_default_cache_env(tmp_path, monkeypatch):

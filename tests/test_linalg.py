@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercapelli import hooks, solver
 from supercapelli.linalg import (mat_reduce, lin_solve, dict_vectors_rank,
                                  dict_vectors_basis, solve_in_span)
 
@@ -10,6 +11,97 @@ from supercapelli.linalg import (mat_reduce, lin_solve, dict_vectors_rank,
 def matvec(rows, vec):
     return [sum((Fraction(a) * x for a, x in zip(row, vec)), Fraction(0))
             for row in rows]
+
+
+def reference_reduce(rows, ncols):
+    """Gauss-Jordan elimination on Fraction rows, pivoting on the first
+    nonzero entry: the reference for the fraction-free mat_reduce."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    pivots = []
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(m)):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+        rank += 1
+    rref = m[:rank]
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        kernel.append(vec)
+    return rank, pivots, rref, kernel
+
+
+def assert_matches_reference(rows, ncols):
+    red = mat_reduce(rows, ncols)
+    assert (red.rank, red.pivots, red.rref, red.kernel) \
+        == reference_reduce(rows, ncols)
+    for row in red.rref + red.kernel:
+        assert all(type(x) is Fraction for x in row)
+
+
+def random_entry(rng):
+    num = rng.randrange(-6, 7)
+    den = rng.randrange(1, 5)
+    return Fraction(num, den) if den > 1 or rng.random() < 0.5 else num
+
+
+def test_mat_reduce_equals_fraction_gauss_jordan():
+    rng = random.Random(2024)
+    for _ in range(2400):
+        nr, nc = rng.randrange(0, 10), rng.randrange(1, 10)
+        rows = [[random_entry(rng) if rng.random() < 0.7 else 0
+                 for _ in range(nc)] for _ in range(nr)]
+        for r in range(nr):
+            kind = rng.random()
+            if kind < 0.1:
+                rows[r] = [0] * nc
+            elif kind < 0.3 and r >= 2:
+                # A combination of two earlier rows.
+                a, b = rng.sample(range(r), 2)
+                fa, fb = random_entry(rng), random_entry(rng)
+                rows[r] = [fa * x + fb * y for x, y in zip(rows[a], rows[b])]
+        assert_matches_reference(rows, nc)
+
+
+def test_mat_reduce_equals_reference_on_interpolation_systems(monkeypatch):
+    """The augmented systems c_poly_interp and sp_star solve at (2,1), d=6."""
+    systems = []
+    real_solve = solver.lin_solve
+
+    def recording_solve(rows, rhs, ncols=None):
+        systems.append(([list(row) + [b] for row, b in zip(rows, rhs)],
+                        ncols + 1))
+        return real_solve(rows, rhs, ncols)
+
+    monkeypatch.setattr(solver, 'lin_solve', recording_solve)
+    d = 6
+    half = hooks.HookParams(2, 1, 'half')
+    one = hooks.HookParams(2, 1, 'one')
+    top = hooks.enumerate_hooks(half, d)
+    b = top[len(top) // 2]
+    solver.c_poly_interp(half, b)
+    solver.sp_star(half, b)
+    solver.sp_star(one, hooks.parse_partition(str(b), one))
+    assert len(systems) == 3
+    for rows, ncols in systems:
+        assert len(rows) == ncols - 1 == 29
+        assert_matches_reference(rows, ncols)
 
 
 def test_mat_reduce_known_matrix():
@@ -27,8 +119,12 @@ def test_mat_reduce_identity_and_empty():
     assert red.rank == 2 and red.kernel == []
     red = mat_reduce([], ncols=3)
     assert red.rank == 0 and len(red.kernel) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match='ncols required'):
         mat_reduce([])
+    with pytest.raises(ValueError, match='ragged'):
+        mat_reduce([[1, 2], [3]])
+    with pytest.raises(ValueError, match='ragged'):
+        mat_reduce([[1, 2]], ncols=3)
 
 
 def test_mat_reduce_random_kernel_property():

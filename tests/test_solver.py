@@ -170,6 +170,22 @@ def test_interpolation_basis_dimension():
     assert len(basis) == len(enumerate_hooks(P11, 3, upto=True))
 
 
+def test_basis_values_from_generators_equal_basis_evaluation():
+    half, one = HookParams(2, 1, 'half'), HookParams(2, 1, 'one')
+    from supercapelli.hooks import frobenius_point
+    bases = [(half, ia_star_basis(half, 6),
+              lambda b: gamma_star_map(b).coords)]
+    for params in (half, one):
+        bases.append((params, sp_basis(params, 6),
+                      lambda b: frobenius_point(b).coords()))
+    for params, basis, point in bases:
+        assert sorted(basis.gens) == list(range(1, 7))
+        for b in enumerate_hooks(params, 6, upto=True):
+            pt = point(b)
+            assert basis.values_at(pt) == [p.evaluate(pt)
+                                           for p in basis.polys]
+
+
 def test_deformed_power_sum_is_transformed_generator():
     for params in (P11, HookParams(2, 1, 'half')):
         amb = Ambient(params.m, 2 * params.n)
