@@ -200,25 +200,27 @@ def gamma_star_map(b):
     return Weight('a_star_gamma', coords, m, n)
 
 
-def dual_weight(mu, params, cap=64):
-    """The weight mu* with V_mu^* isomorphic to V_{mu*}; found by inverting
-    gamma_star_map over partition sizes up to cap."""
-    for d in range(cap + 1):
-        for b in enumerate_hooks(params, d):
-            if gamma_star_map(b) == mu:
-                return gamma_map(b)
-    raise ValueError('weight %s is not in the image of gamma_star_map '
-                     '(searched sizes 0..%d)' % (mu, cap))
+def dual_weight(mu, params):
+    """The weight mu* with V_mu^* isomorphic to V_{mu*}.
 
-
-def hook_partition_of_weight(mu, params, cap=64, star=True):
-    """Invert gamma_star_map (star=True) or gamma_map by bounded search."""
-    f = gamma_star_map if star else gamma_map
-    for d in range(cap + 1):
-        for b in enumerate_hooks(params, d):
-            if f(b) == mu:
-                return b
-    raise ValueError('weight %s not found (searched sizes 0..%d)' % (mu, cap))
+    gamma_star_map(b) records the excess over n of rows 1..m of b (even
+    coordinates, last row first) and the lengths of columns 1..n (odd
+    coordinates, last column first); together they fix b, and mu* is
+    gamma_map(b)."""
+    m, n = params.m, params.n
+    if (mu.m, mu.n) != (m, n):
+        raise ValueError('weight %s does not have (m, n) = (%d, %d)'
+                         % (mu, m, n))
+    halves = [int(-c / 2) for c in reversed(mu.coords)]
+    cols, excess = halves[:n], halves[n:]
+    rows = max(cols + [m])
+    parts = [sum(1 for c in cols if c >= k) + (excess[k - 1] if k <= m else 0)
+             for k in range(1, rows + 1)]
+    b = HookPartition(parts, params)
+    if gamma_star_map(b) != mu:
+        raise ValueError('weight %s is not in the image of gamma_star_map'
+                         % (mu,))
+    return gamma_map(b)
 
 
 def hook_product_H(b):

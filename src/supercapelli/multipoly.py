@@ -8,13 +8,15 @@ and silently identifying them is the main bug risk.
 Terms are kept in canonical form (no zero coefficients) and rendered in
 graded lexicographic order so that printing and JSON output are
 deterministic.
+
+Combination is the sparse-combination base shared with the enveloping
+algebra (superlie.UEAElement) and the Weyl algebra (weyl.WeylElement):
+canonical form, linear arithmetic, equality, hashing and printing live
+there, and each subclass adds its context, product, term order,
+monomial format and JSON form.
 """
 
 from fractions import Fraction
-
-
-def _clean(terms):
-    return {e: c for e, c in terms.items() if c != 0}
 
 
 def grlex_key(exp):
@@ -22,21 +24,97 @@ def grlex_key(exp):
     return (sum(exp), exp)
 
 
-class MultiPoly:
+class Combination:
+    """A finite exact-rational combination of monomials over a context.
 
-    __slots__ = ('vars', 'terms')
+    `terms` maps monomial keys to nonzero Fractions.  A subclass keeps its
+    context in a slot of its own, exposes it as `context`, and supplies
+    the product, `sorted_terms` and `_format_monomial`; the linear
+    arithmetic, equality, hashing and printing are shared."""
+
+    __slots__ = ('terms',)
+
+    def __init__(self, terms=None):
+        self.terms = {k: Fraction(c) for k, c in (terms or {}).items()
+                      if c != 0}
+
+    @classmethod
+    def zero(cls, context):
+        return cls(context)
+
+    def is_zero(self):
+        return not self.terms
+
+    def _check(self, other):
+        if self.context != other.context:
+            raise ValueError('context mismatch: %r vs %r'
+                             % (self.context, other.context))
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            terms[k] = terms.get(k, 0) + c
+        return type(self)(self.context, terms)
+
+    def __neg__(self):
+        return type(self)(self.context, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(self.context,
+                          {k: c * v for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.context == other.context and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.context, frozenset(self.terms.items())))
+
+    def __str__(self):
+        if not self.terms:
+            return '0'
+        parts = []
+        for k, c in self.sorted_terms():
+            mono = self._format_monomial(k)
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append('-' + mono)
+            else:
+                parts.append('%s*%s' % (c, mono))
+        out = parts[0]
+        for p in parts[1:]:
+            out += ' - ' + p[1:] if p.startswith('-') else ' + ' + p
+        return out
+
+    __repr__ = __str__
+
+
+class MultiPoly(Combination):
+
+    __slots__ = ('vars',)
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        terms = terms or {}
-        for e in terms:
-            if len(e) != len(self.vars):
-                raise ValueError('exponent length does not match context')
-        self.terms = _clean({tuple(e): Fraction(c) for e, c in terms.items()})
+        terms = {tuple(e): c for e, c in (terms or {}).items()}
+        if any(len(e) != len(self.vars) for e in terms):
+            raise ValueError('exponent length does not match context')
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, vars):
-        return cls(vars)
+    @property
+    def context(self):
+        return self.vars
 
     @classmethod
     def const(cls, vars, c):
@@ -50,55 +128,29 @@ class MultiPoly:
         exp = tuple(1 if k == i else 0 for k in range(len(vars)))
         return cls(vars, {exp: Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def _check_context(self, other):
-        if self.vars != other.vars:
-            raise ValueError('context mismatch: %r vs %r' % (self.vars, other.vars))
-
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.vars, other)
-        self._check_context(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly(self.vars, terms)
+        return super().__add__(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.vars, other)
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scale(other)
-        self._check_context(other)
+        self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly(self.vars, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, k):
         if not (isinstance(k, int) and k >= 0):
@@ -111,14 +163,6 @@ class MultiPoly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     def evaluate(self, point):
         """Exact value at a point (sequence of Fractions, one per variable)."""
@@ -138,9 +182,7 @@ class MultiPoly:
         """Homogeneous part of highest total degree."""
         if not self.terms:
             raise ValueError('zero polynomial has no top part')
-        d = self.degree()
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items()
-                                     if sum(e) == d})
+        return self.homogeneous_part(self.degree())
 
     def homogeneous_part(self, d):
         return MultiPoly(self.vars, {e: c for e, c in self.terms.items()
@@ -158,32 +200,9 @@ class MultiPoly:
             raise ValueError('context length mismatch')
         return MultiPoly(new_vars, dict(self.terms))
 
-    def __str__(self):
-        if not self.terms:
-            return '0'
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append('%s^%d' % (name, k))
-            mono = '*'.join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append('-' + mono)
-            else:
-                parts.append('%s*%s' % (c, mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += ' - ' + p[1:] if p.startswith('-') else ' + ' + p
-        return out
-
-    __repr__ = __str__
+    def _format_monomial(self, e):
+        return '*'.join(name if k == 1 else '%s^%d' % (name, k)
+                        for name, k in zip(self.vars, e) if k > 0)
 
     def to_json(self):
         return {
@@ -245,7 +264,3 @@ class AffineSubstitution:
                     term = term * powers[i][k]
             result = result + term
         return result
-
-    def linear_matrix(self):
-        """Rows of the linear part, one per source variable."""
-        return [list(self.images[name][0]) for name in self.source]

@@ -13,7 +13,7 @@ with the bracket understood as the supercommutator.
 
 from fractions import Fraction
 
-from .multipoly import MultiPoly
+from .multipoly import Combination, MultiPoly
 
 
 class Ambient:
@@ -64,18 +64,18 @@ class Ambient:
         return 'Ambient(%d|%d)' % (self.m, self.n)
 
 
-class UEAElement:
+class UEAElement(Combination):
     """Rational combination of words in the generators E_{ij}."""
 
-    __slots__ = ('ambient', 'terms')
+    __slots__ = ('ambient',)
 
     def __init__(self, ambient, terms=None):
         self.ambient = ambient
-        self.terms = {w: Fraction(c) for w, c in (terms or {}).items() if c != 0}
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, ambient):
-        return cls(ambient)
+    @property
+    def context(self):
+        return self.ambient
 
     @classmethod
     def one(cls, ambient):
@@ -85,33 +85,9 @@ class UEAElement:
     def gen(cls, ambient, i, j):
         return cls(ambient, {((i, j),): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
     def order(self):
         """Filtration degree: maximal word length."""
         return max((len(w) for w in self.terms), default=0)
-
-    def _check(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError('ambient mismatch')
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return UEAElement(self.ambient, terms)
-
-    def __neg__(self):
-        return UEAElement(self.ambient, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return UEAElement(self.ambient, {w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
@@ -124,40 +100,12 @@ class UEAElement:
                 terms[w] = terms.get(w, 0) + c1 * c2
         return UEAElement(self.ambient, terms)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return (isinstance(other, UEAElement) and self.ambient == other.ambient
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self.terms.items())))
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
-    def __str__(self):
-        if not self.terms:
-            return '0'
+    def _format_monomial(self, w):
         amb = self.ambient
-        parts = []
-        for w, c in self.sorted_terms():
-            word = ''.join('E(%s,%s)' % (amb.label(i), amb.label(j)) for i, j in w)
-            if not word:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append('-' + word)
-            else:
-                parts.append('%s*%s' % (c, word))
-        out = parts[0]
-        for p in parts[1:]:
-            out += ' - ' + p[1:] if p.startswith('-') else ' + ' + p
-        return out
-
-    __repr__ = __str__
+        return ''.join('E(%s,%s)' % (amb.label(i), amb.label(j)) for i, j in w)
 
     def to_json(self):
         amb = self.ambient

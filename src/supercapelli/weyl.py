@@ -20,6 +20,7 @@ Elements of the polynomial algebra P(W) are plain dicts
 from fractions import Fraction
 from itertools import product
 
+from .multipoly import Combination
 from .superlie import Ambient, UEAElement, gelfand_element
 
 _ctx_cache = {}
@@ -96,61 +97,27 @@ def weyl_context(ambient):
     return _ctx_cache[key]
 
 
-class WeylElement:
+class WeylElement(Combination):
     """Normal-ordered differential operator: map from (y-monomial,
     d-monomial) pairs to rational coefficients."""
 
-    __slots__ = ('ambient', 'terms')
+    __slots__ = ('ambient',)
 
     def __init__(self, ambient, terms=None):
         self.ambient = ambient
-        self.terms = {t: Fraction(c) for t, c in (terms or {}).items() if c != 0}
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, ambient):
-        return cls(ambient)
+    @property
+    def context(self):
+        return self.ambient
 
     @classmethod
     def one(cls, ambient):
         return cls(ambient, {((), ()): Fraction(1)})
 
-    def is_zero(self):
-        return not self.terms
-
     def order(self):
         """Maximal d-degree across terms."""
         return max((len(d) for _, d in self.terms), default=0)
-
-    def _check(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError('ambient mismatch')
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, 0) + c
-        return WeylElement(self.ambient, terms)
-
-    def __neg__(self):
-        return WeylElement(self.ambient, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return WeylElement(self.ambient, {t: c * v for t, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylElement) and self.ambient == other.ambient
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self.terms.items())))
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
@@ -174,28 +141,11 @@ class WeylElement:
         return sorted(self.terms.items(),
                       key=lambda t: (len(t[0][0]) + len(t[0][1]), t[0]))
 
-    def __str__(self):
-        if not self.terms:
-            return '0'
+    def _format_monomial(self, key):
         ctx = weyl_context(self.ambient)
-        parts = []
-        for (y, d), c in self.sorted_terms():
-            word = ''.join('y(%s)' % ctx.gen_label(g) for g in y)
-            word += ''.join('D(%s)' % ctx.gen_label(g) for g in d)
-            if not word:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(word)
-            elif c == -1:
-                parts.append('-' + word)
-            else:
-                parts.append('%s*%s' % (c, word))
-        out = parts[0]
-        for p in parts[1:]:
-            out += ' - ' + p[1:] if p.startswith('-') else ' + ' + p
-        return out
-
-    __repr__ = __str__
+        y, d = key
+        return (''.join('y(%s)' % ctx.gen_label(g) for g in y)
+                + ''.join('D(%s)' % ctx.gen_label(g) for g in d))
 
     def to_json(self):
         ctx = weyl_context(self.ambient)

@@ -1,0 +1,79 @@
+"""The sparse-combination arithmetic shared by MultiPoly, UEAElement and
+WeylElement."""
+
+from fractions import Fraction
+
+import pytest
+
+from supercapelli.multipoly import MultiPoly
+from supercapelli.superlie import Ambient, UEAElement
+from supercapelli.weyl import WeylElement
+
+A11 = Ambient(1, 1)
+
+# class, context, another context, monomial keys: constant first
+CASES = {
+    'MultiPoly': (MultiPoly, ('x', 'y'), ('x', 'z'),
+                  [(0, 0), (1, 0), (0, 2), (1, 1)]),
+    'UEAElement': (UEAElement, A11, Ambient(2, 1),
+                   [(), ((0, 1),), ((1, 0),), ((0, 0), (1, 1))]),
+    'WeylElement': (WeylElement, A11, Ambient(2, 1),
+                    [((), ()), ((0,), ()), ((), (0,)), ((0,), (1,))]),
+}
+
+# (constant, +1, -1, negative non-unit) coefficients on the keys above
+SAMPLE_COEFFS = (3, 1, -1, Fraction(-2, 3))
+
+# str() of each sample element; the CLI's text output is built from it
+SAMPLE_STR = {
+    'MultiPoly': '-2/3*x*y - y^2 + x + 3',
+    'UEAElement': '3 + E(1,1b) - E(1b,1) - 2/3*E(1,1)E(1b,1b)',
+    'WeylElement': '3 - D(1,1) + y(1,1) - 2/3*y(1,1)D(1,1b)',
+}
+
+
+def sample(name):
+    cls, ctx, _, keys = CASES[name]
+    return cls(ctx, dict(zip(keys, SAMPLE_COEFFS)))
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_shared_arithmetic(name):
+    cls, ctx, other_ctx, keys = CASES[name]
+    k0, k1, k2, k3 = keys
+    x = cls(ctx, {k0: 2, k1: 0, k2: Fraction(1, 2)})
+    assert x.terms == {k0: Fraction(2), k2: Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert not x.is_zero() and cls.zero(ctx).is_zero()
+    assert cls(ctx, {k1: 0}) == cls.zero(ctx)
+
+    y = cls(ctx, {k2: Fraction(-1, 2), k3: 5})
+    assert (x + y).terms == {k0: 2, k3: 5}
+    assert (x - y).terms == {k0: 2, k2: 1, k3: -5}
+    assert (-y).terms == {k2: Fraction(1, 2), k3: -5}
+    assert x - x == cls.zero(ctx)
+    assert y.scale(Fraction(2, 5)).terms == {k2: Fraction(-1, 5), k3: 2}
+    assert 3 * y == y.scale(3)
+    assert y.scale(0).is_zero()
+
+    # equal elements built in different term orders
+    a = cls(ctx, {k0: 1, k1: -2, k3: Fraction(1, 3)})
+    b = cls(ctx, {k3: Fraction(2, 6), k1: -2, k0: Fraction(1)})
+    assert a == b and hash(a) == hash(b)
+    assert not a != b
+    assert cls(other_ctx, {}) != cls.zero(ctx)
+
+    with pytest.raises(ValueError):
+        cls(ctx, {k0: 1}) + cls(other_ctx, {k0: 1})
+    for other_name in CASES:
+        if other_name != name:
+            assert sample(name) != sample(other_name)
+            assert not sample(name) == sample(other_name)
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_str_is_pinned(name):
+    x = sample(name)
+    assert str(x) == SAMPLE_STR[name]
+    assert repr(x) == SAMPLE_STR[name]
+    assert str(CASES[name][0].zero(CASES[name][1])) == '0'

@@ -6,7 +6,7 @@ import pytest
 from supercapelli.hooks import (HookParams, HookPartition, Weight,
                                 parse_partition, enumerate_hooks,
                                 transpose_parts, gamma_map, gamma_star_map,
-                                dual_weight, hook_partition_of_weight,
+                                dual_weight,
                                 hook_product_H, classical_hook_product,
                                 frobenius_point, frobenius_affine_map,
                                 a_context, eps_context, xy_context,
@@ -96,10 +96,36 @@ def test_gamma_star_injective_small_ranks():
 
 
 def test_dual_weight_round_trip():
-    for b in enumerate_hooks(P11, 3, upto=True):
-        mu = gamma_star_map(b)
-        assert dual_weight(mu, P11) == gamma_map(b)
-        assert hook_partition_of_weight(mu, P11) == b
+    for params in (P11, P21, HookParams(1, 2, 'half'),
+                   HookParams(2, 2, 'half')):
+        for b in enumerate_hooks(params, 5, upto=True):
+            assert dual_weight(gamma_star_map(b), params) == gamma_map(b)
+
+
+def test_dual_weight_rejects_weights_outside_the_image():
+    P22 = HookParams(2, 2, 'half')
+    # no hook partition gives: an odd coordinate; a positive one; column 2
+    # longer than column 1; a row excess with columns 1..n not reaching
+    # that row (three ways); then the wrong frame, ranks and regime
+    bad = [
+        (Weight('a_star_gamma', (-1, 0, 0, 0), 2, 2), P22),
+        (Weight('a_star_gamma', (0, 0, 0, 2), 2, 2), P22),
+        (Weight('a_star_gamma', (0, 0, -4, -2), 2, 2), P22),
+        (Weight('a_star_gamma', (0, -2, 0, -2), 2, 2), P22),
+        (Weight('a_star_gamma', (-2, 0, 0, 0), 2, 2), P22),
+        (Weight('a_star_gamma', (-2, 0, -2, -2), 2, 2), P22),
+        (Weight('h_star_eps', (-2, -2), 1, 1), P11),
+        (Weight('a_star_gamma', (-2, -2, -2), 2, 1), P11),
+        (gamma_star_map(parse_partition('2', P11)), HookParams(1, 1, 'one')),
+    ]
+    for mu, params in bad:
+        with pytest.raises(ValueError):
+            dual_weight(mu, params)
+
+
+def test_dual_weight_has_no_size_cap():
+    b = parse_partition('70', P11)
+    assert dual_weight(gamma_star_map(b), P11) == gamma_map(b)
 
 
 def test_hook_products():

@@ -123,8 +123,3 @@ def test_affine_substitution_matches_pointwise():
             src = [sub.image_poly(name).evaluate(pt) for name in CTX]
             assert q.evaluate(pt) == p.evaluate(src)
 
-
-def test_affine_substitution_linear_matrix():
-    sub = AffineSubstitution(('x',), ('u', 'v'),
-                             {'x': ((1, 2), Fraction(5))})
-    assert sub.linear_matrix() == [[Fraction(1), Fraction(2)]]
