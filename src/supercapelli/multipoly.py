@@ -17,6 +17,7 @@ monomial format and JSON form.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def grlex_key(exp):
@@ -50,7 +51,17 @@ class Combination:
             raise ValueError('context mismatch: %r vs %r'
                              % (self.context, other.context))
 
+    def cleared(self):
+        """(den, {key: int}): the lcm of the denominators and the terms
+        times it, for kernels that run on Python ints and divide back
+        once per output term."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return den, {k: c.numerator * (den // c.denominator)
+                     for k, c in self.terms.items()}
+
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
@@ -61,6 +72,8 @@ class Combination:
         return type(self)(self.context, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
@@ -140,6 +153,11 @@ class MultiPoly(Combination):
         return super().__add__(other)
 
     __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.const(self.vars, other)
+        return super().__sub__(other)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):

@@ -153,47 +153,81 @@ def _gen_key(ambient, g, mirrored):
     return (block, i, j)
 
 
+def _pbw_table(ambient, mirrored):
+    """Normal-ordering rules on generator codes g = i*dim + j, built once
+    per (m, N, mirrored): (gens, rules), with gens[g] the pair (i, j) and
+    rules[g1][g2] None for an adjacent pair already in order, else
+    (swap sign, ((bracket code, int coefficient), ...)) for rewriting
+    x y = sign y x + [x, y].  An odd letter E_ij has i != j, so [x, x] = 0
+    and its square rewrites to nothing: rule (0, ())."""
+    key = (ambient.m, ambient.n, mirrored)
+    table = _pbw_tables.get(key)
+    if table is not None:
+        return table
+    dim = ambient.dim
+    gens = [(i, j) for i in range(dim) for j in range(dim)]
+    order = [_gen_key(ambient, g, mirrored) for g in gens]
+    parity = [ambient.gen_parity(g) for g in gens]
+    rules = []
+    for a, g1 in enumerate(gens):
+        row = []
+        for b, g2 in enumerate(gens):
+            if a == b and parity[a]:
+                row.append((0, ()))
+            elif order[a] > order[b]:
+                br = bracket_gen(ambient, g1, g2)
+                row.append(((-1) ** (parity[a] * parity[b]),
+                            tuple((i * dim + j, int(c))
+                                  for ((i, j),), c in br.terms.items())))
+            else:
+                row.append(None)
+        rules.append(row)
+    table = _pbw_tables[key] = (gens, rules)
+    return table
+
+
+_pbw_tables = {}
+
+
 def pbw_normalize(a, mirrored=False):
     """Rewrite every word into normal order.
 
     The generator order is: lowering letters, then diagonal, then raising
     (mirrored swaps the off-diagonal blocks), each block ordered by
-    (row, column).  Repeated equal odd letters contract via x*x = [x,x]/2.
-    The frontier is kept as a map so duplicate intermediate words merge.
+    (row, column).  The first out-of-order adjacent pair of a word is
+    rewritten by the rule of `_pbw_table`; repeated equal odd letters
+    vanish.  Words are tuples of generator codes and coefficients are
+    Python ints (the input times the lcm of its denominators), divided
+    back once per output word.  The frontier is kept as a map so
+    duplicate intermediate words merge.
     """
     amb = a.ambient
+    dim = amb.dim
+    gens, rules = _pbw_table(amb, mirrored)
+    den, ints = a.cleared()
+    frontier = {tuple(i * dim + j for i, j in w): c for w, c in ints.items()}
     done = {}
-    frontier = dict(a.terms)
     while frontier:
         word, coeff = frontier.popitem()
-        if coeff == 0:
+        if not coeff:
             continue
-        pos = -1
-        for t in range(len(word) - 1):
-            g1, g2 = word[t], word[t + 1]
-            if _gen_key(amb, g1, mirrored) > _gen_key(amb, g2, mirrored) or \
-                    (g1 == g2 and amb.gen_parity(g1)):
-                pos = t
+        for pos in range(len(word) - 1):
+            rule = rules[word[pos]][word[pos + 1]]
+            if rule is not None:
                 break
-        if pos < 0:
+        else:
             done[word] = done.get(word, 0) + coeff
             continue
-        g1, g2 = word[pos], word[pos + 1]
+        sign, brackets = rule
         head, tail = word[:pos], word[pos + 2:]
-        br = bracket_gen(amb, g1, g2)
-        if g1 == g2:
-            # odd square: x^2 = [x,x]/2
-            for w, c in br.terms.items():
-                nw = head + w + tail
-                frontier[nw] = frontier.get(nw, 0) + coeff * c / 2
-        else:
-            sgn = (-1) ** (amb.gen_parity(g1) * amb.gen_parity(g2))
-            nw = head + (g2, g1) + tail
-            frontier[nw] = frontier.get(nw, 0) + sgn * coeff
-            for w, c in br.terms.items():
-                nw = head + w + tail
-                frontier[nw] = frontier.get(nw, 0) + coeff * c
-    return UEAElement(amb, done)
+        if sign:
+            nw = head + (word[pos + 1], word[pos]) + tail
+            frontier[nw] = frontier.get(nw, 0) + sign * coeff
+        for g, c in brackets:
+            nw = head + (g,) + tail
+            frontier[nw] = frontier.get(nw, 0) + c * coeff
+    return UEAElement(amb, {tuple(gens[g] for g in w): Fraction(c, den)
+                            for w, c in done.items() if c})
 
 
 def gelfand_element(ambient, d):

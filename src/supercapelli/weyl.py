@@ -27,7 +27,8 @@ _ctx_cache = {}
 
 
 class WeylContext:
-    """Per-(m,N) tables: canonical pairs, their indices and parities."""
+    """Per-(m,N) tables: canonical pairs, their indices and parities, and
+    the canonical (pair index, sign) of every ordered index pair."""
 
     def __init__(self, ambient):
         self.ambient = ambient
@@ -36,16 +37,21 @@ class WeylContext:
                       if not (i == j and ambient.parity(i))]
         self.index = {p: k for k, p in enumerate(self.pairs)}
         self.parity = [ambient.gen_parity(p) for p in self.pairs]
+        self.canon_table = [[self._canon(i, j) for j in range(dim)]
+                            for i in range(dim)]
         self._push_cache = {}
 
-    def canon(self, i, j):
-        """Canonical (pair index, sign); (None, 0) for a vanishing pair."""
+    def _canon(self, i, j):
         if i == j and self.ambient.parity(i):
             return None, 0
         if i <= j:
             return self.index[(i, j)], 1
         sgn = (-1) ** (self.ambient.parity(i) * self.ambient.parity(j))
         return self.index[(j, i)], sgn
+
+    def canon(self, i, j):
+        """Canonical (pair index, sign); (None, 0) for a vanishing pair."""
+        return self.canon_table[i][j]
 
     def pairing(self, d_gen, y_gen):
         """d_{d_gen} applied to the generator y_{y_gen} (canonical indices)."""
@@ -57,21 +63,22 @@ class WeylContext:
         return -1 if self.parity[d_gen] else 1
 
     def sort_mono(self, items):
-        """Sort generator indices into canonical order with the super sign.
-        Returns (tuple, sign) or (None, 0) when an odd generator repeats."""
-        items = list(items)
+        """Sort generator indices into canonical order with the super sign:
+        the parity of the inversions among the odd entries.  Returns
+        (tuple, sign) or (None, 0) when an odd generator repeats."""
+        parity = self.parity
+        odd = [g for g in items if parity[g]]
+        if len(odd) < 2:
+            return tuple(sorted(items)), 1
         sign = 1
-        for i in range(1, len(items)):
-            j = i
-            while j > 0 and items[j - 1] > items[j]:
-                if self.parity[items[j - 1]] and self.parity[items[j]]:
+        for t in range(1, len(odd)):
+            g = odd[t]
+            for h in odd[:t]:
+                if h > g:
                     sign = -sign
-                items[j - 1], items[j] = items[j], items[j - 1]
-                j -= 1
-        for k in range(len(items) - 1):
-            if items[k] == items[k + 1] and self.parity[items[k]]:
-                return None, 0
-        return tuple(items), sign
+                elif h == g:
+                    return None, 0
+        return tuple(sorted(items)), sign
 
     def mono_parity(self, mono):
         return sum(self.parity[g] for g in mono) % 2
@@ -195,23 +202,24 @@ def d_gen(ambient, i, j):
 def _push(ctx, dmono, ymono):
     """Normal order the product (d-monomial) * (y-monomial).
 
-    Returns {(y', d'): coeff}.  Recursive on the last derivative with
+    Returns {(y', d'): int coeff}.  Recursive on the last derivative with
     memoization; contraction terms come from the defining pairing.
     """
     if not dmono or not ymono:
-        return {(ymono, dmono): Fraction(1)}
+        return {(ymono, dmono): 1}
     key = (dmono, ymono)
     cached = ctx._push_cache.get(key)
     if cached is not None:
         return cached
     delta = dmono[-1]
     rest = dmono[:-1]
-    pd = ctx.parity[delta]
+    parity = ctx.parity
+    pd = parity[delta]
     out = {}
     # the derivative passes through the whole y-monomial
-    sign_full = (-1) ** (pd * sum(ctx.parity[g] for g in ymono))
+    sign_full = -1 if pd and sum(parity[g] for g in ymono) % 2 else 1
     for (y1, d1), c in _push(ctx, rest, ymono).items():
-        nd, s = ctx.sort_mono(list(d1) + [delta])
+        nd, s = ctx.sort_mono(d1 + (delta,))
         if nd is None:
             continue
         k = (y1, nd)
@@ -219,35 +227,48 @@ def _push(ctx, dmono, ymono):
     # contraction at each matching generator
     pref = 0
     for t, g in enumerate(ymono):
-        c0 = ctx.pairing(delta, g)
-        if c0:
-            s = (-1) ** (pd * pref)
+        if g == delta:
+            c0 = ctx.pairing(delta, g)
+            if pd and pref % 2:
+                c0 = -c0
             reduced = ymono[:t] + ymono[t + 1:]
-            for (y1, d1), c in _push(ctx, rest, reduced).items():
-                k = (y1, d1)
-                out[k] = out.get(k, 0) + c * s * c0
-        pref += ctx.parity[g]
-    out = {k: v for k, v in out.items() if v != 0}
+            for k, c in _push(ctx, rest, reduced).items():
+                out[k] = out.get(k, 0) + c * c0
+        pref += parity[g]
+    out = {k: v for k, v in out.items() if v}
     ctx._push_cache[key] = out
     return out
 
 
-def weyl_mul(a, b):
-    a._check(b)
-    ctx = weyl_context(a.ambient)
+def _mul_ints(ctx, a, b):
+    """The normal-ordered product of two {(y-mono, d-mono): int} maps."""
+    sort_mono = ctx.sort_mono
     terms = {}
-    for (y1, d1), c1 in a.terms.items():
-        for (y2, d2), c2 in b.terms.items():
+    for (y1, d1), c1 in a.items():
+        for (y2, d2), c2 in b.items():
+            c12 = c1 * c2
             for (ym, dm), c in _push(ctx, d1, y2).items():
-                ny, s1 = ctx.sort_mono(y1 + ym)
+                ny, s1 = sort_mono(y1 + ym)
                 if ny is None:
                     continue
-                nd, s2 = ctx.sort_mono(dm + d2)
+                nd, s2 = sort_mono(dm + d2)
                 if nd is None:
                     continue
                 k = (ny, nd)
-                terms[k] = terms.get(k, 0) + c1 * c2 * c * s1 * s2
-    return WeylElement(a.ambient, terms)
+                terms[k] = terms.get(k, 0) + c12 * c * s1 * s2
+    return terms
+
+
+def weyl_mul(a, b):
+    """The normal-ordered product, on the operands' terms cleared to
+    Python ints; divided back once per output term."""
+    a._check(b)
+    den_a, ints_a = a.cleared()
+    den_b, ints_b = b.cleared()
+    terms = _mul_ints(weyl_context(a.ambient), ints_a, ints_b)
+    den = den_a * den_b
+    return WeylElement(a.ambient, {k: Fraction(v, den)
+                                   for k, v in terms.items() if v})
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +357,23 @@ def rho_check_gen(ambient, i, j):
 
 def rho_check(x):
     """Multiplicative extension of the polarization action to enveloping
-    algebra elements."""
+    algebra elements, word by word on Python ints (the generator images
+    have integer coefficients); divided back once per output term."""
     amb = x.ambient
+    ctx = weyl_context(amb)
+    den, words = x.cleared()
     gen_img = {}
     terms = {}
-    for w, c in x.terms.items():
-        acc = WeylElement.one(amb)
+    for w, c in words.items():
+        acc = {((), ()): c}
         for g in w:
             if g not in gen_img:
-                gen_img[g] = rho_check_gen(amb, *g)
-            acc = weyl_mul(acc, gen_img[g])
-        for t, v in acc.terms.items():
-            terms[t] = terms.get(t, 0) + c * v
-    return WeylElement(amb, terms)
+                gen_img[g] = rho_check_gen(amb, *g).cleared()[1]
+            acc = _mul_ints(ctx, acc, gen_img[g])
+        for t, v in acc.items():
+            terms[t] = terms.get(t, 0) + v
+    return WeylElement(amb, {k: Fraction(v, den)
+                             for k, v in terms.items() if v})
 
 
 def gelfand_product_image(ambient, part, memo=None):
@@ -415,7 +440,12 @@ def rho_gen_action(ambient, i, j, xpoly):
 def t_sigma(ambient, sigma):
     """The invariant bidegree-(d,d) operator attached to a permutation of
     {1..2d}, computed literally from its defining signed sum (with the
-    1/2^d prefactor), presented in normal-ordered form."""
+    1/2^d prefactor), presented in normal-ordered form.
+
+    The sum runs over all index tuples on Python ints: the parity sign is
+    read from a table over the tuple's odd positions, the pairs from the
+    canonical-pair table at precomputed positions, and the 1/2^d is
+    applied once per output term."""
     two_d = len(sigma)
     if two_d % 2:
         raise ValueError('permutation must have even size')
@@ -423,46 +453,52 @@ def t_sigma(ambient, sigma):
         raise ValueError('not a permutation of 1..%d' % two_d)
     d = two_d // 2
     ctx = weyl_context(ambient)
-    amb = ambient
-    inv_pairs = [(r, s) for r in range(two_d) for s in range(r + 1, two_d)
-                 if sigma[r] > sigma[s]]
+    canon = ctx.canon_table
+    parity = [ambient.parity(i) for i in range(ambient.dim)]
+    # 0-based tuple positions of the inverted pairs of sigma
+    inv_pos = [(sigma[r] - 1, sigma[s] - 1) for r in range(two_d)
+               for s in range(r + 1, two_d) if sigma[r] > sigma[s]]
+    # (-1)^(sum_k p_k + sum_{inverted (r, s)} p_r p_s) for every mask of
+    # odd positions
+    sign_of = []
+    for mask in range(2 ** two_d):
+        odd = mask.bit_count() + sum((mask >> r) & (mask >> s) & 1
+                                     for r, s in inv_pos)
+        sign_of.append(-1 if odd % 2 else 1)
+    # index pairs of the y-factors (last first), then of the x-factors
+    pair_pos = ([(2 * t - 2, 2 * t - 1) for t in range(d, 0, -1)]
+                + [(sigma[2 * t - 2] - 1, sigma[2 * t - 1] - 1)
+                   for t in range(1, d + 1)])
+    sorted_of = {}
+
+    def sort(mono):
+        sm = sorted_of.get(mono)
+        if sm is None:
+            sm = sorted_of[mono] = ctx.sort_mono(mono)
+        return sm
+
     terms = {}
-    for tup in product(range(amb.dim), repeat=two_d):
-        p = [amb.parity(i) for i in tup]
-        sgn = sum(p) % 2
-        for r, s in inv_pairs:
-            sgn += p[sigma[r] - 1] * p[sigma[s] - 1]
-        ylist = []
-        ok = True
-        sign = (-1) ** sgn
-        for t in range(d, 0, -1):
-            g, s2 = ctx.canon(tup[2 * t - 2], tup[2 * t - 1])
-            if g is None:
-                ok = False
-                break
+    for tup in product(range(ambient.dim), repeat=two_d):
+        mask = 0
+        for k, i in enumerate(tup):
+            if parity[i]:
+                mask |= 1 << k
+        sign = sign_of[mask]
+        gens = []
+        for r, s in pair_pos:
+            g, s2 = canon[tup[r]][tup[s]]
             sign *= s2
-            ylist.append(g)
-        if not ok:
-            continue
-        xlist = []
-        for t in range(1, d + 1):
-            g, s2 = ctx.canon(tup[sigma[2 * t - 2] - 1], tup[sigma[2 * t - 1] - 1])
-            if g is None:
-                ok = False
-                break
-            sign *= s2
-            xlist.append(g)
-        if not ok:
-            continue
-        ny, s3 = ctx.sort_mono(ylist)
-        if ny is None:
-            continue
-        nd, s4 = ctx.sort_mono(xlist)
-        if nd is None:
-            continue
-        k = (ny, nd)
-        terms[k] = terms.get(k, 0) + Fraction(sign * s3 * s4, 2 ** d)
-    return WeylElement(ambient, terms)
+            gens.append(g)
+        if not sign:
+            continue        # an odd diagonal pair
+        ny, s3 = sort(tuple(gens[:d]))
+        nd, s4 = sort(tuple(gens[d:]))
+        if s3 and s4:
+            key = (ny, nd)
+            terms[key] = terms.get(key, 0) + sign * s3 * s4
+    den = 2 ** d
+    return WeylElement(ambient, {k: Fraction(v, den)
+                                 for k, v in terms.items() if v})
 
 
 def consecutive_cycles_perm(blocks):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from supercapelli import cli
 from supercapelli.cli import main, SUITES
 
 
@@ -176,3 +177,16 @@ def test_hooks_negative_size_exits_2(capsys):
                          '--size', '-1')
     assert code == 2
     assert out == '' and 'error:' in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def singular(params, b):
+        raise AssertionError('capelli operator system is singular')
+
+    monkeypatch.setattr(cli, 'capelli_operator', singular)
+    code, out, err = run(capsys, 'capelli-op', '--m', '1', '--n', '1',
+                         '--partition', '1', '--no-cache')
+    assert code == 3
+    assert out == ''
+    assert err == 'internal error: capelli operator system is singular\n'
+    assert 'Traceback' not in err

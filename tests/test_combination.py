@@ -77,3 +77,21 @@ def test_str_is_pinned(name):
     assert str(x) == SAMPLE_STR[name]
     assert repr(x) == SAMPLE_STR[name]
     assert str(CASES[name][0].zero(CASES[name][1])) == '0'
+
+
+@pytest.mark.parametrize('name', ['UEAElement', 'WeylElement'])
+def test_scalar_operand_raises_type_error(name):
+    x = CASES[name][0].one(A11)
+    for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1,
+               lambda: 1 - x, lambda: x + Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            op()
+    # elements of different algebras over the same ambient do not mix
+    with pytest.raises(TypeError):
+        UEAElement.one(A11) + WeylElement.one(A11)
+
+
+def test_multipoly_keeps_scalar_coercion():
+    p = MultiPoly.variable(('x',), 'x')
+    assert p + 1 == 1 + p == MultiPoly(('x',), {(1,): 1, (0,): 1})
+    assert p - 1 == MultiPoly(('x',), {(1,): 1, (0,): -1})

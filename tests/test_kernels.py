@@ -1,0 +1,261 @@
+"""The integer, table-driven normal-ordering kernels against the plain
+Fraction kernels they replaced, kept here as references: equal values
+and equal str() on random and exhaustive inputs."""
+
+import random
+from fractions import Fraction
+from itertools import permutations, product
+
+import pytest
+
+from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
+                                   gelfand_element, pbw_normalize,
+                                   _gen_key)
+from supercapelli.weyl import (WeylElement, consecutive_cycles_perm,
+                               t_sigma, weyl_context, weyl_mul,
+                               _partitions_of)
+
+
+# ---------------------------------------------------------------------------
+# References: word-by-word rewriting and insertion sort on Fractions.
+
+def reference_pbw_normalize(a, mirrored=False):
+    amb = a.ambient
+    done = {}
+    frontier = dict(a.terms)
+    while frontier:
+        word, coeff = frontier.popitem()
+        if coeff == 0:
+            continue
+        pos = -1
+        for t in range(len(word) - 1):
+            g1, g2 = word[t], word[t + 1]
+            if _gen_key(amb, g1, mirrored) > _gen_key(amb, g2, mirrored) or \
+                    (g1 == g2 and amb.gen_parity(g1)):
+                pos = t
+                break
+        if pos < 0:
+            done[word] = done.get(word, 0) + coeff
+            continue
+        g1, g2 = word[pos], word[pos + 1]
+        head, tail = word[:pos], word[pos + 2:]
+        br = bracket_gen(amb, g1, g2)
+        if g1 == g2:
+            # odd square: x^2 = [x,x]/2
+            for w, c in br.terms.items():
+                nw = head + w + tail
+                frontier[nw] = frontier.get(nw, 0) + coeff * c / 2
+        else:
+            sgn = (-1) ** (amb.gen_parity(g1) * amb.gen_parity(g2))
+            nw = head + (g2, g1) + tail
+            frontier[nw] = frontier.get(nw, 0) + sgn * coeff
+            for w, c in br.terms.items():
+                nw = head + w + tail
+                frontier[nw] = frontier.get(nw, 0) + coeff * c
+    return UEAElement(amb, done)
+
+
+def reference_sort_mono(ctx, items):
+    items = list(items)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            if ctx.parity[items[j - 1]] and ctx.parity[items[j]]:
+                sign = -sign
+            items[j - 1], items[j] = items[j], items[j - 1]
+            j -= 1
+    for k in range(len(items) - 1):
+        if items[k] == items[k + 1] and ctx.parity[items[k]]:
+            return None, 0
+    return tuple(items), sign
+
+
+def reference_push(ctx, dmono, ymono):
+    if not dmono or not ymono:
+        return {(ymono, dmono): Fraction(1)}
+    delta = dmono[-1]
+    rest = dmono[:-1]
+    pd = ctx.parity[delta]
+    out = {}
+    sign_full = (-1) ** (pd * sum(ctx.parity[g] for g in ymono))
+    for (y1, d1), c in reference_push(ctx, rest, ymono).items():
+        nd, s = reference_sort_mono(ctx, list(d1) + [delta])
+        if nd is None:
+            continue
+        k = (y1, nd)
+        out[k] = out.get(k, 0) + c * s * sign_full
+    pref = 0
+    for t, g in enumerate(ymono):
+        c0 = ctx.pairing(delta, g)
+        if c0:
+            s = (-1) ** (pd * pref)
+            reduced = ymono[:t] + ymono[t + 1:]
+            for (y1, d1), c in reference_push(ctx, rest, reduced).items():
+                k = (y1, d1)
+                out[k] = out.get(k, 0) + c * s * c0
+        pref += ctx.parity[g]
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def reference_weyl_mul(a, b):
+    ctx = weyl_context(a.ambient)
+    terms = {}
+    for (y1, d1), c1 in a.terms.items():
+        for (y2, d2), c2 in b.terms.items():
+            for (ym, dm), c in reference_push(ctx, d1, y2).items():
+                ny, s1 = reference_sort_mono(ctx, y1 + ym)
+                if ny is None:
+                    continue
+                nd, s2 = reference_sort_mono(ctx, dm + d2)
+                if nd is None:
+                    continue
+                k = (ny, nd)
+                terms[k] = terms.get(k, 0) + c1 * c2 * c * s1 * s2
+    return WeylElement(a.ambient, terms)
+
+
+def reference_t_sigma(ambient, sigma):
+    two_d = len(sigma)
+    d = two_d // 2
+    ctx = weyl_context(ambient)
+    amb = ambient
+    inv_pairs = [(r, s) for r in range(two_d) for s in range(r + 1, two_d)
+                 if sigma[r] > sigma[s]]
+    terms = {}
+    for tup in product(range(amb.dim), repeat=two_d):
+        p = [amb.parity(i) for i in tup]
+        sgn = sum(p) % 2
+        for r, s in inv_pairs:
+            sgn += p[sigma[r] - 1] * p[sigma[s] - 1]
+        ylist = []
+        ok = True
+        sign = (-1) ** sgn
+        for t in range(d, 0, -1):
+            g, s2 = ctx.canon(tup[2 * t - 2], tup[2 * t - 1])
+            if g is None:
+                ok = False
+                break
+            sign *= s2
+            ylist.append(g)
+        if not ok:
+            continue
+        xlist = []
+        for t in range(1, d + 1):
+            g, s2 = ctx.canon(tup[sigma[2 * t - 2] - 1],
+                              tup[sigma[2 * t - 1] - 1])
+            if g is None:
+                ok = False
+                break
+            sign *= s2
+            xlist.append(g)
+        if not ok:
+            continue
+        ny, s3 = reference_sort_mono(ctx, ylist)
+        if ny is None:
+            continue
+        nd, s4 = reference_sort_mono(ctx, xlist)
+        if nd is None:
+            continue
+        k = (ny, nd)
+        terms[k] = terms.get(k, 0) + Fraction(sign * s3 * s4, 2 ** d)
+    return WeylElement(ambient, terms)
+
+
+def assert_same(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# Old route == new route.
+
+def random_coeff(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 5))
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
+                                (3, 0)])
+@pytest.mark.parametrize('mirrored', [False, True])
+def test_pbw_normalize_matches_reference(mn, mirrored):
+    amb = Ambient(*mn)
+    rng = random.Random('%s %s' % (mn, mirrored))
+    gens = [(i, j) for i in range(amb.dim) for j in range(amb.dim)]
+    for _ in range(12):
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            w = tuple(rng.choice(gens) for _ in range(rng.randrange(6)))
+            terms[w] = random_coeff(rng)
+        a = UEAElement(amb, terms)
+        assert_same(pbw_normalize(a, mirrored),
+                    reference_pbw_normalize(a, mirrored))
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_sort_mono_matches_reference(mn):
+    ctx = weyl_context(Ambient(*mn))
+    npairs = len(ctx.pairs)
+    odd = [g for g in range(npairs) if ctx.parity[g]]
+    rng = random.Random(npairs)
+    for _ in range(300):
+        items = [rng.randrange(npairs) for _ in range(rng.randrange(7))]
+        if odd and rng.random() < 0.3:
+            # a repeated odd entry, anywhere in the list
+            g = rng.choice(odd)
+            for _ in range(2):
+                items.insert(rng.randrange(len(items) + 1), g)
+        assert ctx.sort_mono(items) == reference_sort_mono(ctx, items)
+        assert ctx.sort_mono(tuple(items)) == reference_sort_mono(ctx, items)
+
+
+def random_weyl(amb, rng):
+    ctx = weyl_context(amb)
+    npairs = len(ctx.pairs)
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        y = [rng.randrange(npairs) for _ in range(rng.randrange(3))]
+        d = [rng.randrange(npairs) for _ in range(rng.randrange(3))]
+        ny, _ = ctx.sort_mono(y)
+        nd, _ = ctx.sort_mono(d)
+        if ny is not None and nd is not None:
+            terms[(ny, nd)] = random_coeff(rng)
+    return WeylElement(amb, terms)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_weyl_mul_matches_reference(mn):
+    amb = Ambient(*mn)
+    rng = random.Random(7 * mn[0] + mn[1])
+    for _ in range(25):
+        a, b = random_weyl(amb, rng), random_weyl(amb, rng)
+        assert_same(weyl_mul(a, b), reference_weyl_mul(a, b))
+
+
+@pytest.mark.parametrize('mn', [(1, 2), (2, 2)])
+def test_t_sigma_matches_reference_on_s4(mn):
+    amb = Ambient(*mn)
+    for sig in permutations(range(1, 5)):
+        assert_same(t_sigma(amb, sig), reference_t_sigma(amb, sig))
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2)])
+def test_t_sigma_matches_reference_on_cycles(mn):
+    amb = Ambient(*mn)
+    for d in range(1, 4):
+        for part in _partitions_of(d):
+            sig = consecutive_cycles_perm(part)
+            assert_same(t_sigma(amb, sig), reference_t_sigma(amb, sig))
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1)])
+def test_centrality_normalise_once_matches_literal_route(mn):
+    amb = Ambient(*mn)
+    for d in range(1, 4):
+        z = gelfand_element(amb, d)
+        nz = pbw_normalize(z)
+        for i in range(amb.dim):
+            for j in range(amb.dim):
+                g = UEAElement.gen(amb, i, j)
+                assert_same(pbw_normalize(nz * g - g * nz),
+                            reference_pbw_normalize(z * g - g * z))
