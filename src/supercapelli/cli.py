@@ -463,6 +463,8 @@ def cmd_verify(args):
     if args.suite not in SUITES and args.suite != 'all':
         raise ValueError('unknown suite %r; choose from %s or all'
                          % (args.suite, ', '.join(SUITES)))
+    if (args.m is None) != (args.n is None):
+        raise ValueError('--m and --n must be given together')
     for flag in ('m', 'n'):
         if getattr(args, flag) is not None and getattr(args, flag) < 0:
             raise ValueError('--%s must be nonnegative' % flag)

@@ -18,7 +18,7 @@ Elements of the polynomial algebra P(W) are plain dicts
 """
 
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
 from .multipoly import Combination
 from .superlie import Ambient, UEAElement, gelfand_element
@@ -294,32 +294,64 @@ def monomial_basis(ambient, k):
     return out
 
 
+def _contract(ctx, dop, mono):
+    """d^dop applied to y^mono: (rest, coeff) with rest the monomial mono
+    less the entries of dop and coeff an integer, or (None, 0) when the
+    multiset dop is not contained in mono.  On canonical generators
+    d_g(y_h) = 0 for g != h, so no other pair contributes."""
+    if len(dop) >= len(mono) and dop != mono:
+        return None, 0
+    parity = ctx.parity
+    rest = list(mono)
+    coeff = 1
+    for delta in reversed(dop):
+        if delta not in rest:
+            return None, 0
+        t = rest.index(delta)
+        c0 = ctx.pairing(delta, delta)
+        if parity[delta]:
+            if rest.count(delta) > 1:
+                return None, 0      # a repeated odd generator: y^mono = 0
+            if sum(parity[g] for g in rest[:t]) % 2:
+                c0 = -c0
+        else:
+            c0 *= rest.count(delta)
+        coeff *= c0
+        del rest[t]
+    return tuple(rest), coeff
+
+
 def apply_weyl(op, poly):
-    """Apply a WeylElement to an element of P(W) (dict {y-mono: coeff})."""
+    """Apply a WeylElement to an element of P(W) (dict {y-mono: coeff}).
+
+    Runs on Python ints: the operator is cleared with Combination.cleared()
+    and the polynomial by the lcm of its denominators.  The operator terms
+    are grouped by d-monomial, and d^dop(y^mono) is computed once per
+    (dop, mono) pair, only when dop is contained in mono (see _contract);
+    for a bidegree-(d,d) operator on a degree-d vector only dop == mono
+    survives.  Each output term is divided back into a Fraction once."""
     ctx = weyl_context(op.ambient)
+    sort_mono = ctx.sort_mono
+    den_op, op_ints = op.cleared()
+    den_p = lcm(*(c.denominator for c in poly.values()))
+    poly_ints = [(mono, c.numerator * (den_p // c.denominator))
+                 for mono, c in poly.items()]
+    by_dop = {}
+    for (yop, dop), c in op_ints.items():
+        by_dop.setdefault(dop, []).append((yop, c))
     out = {}
-    for (yop, dop), cop in op.terms.items():
-        for mono, c in poly.items():
-            pieces = {mono: c * cop}
-            for delta in reversed(dop):
-                pd = ctx.parity[delta]
-                nxt = {}
-                for mm, cc in pieces.items():
-                    pref = 0
-                    for t, g in enumerate(mm):
-                        c0 = ctx.pairing(delta, g)
-                        if c0:
-                            s = (-1) ** (pd * pref)
-                            rm = mm[:t] + mm[t + 1:]
-                            nxt[rm] = nxt.get(rm, 0) + cc * s * c0
-                        pref += ctx.parity[g]
-                pieces = nxt
-            for mm, cc in pieces.items():
-                nm, s = ctx.sort_mono(yop + mm)
-                if nm is None:
-                    continue
-                out[nm] = out.get(nm, 0) + cc * s
-    return {k: v for k, v in out.items() if v != 0}
+    for dop, yterms in by_dop.items():
+        for mono, c in poly_ints:
+            rest, cc = _contract(ctx, dop, mono)
+            if not cc:
+                continue
+            cc *= c
+            for yop, cop in yterms:
+                nm, s = sort_mono(yop + rest)
+                if s:
+                    out[nm] = out.get(nm, 0) + cc * cop * s
+    den = den_op * den_p
+    return {k: Fraction(v, den) for k, v in out.items() if v}
 
 
 class GradedPieceBasis:
@@ -442,19 +474,27 @@ def t_sigma(ambient, sigma):
     {1..2d}, computed literally from its defining signed sum (with the
     1/2^d prefactor), presented in normal-ordered form.
 
-    The sum runs over all index tuples on Python ints: the parity sign is
-    read from a table over the tuple's odd positions, the pairs from the
-    canonical-pair table at precomputed positions, and the 1/2^d is
-    applied once per output term."""
+    The sum runs over all index tuples, depth first on Python ints: the
+    tuple is fixed one position at a time with its odd-position mask
+    carried down, each pair's canonical generator and sign are read once
+    its second position is fixed, and a branch is cut at the first odd
+    diagonal pair (sign 0).  A leaf reads the parity sign from a table
+    over the masks, sorts the y- and x-monomials through a per-call memo
+    of sort_mono and adds one term; the 1/2^d is applied once per output
+    term."""
     two_d = len(sigma)
     if two_d % 2:
         raise ValueError('permutation must have even size')
     if sorted(sigma) != list(range(1, two_d + 1)):
         raise ValueError('not a permutation of 1..%d' % two_d)
+    if not two_d:
+        return WeylElement.one(ambient)     # the empty tuple alone
     d = two_d // 2
     ctx = weyl_context(ambient)
+    dim = ambient.dim
     canon = ctx.canon_table
-    parity = [ambient.parity(i) for i in range(ambient.dim)]
+    canon_t = [list(col) for col in zip(*canon)]
+    parity = [ambient.parity(i) for i in range(dim)]
     # 0-based tuple positions of the inverted pairs of sigma
     inv_pos = [(sigma[r] - 1, sigma[s] - 1) for r in range(two_d)
                for s in range(r + 1, two_d) if sigma[r] > sigma[s]]
@@ -469,36 +509,62 @@ def t_sigma(ambient, sigma):
     pair_pos = ([(2 * t - 2, 2 * t - 1) for t in range(d, 0, -1)]
                 + [(sigma[2 * t - 2] - 1, sigma[2 * t - 1] - 1)
                    for t in range(1, d + 1)])
-    sorted_of = {}
-
-    def sort(mono):
-        sm = sorted_of.get(mono)
-        if sm is None:
-            sm = sorted_of[mono] = ctx.sort_mono(mono)
-        return sm
-
+    ys, xs = [None] * d, [None] * d
+    # the pairs closed by each position: (generator list, slot, the
+    # pair's other position, the canon table read with that index first)
+    closing = [[] for _ in range(two_d)]
+    for k, (r, s) in enumerate(pair_pos):
+        gens, slot = (ys, k) if k < d else (xs, k - d)
+        if r < s:
+            closing[s].append((gens, slot, r, canon))
+        else:
+            closing[r].append((gens, slot, s, canon_t))
+    bits = [[parity[i] << pos for i in range(dim)] for pos in range(two_d)]
     terms = {}
-    for tup in product(range(ambient.dim), repeat=two_d):
-        mask = 0
-        for k, i in enumerate(tup):
-            if parity[i]:
-                mask |= 1 << k
-        sign = sign_of[mask]
-        gens = []
-        for r, s in pair_pos:
-            g, s2 = canon[tup[r]][tup[s]]
-            sign *= s2
-            gens.append(g)
-        if not sign:
-            continue        # an odd diagonal pair
-        ny, s3 = sort(tuple(gens[:d]))
-        nd, s4 = sort(tuple(gens[d:]))
-        if s3 and s4:
-            key = (ny, nd)
-            terms[key] = terms.get(key, 0) + sign * s3 * s4
+    env = (dim, bits, closing, two_d - 1, [0] * two_d, ys, xs, sign_of,
+           ctx.sort_mono, {}, terms)
+    _t_sigma_walk(env, 0, 0, 1)
     den = 2 ** d
     return WeylElement(ambient, {k: Fraction(v, den)
                                  for k, v in terms.items() if v})
+
+
+def _t_sigma_walk(env, pos, mask, sign):
+    """Fix position pos of the index tuple in every way and descend; at
+    the last position add the leaf terms.  A plain function of its
+    arguments, so a t_sigma call leaves no reference cycle behind."""
+    (dim, bits, closing, last, tup, ys, xs, sign_of, sort_mono, sorted_of,
+     terms) = env
+    rows = [(gens, slot, tab[tup[other]])
+            for gens, slot, other, tab in closing[pos]]
+    pos_bits = bits[pos]
+    for i in range(dim):
+        sg = sign
+        for gens, slot, row in rows:
+            g, s = row[i]
+            if not s:
+                break               # an odd diagonal pair
+            sg *= s
+            gens[slot] = g
+        else:
+            if pos < last:
+                tup[pos] = i
+                _t_sigma_walk(env, pos + 1, mask | pos_bits[i], sg)
+                continue
+            ky = tuple(ys)
+            sy = sorted_of.get(ky)
+            if sy is None:
+                sy = sorted_of[ky] = sort_mono(ky)
+            if not sy[1]:
+                continue
+            kx = tuple(xs)
+            sx = sorted_of.get(kx)
+            if sx is None:
+                sx = sorted_of[kx] = sort_mono(kx)
+            if sx[1]:
+                key = (sy[0], sx[0])
+                terms[key] = (terms.get(key, 0) + sign_of[mask | pos_bits[i]]
+                              * sg * sy[1] * sx[1])
 
 
 def consecutive_cycles_perm(blocks):

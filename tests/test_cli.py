@@ -172,6 +172,18 @@ def test_verify_bad_sizes_exit_2(capsys, flags):
     assert out == '' and 'error:' in err
 
 
+@pytest.mark.parametrize('argv', [
+    ('--suite', 'vanishing', '--m', '1'),        # ran 0 cases, exit 1
+    ('--suite', 'decomposition', '--m', '1'),    # ran gl(2|2) regardless
+    ('--suite', 'duality', '--n', '2'),          # took m = 1 silently
+])
+def test_verify_lone_rank_flag_exits_2(capsys, argv):
+    code, out, err = run(capsys, 'verify', *argv)
+    assert code == 2
+    assert out == ''
+    assert err == 'error: --m and --n must be given together\n'
+
+
 def test_hooks_negative_size_exits_2(capsys):
     code, out, err = run(capsys, 'hooks', '--m', '1', '--n', '1',
                          '--size', '-1')

@@ -1,19 +1,25 @@
-"""The integer, table-driven normal-ordering kernels against the plain
-Fraction kernels they replaced, kept here as references: equal values
-and equal str() on random and exhaustive inputs."""
+"""The integer, table-driven normal-ordering kernels and the integer
+apply_weyl against the plain Fraction kernels they replaced, kept here
+as references: equal values and equal str() on random and exhaustive
+inputs."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 
+from supercapelli.hooks import HookParams, enumerate_hooks
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
                                    gelfand_element, pbw_normalize,
                                    _gen_key)
-from supercapelli.weyl import (WeylElement, consecutive_cycles_perm,
-                               t_sigma, weyl_context, weyl_mul,
-                               _partitions_of)
+from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
+                               apply_weyl, consecutive_cycles_perm,
+                               invariant_symbol_space, monomial_basis,
+                               osp_spanning_set, rho_check, rho_check_gen,
+                               spherical_vector, t_sigma, weyl_context,
+                               weyl_mul, _partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,33 @@ def reference_t_sigma(ambient, sigma):
     return WeylElement(ambient, terms)
 
 
+def reference_apply_weyl(op, poly):
+    ctx = weyl_context(op.ambient)
+    out = {}
+    for (yop, dop), cop in op.terms.items():
+        for mono, c in poly.items():
+            pieces = {mono: c * cop}
+            for delta in reversed(dop):
+                pd = ctx.parity[delta]
+                nxt = {}
+                for mm, cc in pieces.items():
+                    pref = 0
+                    for t, g in enumerate(mm):
+                        c0 = ctx.pairing(delta, g)
+                        if c0:
+                            s = (-1) ** (pd * pref)
+                            rm = mm[:t] + mm[t + 1:]
+                            nxt[rm] = nxt.get(rm, 0) + cc * s * c0
+                        pref += ctx.parity[g]
+                pieces = nxt
+            for mm, cc in pieces.items():
+                nm, s = ctx.sort_mono(yop + mm)
+                if nm is None:
+                    continue
+                out[nm] = out.get(nm, 0) + cc * s
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def assert_same(got, want):
     assert got == want
     assert str(got) == str(want)
@@ -259,3 +292,134 @@ def test_centrality_normalise_once_matches_literal_route(mn):
                 g = UEAElement.gen(amb, i, j)
                 assert_same(pbw_normalize(nz * g - g * nz),
                             reference_pbw_normalize(z * g - g * z))
+
+
+@pytest.mark.parametrize('mn', [(1, 2), (2, 2)])
+def test_t_sigma_matches_reference_on_partitions_of_4(mn):
+    amb = Ambient(*mn)
+    for part in _partitions_of(4):
+        sig = consecutive_cycles_perm(part)
+        assert_same(t_sigma(amb, sig), reference_t_sigma(amb, sig))
+
+
+def test_t_sigma_matches_reference_on_random_s8():
+    amb = Ambient(1, 2)
+    rng = random.Random(8)
+    for _ in range(5):
+        sig = tuple(rng.sample(range(1, 9), 8))
+        assert_same(t_sigma(amb, sig), reference_t_sigma(amb, sig))
+
+
+def test_kernels_leave_no_reference_cycle():
+    amb = Ambient(1, 2)
+    op = t_sigma(amb, consecutive_cycles_perm((2,)))
+    vec = {mm: Fraction(1, 3) for mm in monomial_basis(amb, 2)}
+    gc.collect()
+    gc.disable()
+    try:
+        t_sigma(amb, consecutive_cycles_perm((1, 1)))
+        apply_weyl(op, vec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# apply_weyl, at (m, n) taken as Ambient(m, 2n).
+
+APPLY_AMBIENTS = [(1, 1), (2, 1), (1, 2)]
+
+
+def assert_same_poly(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize('mn', APPLY_AMBIENTS)
+def test_apply_weyl_matches_reference_on_polarizations(mn):
+    amb = Ambient(mn[0], 2 * mn[1])
+    monos = [mm for k in range(4) for mm in monomial_basis(amb, k)]
+    for i in range(amb.dim):
+        for j in range(amb.dim):
+            if i == j:
+                continue
+            op = rho_check_gen(amb, i, j)
+            for mm in monos:
+                poly = {mm: Fraction(1)}
+                assert_same_poly(apply_weyl(op, poly),
+                                 reference_apply_weyl(op, poly))
+
+
+@pytest.mark.parametrize('mn', APPLY_AMBIENTS)
+def test_apply_weyl_matches_reference_on_invariant_symbols(mn):
+    amb = Ambient(mn[0], 2 * mn[1])
+    for d in range(1, 4):
+        basis = invariant_symbol_space(amb, d, verify=False)
+        for _, vecs in all_highest_weight_vectors(amb, d):
+            for vec in vecs:
+                for op in basis:
+                    assert_same_poly(apply_weyl(op, vec),
+                                     reference_apply_weyl(op, vec))
+
+
+def random_poly(ctx, rng):
+    """Canonical monomials of degree <= 4, now and then one with an odd
+    generator repeated (a zero of P(W))."""
+    npairs = len(ctx.pairs)
+    odd = [g for g in range(npairs) if ctx.parity[g]]
+    poly = {}
+    for _ in range(rng.randrange(1, 5)):
+        items = [rng.randrange(npairs) for _ in range(rng.randrange(5))]
+        if odd and rng.random() < 0.2:
+            items += [rng.choice(odd)] * 2
+            mono = tuple(sorted(items))
+        else:
+            mono, _ = ctx.sort_mono(items)
+        if mono is not None:
+            poly[mono] = random_coeff(rng)
+    return poly
+
+
+def random_operator(amb, ctx, rng, poly):
+    """Mixed-order terms; some d-parts are drawn from inside a monomial of
+    poly, some y-parts reuse one of its odd generators."""
+    npairs = len(ctx.pairs)
+    monos = list(poly)
+    terms = {}
+    for _ in range(rng.randrange(1, 6)):
+        y = [rng.randrange(npairs) for _ in range(rng.randrange(3))]
+        if monos and rng.random() < 0.5:
+            mono = rng.choice(monos)
+            d = rng.sample(mono, rng.randrange(len(mono) + 1))
+            y += [g for g in mono if ctx.parity[g]][:1]
+        else:
+            d = [rng.randrange(npairs) for _ in range(rng.randrange(4))]
+        ny, _ = ctx.sort_mono(y)
+        nd, _ = ctx.sort_mono(d)
+        if ny is not None and nd is not None:
+            terms[(ny, nd)] = random_coeff(rng)
+    return WeylElement(amb, terms)
+
+
+@pytest.mark.parametrize('mn', APPLY_AMBIENTS)
+def test_apply_weyl_matches_reference_on_random_input(mn):
+    amb = Ambient(mn[0], 2 * mn[1])
+    ctx = weyl_context(amb)
+    rng = random.Random('apply %s %s' % mn)
+    for _ in range(200):
+        poly = random_poly(ctx, rng)
+        op = random_operator(amb, ctx, rng, poly)
+        assert_same_poly(apply_weyl(op, poly), reference_apply_weyl(op, poly))
+
+
+@pytest.mark.parametrize('mn', APPLY_AMBIENTS)
+def test_apply_weyl_matches_reference_on_spherical_vectors(mn):
+    params = HookParams(mn[0], mn[1], 'half')
+    images = [rho_check(k) for k in osp_spanning_set(params)]
+    for b in enumerate_hooks(params, 2, upto=True):
+        if not b.size:
+            continue
+        vec = spherical_vector(params, b)
+        for op in images:
+            assert_same_poly(apply_weyl(op, vec),
+                             reference_apply_weyl(op, vec))
