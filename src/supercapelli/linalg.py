@@ -10,6 +10,11 @@ entry.  Each integer row is a nonzero multiple of the row the Fraction
 elimination would hold, so pivots, rank, reduced row echelon form and
 kernel are exactly those of elimination over Fractions.  lin_solve
 verifies its own answer by back-substitution on every call.
+
+dict_vectors_rank needs only the rank, so it runs forward elimination
+alone on the primitive integer rows (each pivot clears the rows below
+it) and counts the pivots; it builds no Fraction RREF, no kernel and no
+back-elimination.
 """
 
 from fractions import Fraction
@@ -32,31 +37,29 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _integer_row(row):
-    """Row of Fraction-coercible values scaled to a primitive integer row."""
+def _cleared(row):
+    """(den, ints): the lcm of the denominators of a row of
+    Fraction-coercible values, and the row times it."""
     fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     den = lcm(*(x.denominator for x in fr))
-    return _primitive([x.numerator * (den // x.denominator) for x in fr])
+    return den, [x.numerator * (den // x.denominator) for x in fr]
 
 
-def mat_reduce(rows, ncols=None):
-    """Reduced row echelon form with pivot bookkeeping and kernel basis.
+def _integer_row(row):
+    """Row of Fraction-coercible values scaled to a primitive integer row."""
+    return _primitive(_cleared(row)[1])
 
-    rows: list of rows (lists of Fraction-coercible values).  ncols must be
-    given when rows is empty.  The pivot of each column is the first row
-    at or below the current rank with a nonzero entry there.
-    """
-    m = [_integer_row(row) for row in rows]
-    if ncols is None:
-        if not m:
-            raise ValueError('ncols required for an empty matrix')
-        ncols = len(m[0])
-    for row in m:
-        if len(row) != ncols:
-            raise ValueError('ragged matrix')
-    rank = 0
+
+def _eliminate(m, ncols, jordan):
+    """Fraction-free elimination of the integer rows m in place; returns
+    the pivot columns.  The pivot of each column is the first row at or
+    below the current rank with a nonzero entry there.  A pivot clears
+    its column in every other row when jordan is set (Gauss-Jordan), and
+    only in the rows below it otherwise (forward elimination, enough for
+    the rank)."""
     pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for r in range(rank, len(m)):
             if m[r][col] != 0:
@@ -67,12 +70,30 @@ def mat_reduce(rows, ncols=None):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         p = prow[col]
-        for r in range(len(m)):
+        for r in range(0 if jordan else rank + 1, len(m)):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
         pivots.append(col)
-        rank += 1
+    return pivots
+
+
+def mat_reduce(rows, ncols=None):
+    """Reduced row echelon form with pivot bookkeeping and kernel basis.
+
+    rows: list of rows (lists of Fraction-coercible values).  ncols must be
+    given when rows is empty.
+    """
+    m = [_integer_row(row) for row in rows]
+    if ncols is None:
+        if not m:
+            raise ValueError('ncols required for an empty matrix')
+        ncols = len(m[0])
+    for row in m:
+        if len(row) != ncols:
+            raise ValueError('ragged matrix')
+    pivots = _eliminate(m, ncols, jordan=True)
+    rank = len(pivots)
     zero = Fraction(0)
     rref = []
     for row, pc in zip(m, pivots):
@@ -108,7 +129,8 @@ def lin_solve(rows, rhs, ncols=None):
     """Solve m x = rhs exactly.
 
     Returns a SolveResult with one solution (or None if inconsistent) and a
-    kernel basis.  The solution is verified by exact back-substitution.
+    kernel basis.  The solution is verified by exact back-substitution,
+    run on the rows and the solution cleared of denominators.
     """
     rows = [list(row) for row in rows]
     rhs = [Fraction(x) for x in rhs]
@@ -125,9 +147,11 @@ def lin_solve(rows, rhs, ncols=None):
     sol = [Fraction(0)] * ncols
     for r, pc in enumerate(red.pivots):
         sol[pc] = red.rref[r][ncols]
+    # On ints: row . sol == b  iff  (rden row) . (sden sol) == b rden sden.
+    sden, snum = _cleared(sol)
     for row, b in zip(rows, rhs):
-        acc = sum((Fraction(a) * s for a, s in zip(row, sol)), Fraction(0))
-        if acc != b:
+        rden, rnum = _cleared(row)
+        if sum(a * s for a, s in zip(rnum, snum)) != b * (rden * sden):
             raise AssertionError('back-substitution check failed')
     kernel = [vec[:ncols] for vec in red.kernel if vec[ncols] == 0]
     return SolveResult(sol, kernel)
@@ -143,16 +167,18 @@ def _key_index(vectors):
 
 
 def dict_vectors_rank(vectors):
+    """Rank of the span: forward elimination of primitive integer rows,
+    with no RREF or kernel built."""
     keys, idx = _key_index(vectors)
     if not keys:
         return 0
     rows = []
     for v in vectors:
-        row = [Fraction(0)] * len(keys)
+        row = [0] * len(keys)
         for k, c in v.items():
-            row[idx[k]] = Fraction(c)
-        rows.append(row)
-    return mat_reduce(rows, len(keys)).rank
+            row[idx[k]] = c
+        rows.append(_integer_row(row))
+    return len(_eliminate(rows, len(keys), jordan=False))
 
 
 def dict_vectors_basis(vectors):

@@ -183,18 +183,36 @@ class MultiPoly(Combination):
         return result
 
     def evaluate(self, point):
-        """Exact value at a point (sequence of Fractions, one per variable)."""
+        """Exact value at a point (sequence of Fractions, one per variable).
+
+        Runs on Python ints: with p_i = n_i / d_i and K_i the top exponent
+        of variable i, a term c x^e contributes c * prod n_i^e_i
+        d_i^(K_i - e_i) over the common denominator prod d_i^K_i, so the
+        sum takes one table lookup per variable and term and a single
+        division at the end."""
         point = [Fraction(p) for p in point]
         if len(point) != len(self.vars):
             raise ValueError('point length does not match context')
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for p, k in zip(point, e):
-                if k:
-                    v *= p ** k
-            total += v
-        return total
+        if not self.terms:
+            return Fraction(0)
+        den, terms = self.cleared()
+        tables = []
+        for i, p in enumerate(point):
+            top = max(e[i] for e in terms)
+            num, pden = p.numerator, p.denominator
+            npow = [1]
+            dpow = [1]
+            for _ in range(top):
+                npow.append(npow[-1] * num)
+                dpow.append(dpow[-1] * pden)
+            tables.append([a * b for a, b in zip(npow, reversed(dpow))])
+            den *= dpow[-1]
+        total = 0
+        for e, c in terms.items():
+            for table, k in zip(tables, e):
+                c *= table[k]
+            total += c
+        return Fraction(total, den)
 
     def top_part(self):
         """Homogeneous part of highest total degree."""

@@ -9,7 +9,7 @@ sums.  Their exact agreement is the flagship consistency check.
 
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .multipoly import MultiPoly, AffineSubstitution
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
@@ -218,14 +218,35 @@ def c_star_poly(params, b, preimage=None):
 
 
 class InterpolationBasis:
+    """A filtered basis of degree d of the algebra generated by `gens`,
+    with its nodes (the hook partitions of size <= d), the map sending a
+    node to its evaluation point, and the value row of each node,
+    computed once when the basis is built."""
 
-    __slots__ = ('context', 'gens', 'polys', 'records')
+    __slots__ = ('params', 'd', 'context', 'gens', 'polys', 'records',
+                 'point', 'nodes', '_rows', '_den', '_ints')
 
-    def __init__(self, context, gens, polys, records):
+    def __init__(self, params, d, context, gens, point):
+        self.params = params
+        self.d = d
         self.context = context
         self.gens = gens                # generator degree -> MultiPoly
+        polys, records = _filtered_products(gens, d, context)
         self.polys = polys
         self.records = records          # generator-degree multisets
+        self.point = point              # node -> coordinates
+        self.nodes = tuple(enumerate_hooks(params, d, upto=True))
+        if len(polys) != len(self.nodes):
+            raise AssertionError('interpolation algebra dimension %d does '
+                                 'not match hook count %d at degree %d'
+                                 % (len(polys), len(self.nodes), d))
+        self._rows = tuple(tuple(self.values_at(point(b)))
+                           for b in self.nodes)
+        # The basis over one common denominator, for combine().
+        cleared = [p.cleared() for p in polys]
+        self._den = lcm(*(den for den, _ in cleared))
+        self._ints = tuple({e: v * (self._den // den) for e, v in t.items()}
+                           for den, t in cleared)
 
     def __len__(self):
         return len(self.polys)
@@ -237,6 +258,43 @@ class InterpolationBasis:
         vals = {k: g.evaluate(point) for k, g in self.gens.items()}
         return [prod((vals[k] for k in rec), start=Fraction(1))
                 for rec in self.records]
+
+    def node_rows(self):
+        """values_at at each node, in node order, as fresh lists."""
+        return [list(row) for row in self._rows]
+
+    def check(self, params, b, point):
+        """Raise ValueError unless the basis was built for params, the
+        degree |b| and the evaluation points given by `point`."""
+        if (self.params != params or self.d != b.size
+                or self.point is not point or b not in self.nodes):
+            raise ValueError(
+                'interpolation basis for %r at degree %d with %s nodes does '
+                'not match %r, partition %s and %s nodes'
+                % (self.params, self.d, self.point.__name__.strip('_'),
+                   params, b, point.__name__.strip('_')))
+
+    def combine(self, coeffs):
+        """The polynomial sum c_j p_j, accumulated on ints in one dict and
+        divided by the common denominator once per term."""
+        cden = lcm(*(c.denominator for c in coeffs))
+        terms = {}
+        for c, p in zip(coeffs, self._ints):
+            if c:
+                a = c.numerator * (cden // c.denominator)
+                for e, v in p.items():
+                    terms[e] = terms.get(e, 0) + a * v
+        den = cden * self._den
+        return MultiPoly(self.context,
+                         {e: Fraction(v, den) for e, v in terms.items()})
+
+
+def _gamma_star_point(b):
+    return gamma_star_map(b).coords
+
+
+def _frobenius_point(b):
+    return frobenius_point(b).coords()
 
 
 def _filtered_products(gens_by_degree, d, context):
@@ -266,13 +324,7 @@ def ia_star_basis(params, d):
     ctx = a_context(params.m, params.n)
     gens = {k: q_projection(gd_element(amb, k), amb).rename(ctx)
             for k in range(1, d + 1)}
-    polys, records = _filtered_products(gens, d, ctx)
-    expected = len(enumerate_hooks(params, d, upto=True))
-    if len(polys) != expected:
-        raise AssertionError('interpolation algebra dimension %d does not '
-                             'match hook count %d at degree %d'
-                             % (len(polys), expected, d))
-    return InterpolationBasis(ctx, gens, polys, records)
+    return InterpolationBasis(params, d, ctx, gens, _gamma_star_point)
 
 
 def c_poly_interp(params, b, basis=None):
@@ -282,21 +334,13 @@ def c_poly_interp(params, b, basis=None):
     d = b.size
     if basis is None:
         basis = ia_star_basis(params, d)
-    hooks = enumerate_hooks(params, d, upto=True)
-    rows = []
-    rhs = []
-    for bp in hooks:
-        mu = gamma_star_map(bp)
-        rows.append(basis.values_at(mu.coords))
-        rhs.append(Fraction(factorial(d)) if bp == b else Fraction(0))
-    res = lin_solve(rows, rhs, len(basis))
+    basis.check(params, b, _gamma_star_point)
+    rhs = [Fraction(factorial(d)) if bp == b else Fraction(0)
+           for bp in basis.nodes]
+    res = lin_solve(basis.node_rows(), rhs, len(basis))
     if not res.unique:
         raise AssertionError('interpolation system is singular')
-    poly = MultiPoly.zero(basis.context)
-    for c, p in zip(res.solution, basis.polys):
-        if c:
-            poly = poly + p.scale(c)
-    return EigenPoly(b, poly)
+    return EigenPoly(b, basis.combine(res.solution))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +375,7 @@ def deformed_power_sum(params, d):
 def sp_basis(params, d):
     ctx = xy_context(params.m, params.n)
     gens = {k: deformed_power_sum(params, k) for k in range(1, d + 1)}
-    polys, records = _filtered_products(gens, d, ctx)
-    expected = len(enumerate_hooks(params, d, upto=True))
-    if len(polys) != expected:
-        raise AssertionError('interpolation basis dimension mismatch: '
-                             '%d vs %d hooks' % (len(polys), expected))
-    return InterpolationBasis(ctx, gens, polys, records)
+    return InterpolationBasis(params, d, ctx, gens, _frobenius_point)
 
 
 def sp_star(params, b, basis=None):
@@ -346,23 +385,14 @@ def sp_star(params, b, basis=None):
     d = b.size
     if basis is None:
         basis = sp_basis(params, d)
-    hooks = enumerate_hooks(params, d, upto=True)
+    basis.check(params, b, _frobenius_point)
     target = hook_product_H(b) if params.theta == 'half' \
         else Fraction(classical_hook_product(b))
-    rows = []
-    rhs = []
-    for bp in hooks:
-        pt = frobenius_point(bp).coords()
-        rows.append(basis.values_at(pt))
-        rhs.append(target if bp == b else Fraction(0))
-    res = lin_solve(rows, rhs, len(basis))
+    rhs = [target if bp == b else Fraction(0) for bp in basis.nodes]
+    res = lin_solve(basis.node_rows(), rhs, len(basis))
     if not res.unique:
         raise AssertionError('interpolation system is singular')
-    poly = MultiPoly.zero(basis.context)
-    for c, p in zip(res.solution, basis.polys):
-        if c:
-            poly = poly + p.scale(c)
-    return poly
+    return basis.combine(res.solution)
 
 
 def frobenius_transform(params, p):

@@ -61,7 +61,9 @@ def random_entry(rng):
     return Fraction(num, den) if den > 1 or rng.random() < 0.5 else num
 
 
-def test_mat_reduce_equals_fraction_gauss_jordan():
+def random_matrices():
+    """2 400 seeded random (rows, ncols), with zero rows and rows that
+    combine two earlier ones."""
     rng = random.Random(2024)
     for _ in range(2400):
         nr, nc = rng.randrange(0, 10), rng.randrange(1, 10)
@@ -76,7 +78,53 @@ def test_mat_reduce_equals_fraction_gauss_jordan():
                 a, b = rng.sample(range(r), 2)
                 fa, fb = random_entry(rng), random_entry(rng)
                 rows[r] = [fa * x + fb * y for x, y in zip(rows[a], rows[b])]
+        yield rows, nc
+
+
+def test_mat_reduce_equals_fraction_gauss_jordan():
+    for rows, nc in random_matrices():
         assert_matches_reference(rows, nc)
+
+
+def reference_rank(vectors):
+    """The rank as dict_vectors_rank read it before: mat_reduce of the
+    dense rows."""
+    keys = sorted({k for v in vectors for k in v})
+    if not keys:
+        return 0
+    rows = [[v.get(k, 0) for k in keys] for v in vectors]
+    return mat_reduce(rows, len(keys)).rank
+
+
+def test_dict_vectors_rank_equals_mat_reduce_rank():
+    count = 0
+    for rows, nc in random_matrices():
+        vectors = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert dict_vectors_rank(vectors) == reference_rank(vectors) \
+            == mat_reduce(rows, nc).rank
+        count += 1
+    assert count == 2400
+
+
+def test_dict_vectors_rank_on_filtered_product_families(monkeypatch):
+    """The families _filtered_products ranks at (2,1), d=6, for the
+    interpolation basis and both shifted super Jack bases."""
+    families = []
+    real_rank = solver.dict_vectors_rank
+
+    def recording_rank(vectors):
+        families.append([dict(v) for v in vectors])
+        return real_rank(vectors)
+
+    monkeypatch.setattr(solver, 'dict_vectors_rank', recording_rank)
+    half = hooks.HookParams(2, 1, 'half')
+    solver.ia_star_basis(half, 6)
+    solver.sp_basis(half, 6)
+    solver.sp_basis(hooks.HookParams(2, 1, 'one'), 6)
+    assert len(families) == 87
+    ranks = [real_rank(v) for v in families]
+    assert ranks == [reference_rank(v) for v in families]
+    assert sum(r == len(v) for r, v in zip(ranks, families)) == 84
 
 
 def test_mat_reduce_equals_reference_on_interpolation_systems(monkeypatch):

@@ -123,3 +123,46 @@ def test_affine_substitution_matches_pointwise():
             src = [sub.image_poly(name).evaluate(pt) for name in CTX]
             assert q.evaluate(pt) == p.evaluate(src)
 
+
+
+def reference_evaluate(p, point):
+    """The Fraction-power evaluation loop the integer evaluate replaced."""
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v *= x ** k
+        total += v
+    return total
+
+
+def test_evaluate_equals_fraction_power_loop():
+    rng = random.Random(2025)
+
+    def coef():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 5))
+
+    checked = 0
+    for nvars in range(5):
+        ctx = tuple('v%d' % i for i in range(nvars))
+        for _ in range(60):
+            terms = {tuple(rng.randrange(6) for _ in ctx): coef()
+                     for _ in range(rng.randrange(0, 8))}
+            polys = [MultiPoly(ctx, terms), MultiPoly.zero(ctx),
+                     MultiPoly.const(ctx, coef())]
+            for p in polys:
+                for pt in (
+                        [Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
+                         for _ in ctx],
+                        [0] * nvars,
+                        [rng.choice((0, -1, Fraction(-3, 4), Fraction(2, 3)))
+                         for _ in ctx]):
+                    got = p.evaluate(pt)
+                    assert type(got) is Fraction
+                    assert got == reference_evaluate(p, pt)
+                    checked += 1
+    assert checked == 5 * 60 * 3 * 3
+    with pytest.raises(ValueError, match='point length'):
+        MultiPoly.const(CTX, 1).evaluate([1, 2])

@@ -8,6 +8,7 @@ import pytest
 from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
                                 gamma_star_map, dual_weight, hook_product_H,
                                 xy_context)
+from supercapelli.linalg import lin_solve
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
     q_projection, gd_element, hc_project
@@ -184,6 +185,106 @@ def test_basis_values_from_generators_equal_basis_evaluation():
             pt = point(b)
             assert basis.values_at(pt) == [p.evaluate(pt)
                                            for p in basis.polys]
+
+
+def test_node_rows_are_values_at_each_node():
+    half, one = HookParams(2, 1, 'half'), HookParams(2, 1, 'one')
+    from supercapelli.hooks import frobenius_point
+    bases = [(ia_star_basis(half, 6), lambda b: gamma_star_map(b).coords)]
+    for params in (half, one):
+        bases.append((sp_basis(params, 6),
+                      lambda b: frobenius_point(b).coords()))
+    for basis, point in bases:
+        assert list(basis.nodes) == enumerate_hooks(basis.params, 6,
+                                                    upto=True)
+        rows = basis.node_rows()
+        assert len(rows) == len(basis.nodes) == len(basis) == 29
+        for b, row in zip(basis.nodes, rows):
+            assert basis.point(b) == point(b)
+            assert row == basis.values_at(point(b))
+        # The rows handed out are copies: mutating one leaves the basis
+        # unchanged.
+        saved = [list(row) for row in rows]
+        rows[0][0] = Fraction(12345)
+        rows[-1].clear()
+        rows.append([])
+        assert basis.node_rows() == saved
+
+
+def reference_interp(basis, point, target_of, b):
+    """The solve-and-accumulate route c_poly_interp and sp_star took
+    before the basis kept its nodes: every node row re-evaluated for each
+    partition, then sum c_j p_j one scaled term at a time."""
+    d = b.size
+    rows, rhs = [], []
+    for bp in enumerate_hooks(b.params, d, upto=True):
+        rows.append(basis.values_at(point(bp)))
+        rhs.append(target_of(b) if bp == b else Fraction(0))
+    res = lin_solve(rows, rhs, len(basis))
+    assert res.unique
+    poly = MultiPoly.zero(basis.context)
+    for c, p in zip(res.solution, basis.polys):
+        if c:
+            poly = poly + p.scale(c)
+    return poly
+
+
+def test_interpolation_routes_equal_reference():
+    from supercapelli.hooks import frobenius_point, classical_hook_product
+    count = 0
+    for (m, n), dmax in (((2, 1), 4), ((1, 2), 3)):
+        half, one = HookParams(m, n, 'half'), HookParams(m, n, 'one')
+        for d in range(1, dmax + 1):
+            ia = ia_star_basis(half, d)
+            for b in enumerate_hooks(half, d):
+                want = reference_interp(
+                    ia, lambda bp: gamma_star_map(bp).coords,
+                    lambda bp: Fraction(factorial(d)), b)
+                for got in (c_poly_interp(half, b).poly,
+                            c_poly_interp(half, b, basis=ia).poly):
+                    assert got == want and str(got) == str(want)
+                count += 1
+            for params, target in ((half, hook_product_H),
+                                   (one, classical_hook_product)):
+                sp = sp_basis(params, d)
+                for b in enumerate_hooks(params, d):
+                    want = reference_interp(
+                        sp, lambda bp: frobenius_point(bp).coords(),
+                        lambda bp: Fraction(target(bp)), b)
+                    for got in (sp_star(params, b),
+                                sp_star(params, b, basis=sp)):
+                        assert got == want and str(got) == str(want)
+                    count += 1
+    assert count > 50
+
+
+def test_mismatched_basis_is_rejected():
+    half, one = P11, HookParams(1, 1, 'one')
+    b = parse_partition('2', half)
+    with pytest.raises(ValueError, match='does not match'):
+        c_poly_interp(half, b, basis=sp_basis(half, 2))
+    with pytest.raises(ValueError, match='does not match'):
+        sp_star(one, parse_partition('2', one), basis=sp_basis(half, 2))
+    with pytest.raises(ValueError, match='does not match'):
+        sp_star(half, b, basis=ia_star_basis(half, 2))
+    for d in (1, 3):
+        with pytest.raises(ValueError, match='does not match'):
+            c_poly_interp(half, b, basis=ia_star_basis(half, d))
+        with pytest.raises(ValueError, match='does not match'):
+            sp_star(half, b, basis=sp_basis(half, d))
+    with pytest.raises(ValueError, match='does not match'):
+        c_poly_interp(HookParams(2, 1, 'half'),
+                      parse_partition('2', HookParams(2, 1, 'half')),
+                      basis=ia_star_basis(half, 2))
+    # A partition of other ranks is not among the basis nodes.
+    with pytest.raises(ValueError, match='does not match'):
+        c_poly_interp(half, parse_partition('2', HookParams(2, 1, 'half')),
+                      basis=ia_star_basis(half, 2))
+    # The matching basis is still accepted.
+    assert c_poly_interp(half, b, basis=ia_star_basis(half, 2)).poly == \
+        c_poly_interp(half, b).poly
+    assert sp_star(one, parse_partition('2', one), basis=sp_basis(one, 2)) \
+        == sp_star(one, parse_partition('2', one))
 
 
 def test_deformed_power_sum_is_transformed_generator():
