@@ -16,7 +16,7 @@ from .superlie import (Ambient, UEAElement, bracket, pbw_normalize,
 from .weyl import (WeylElement, weyl_mul, rho_check, rho_check_gen, t_sigma,
                    invariant_symbol_space, highest_weight_vectors,
                    capelli_operator, spherical_vector, spherical_poly,
-                   symbol, GradedPieceBasis)
+                   symbol)
 from .solver import (sigma_normalize, symbol_preimage, full_preimage,
                      central_preimage, c_poly_hc, c_poly_interp, c_star_poly,
                      ia_star_basis, deformed_power_sum, sp_basis, sp_star,

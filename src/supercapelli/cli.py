@@ -6,6 +6,25 @@ operations and compares results for exact equality.  Exit codes: 0 on
 success, 1 when a verification case fails, 2 on invalid input, 3 when an
 internal consistency check of the library fails (an AssertionError, such
 as a singular Capelli system).
+
+Each suite reads (m, n) either as the ambient gl(m|n) or as the pair
+ranks with ambient gl(m|2n), and runs its default configurations
+{(m, n): degree}:
+
+    centrality            ambient  (1,1) (1,2) (2,1) (2,2): 4
+    symbol-identity       ambient  (1,1) (2,1): 3
+    abstract-capelli      ambient  (1,2) (2,2): 2 (preimage round trips)
+    decomposition         ambient  (1,2) (2,2): 3
+    eigenvalue-coherence  pair     (1,1): 3, (2,1): 2 (spectra up to d+1)
+    vanishing             pair     (1,1): 3, (2,1): 2
+    top-part              pair     (1,1): 3, (2,1): 2
+    sv-identification     pair     (1,1): 3, (2,1): 2
+    spherical             pair     (1,1): 3, (2,1): 2
+    theta-one             pair     (1,1) (2,1): 3
+    duality               pair     (1,1): 3
+
+Explicit --m/--n replace the defaults by that one pair, at its default
+degree or else the suite's smallest one; --dmax replaces every degree.
 """
 
 import argparse
@@ -189,16 +208,48 @@ def cmd_sp_star(args):
 # ---------------------------------------------------------------------------
 # Verification suites (one per theorem-level identity, plus 'all').
 
-def _ambients(args, default):
-    if args.m is not None and args.n is not None:
-        return [(args.m, args.n)]
-    return default
+# Default configurations {(m, n): degree} of each suite.
+_SPECTRUM = {(1, 1): 3, (2, 1): 2}
+_CONFIGS = {
+    'centrality': {(1, 1): 4, (1, 2): 4, (2, 1): 4, (2, 2): 4},
+    'symbol-identity': {(1, 1): 3, (2, 1): 3},
+    'abstract-capelli': {(1, 2): 2, (2, 2): 2},
+    'eigenvalue-coherence': _SPECTRUM,
+    'vanishing': _SPECTRUM,
+    'top-part': _SPECTRUM,
+    'sv-identification': _SPECTRUM,
+    'decomposition': {(1, 2): 3, (2, 2): 3},
+    'spherical': _SPECTRUM,
+    'theta-one': {(1, 1): 3, (2, 1): 3},
+    'duality': {(1, 1): 3},
+}
+
+
+def _configs(args, name):
+    """[(m, n, d)] of a suite: explicit --m/--n replace the defaults by
+    that one pair, at its default degree or else the suite's smallest
+    one; --dmax replaces every degree."""
+    table = _CONFIGS[name]
+    if args.m is not None:
+        pair = (args.m, args.n)
+        table = {pair: table.get(pair, min(table.values()))}
+    return [(m, n, args.dmax or d) for (m, n), d in table.items()]
+
+
+def _hooks(params, d):
+    """The nonempty hook partitions of size at most d."""
+    return [b for b in enumerate_hooks(params, d, upto=True) if b.size]
+
+
+def _case(label, bad, what):
+    """A case that passes when nothing is bad, with 'what: [...]' as
+    its witness otherwise."""
+    return label, not bad, '%s: %s' % (what, bad) if bad else ''
 
 
 def suite_centrality(args):
     cases = []
-    dmax = args.dmax or 4
-    for m, n in _ambients(args, [(1, 1), (1, 2), (2, 1), (2, 2)]):
+    for m, n, dmax in _configs(args, 'centrality'):
         amb = Ambient(m, n)
         for d in range(1, dmax + 1):
             # the PBW normal form is unique, so normalising z once leaves
@@ -210,15 +261,14 @@ def suite_centrality(args):
                     g = UEAElement.gen(amb, i, j)
                     if not pbw_normalize(z * g - g * z).is_zero():
                         bad.append('E(%s,%s)' % (amb.label(i), amb.label(j)))
-            cases.append(('gl(%d|%d) d=%d' % (m, n, d), not bad,
-                          'noncommuting: %s' % bad if bad else ''))
+            cases.append(_case('gl(%d|%d) d=%d' % (m, n, d), bad,
+                               'noncommuting'))
     return cases
 
 
 def suite_symbol_identity(args):
     cases = []
-    dmax = args.dmax or 3
-    for m, n in _ambients(args, [(1, 1), (2, 1)]):
+    for m, n, dmax in _configs(args, 'symbol-identity'):
         amb = Ambient(m, n)
         for d in range(1, dmax + 1):
             lhs = symbol(rho_check(gelfand_element(amb, d)), d)
@@ -229,46 +279,36 @@ def suite_symbol_identity(args):
 
 def suite_abstract_capelli(args):
     cases = []
-    for m, n in _ambients(args, [(1, 2), (2, 2)]):
+    for m, n, d in _configs(args, 'abstract-capelli'):
         amb = Ambient(m, n)
-        bad = []
-        for sig in permutations(range(1, 5)):
-            z = symbol_preimage(amb, sig)
-            if symbol(rho_check(z), 2) != t_sigma(amb, sig):
-                bad.append(sig)
-        cases.append(('gl(%d|%d) all sigma in S4' % (m, n), not bad,
-                      'failing sigma: %s' % bad if bad else ''))
-        rng = random.Random(0)
-        sample = rng.sample(list(permutations(range(1, 7))), 20)
-        bad = []
-        for sig in sample:
-            z = symbol_preimage(amb, sig)
-            if symbol(rho_check(z), 3) != t_sigma(amb, sig):
-                bad.append(sig)
-        cases.append(('gl(%d|%d) 20 random sigma in S6' % (m, n), not bad,
-                      'failing sigma: %s' % bad if bad else ''))
+        bad = [sig for sig in permutations(range(1, 5))
+               if symbol(rho_check(symbol_preimage(amb, sig)), 2)
+               != t_sigma(amb, sig)]
+        cases.append(_case('gl(%d|%d) all sigma in S4' % (m, n), bad,
+                           'failing sigma'))
+        sample = random.Random(0).sample(list(permutations(range(1, 7))), 20)
+        bad = [sig for sig in sample
+               if symbol(rho_check(symbol_preimage(amb, sig)), 3)
+               != t_sigma(amb, sig)]
+        cases.append(_case('gl(%d|%d) 20 random sigma in S6' % (m, n), bad,
+                           'failing sigma'))
+        # the pair ranks (m, n // 2) live in gl(m|2(n // 2)), which is
+        # gl(m|n - 1) for odd n
         params = HookParams(m, n // 2, 'half')
-        for b in enumerate_hooks(params, 2, upto=True):
+        for b in enumerate_hooks(params, d, upto=True):
             D = capelli_operator(params, b)
             z = full_preimage(D, check_invariant=False)
-            cases.append(('gl(%d|%d) preimage roundtrip %s' % (m, n, b),
-                          rho_check(z) == D, ''))
+            cases.append(('gl(%d|%d) preimage roundtrip %s'
+                          % (m, 2 * params.n, b), rho_check(z) == D, ''))
     return cases
-
-
-_EIGEN_CONFIGS = [((1, 1), 3, 4), ((2, 1), 2, 3)]
 
 
 def suite_eigenvalue_coherence(args):
     cases = []
-    for (m, n), lmax, mumax in _EIGEN_CONFIGS:
-        if args.m is not None and (m, n) != (args.m, args.n):
-            continue
+    for m, n, d in _configs(args, 'eigenvalue-coherence'):
         params = HookParams(m, n, 'half')
         amb = Ambient(m, 2 * n)
-        for b in enumerate_hooks(params, lmax, upto=True):
-            if not b.size:
-                continue
+        for b in _hooks(params, d):
             D = capelli_operator(params, b)
             z = central_preimage(params, b, capelli=D)
             ch = c_poly_hc(params, b, preimage=z)
@@ -276,49 +316,38 @@ def suite_eigenvalue_coherence(args):
             cases.append(('(%d,%d) routes agree %s' % (m, n, b),
                           ch.poly == ci.poly, ''))
             bad = []
-            for mu in enumerate_hooks(params, mumax, upto=True):
+            for mu in enumerate_hooks(params, d + 1, upto=True):
                 w = gamma_star_map(mu)
                 hw = highest_weight_vectors(amb, mu.size, eps_extension(w))
                 if len(hw) != 1 or \
                         eigenvalue_on(D, hw[0]) != ch.value(w):
                     bad.append(str(mu))
-            cases.append(('(%d,%d) spectrum of D_%s' % (m, n, b), not bad,
-                          'mismatch at mu: %s' % bad if bad else ''))
+            cases.append(_case('(%d,%d) spectrum of D_%s' % (m, n, b), bad,
+                               'mismatch at mu'))
     return cases
 
 
 def suite_vanishing(args):
     cases = []
-    for (m, n), lmax, _ in _EIGEN_CONFIGS:
-        if args.m is not None and (m, n) != (args.m, args.n):
-            continue
+    for m, n, d in _configs(args, 'vanishing'):
         params = HookParams(m, n, 'half')
-        for b in enumerate_hooks(params, lmax, upto=True):
-            if not b.size:
-                continue
+        for b in _hooks(params, d):
             c = c_poly_hc(params, b)
             bad = []
             for mu in enumerate_hooks(params, b.size, upto=True):
                 want = Fraction(factorial(b.size)) if mu == b else Fraction(0)
                 if c.value(gamma_star_map(mu)) != want:
                     bad.append(str(mu))
-            cases.append(('(%d,%d) vanishing of c_%s' % (m, n, b), not bad,
-                          'wrong value at mu: %s' % bad if bad else ''))
+            cases.append(_case('(%d,%d) vanishing of c_%s' % (m, n, b), bad,
+                               'wrong value at mu'))
     return cases
-
-
-_SPHERICAL_CONFIGS = [((1, 1), 3), ((2, 1), 2)]
 
 
 def suite_top_part(args):
     cases = []
-    for (m, n), lmax in _SPHERICAL_CONFIGS:
-        if args.m is not None and (m, n) != (args.m, args.n):
-            continue
+    for m, n, d in _configs(args, 'top-part'):
         params = HookParams(m, n, 'half')
-        for b in enumerate_hooks(params, lmax, upto=True):
-            if not b.size:
-                continue
+        for b in _hooks(params, d):
             rep = verify_main(params, b)
             cases.append(('(%d,%d) top part %s' % (m, n, b), rep.passed,
                           rep.detail))
@@ -335,13 +364,9 @@ def suite_top_part(args):
 
 def suite_sv_identification(args):
     cases = []
-    for (m, n), lmax in _SPHERICAL_CONFIGS:
-        if args.m is not None and (m, n) != (args.m, args.n):
-            continue
+    for m, n, d in _configs(args, 'sv-identification'):
         params = HookParams(m, n, 'half')
-        for b in enumerate_hooks(params, lmax, upto=True):
-            if not b.size:
-                continue
+        for b in _hooks(params, d):
             rep = verify_sv(params, b)
             cases.append(('(%d,%d) transform of c*_%s' % (m, n, b),
                           rep.passed, rep.detail))
@@ -359,8 +384,7 @@ def suite_sv_identification(args):
 
 def suite_decomposition(args):
     cases = []
-    kmax = args.dmax or 3
-    for m, n in _ambients(args, [(1, 2), (2, 2)]):
+    for m, n, kmax in _configs(args, 'decomposition'):
         amb = Ambient(m, n)
         params = HookParams(m, n // 2, 'half')
         for k in range(kmax + 1):
@@ -382,14 +406,10 @@ def suite_decomposition(args):
 
 def suite_spherical(args):
     cases = []
-    for (m, n), lmax in _SPHERICAL_CONFIGS:
-        if args.m is not None and (m, n) != (args.m, args.n):
-            continue
+    for m, n, d in _configs(args, 'spherical'):
         params = HookParams(m, n, 'half')
         kset = osp_spanning_set(params)
-        for b in enumerate_hooks(params, lmax, upto=True):
-            if not b.size:
-                continue
+        for b in _hooks(params, d):
             D = capelli_operator(params, b)
             vec = spherical_vector(params, b, capelli=D)
             ann = all(not apply_weyl(rho_check(k), vec) for k in kset)
@@ -404,12 +424,9 @@ def suite_spherical(args):
 
 def suite_theta_one(args):
     cases = []
-    lmax = args.dmax or 3
-    for m, n in _ambients(args, [(1, 1), (2, 1)]):
+    for m, n, d in _configs(args, 'theta-one'):
         params = HookParams(m, n, 'one')
-        for b in enumerate_hooks(params, lmax, upto=True):
-            if not b.size:
-                continue
+        for b in _hooks(params, d):
             fam = theta_one_family(params, b)
             cases.append(('(%d,%d) hyperplane conditions %s' % (m, n, b),
                           natural_algebra_check(params, fam['s_star']), ''))
@@ -418,28 +435,25 @@ def suite_theta_one(args):
 
 def suite_duality(args):
     cases = []
-    dmax = args.dmax or 3
-    params = HookParams(1 if args.m is None else args.m,
-                        1 if args.n is None else args.n, 'half')
-    for b in enumerate_hooks(params, dmax, upto=True):
-        if not b.size:
-            continue
-        z = central_preimage(params, b)
-        c = c_poly_hc(params, b, preimage=z)
-        cs = c_star_poly(params, b, preimage=z)
-        bad = []
-        for mu in enumerate_hooks(params, dmax, upto=True):
-            w = gamma_star_map(mu)
-            if c.value(w) != cs.value(dual_weight(w, params)):
-                bad.append(str(mu))
-        cases.append(('duality for %s' % b, not bad,
-                      'mismatch at mu: %s' % bad if bad else ''))
-    amb = Ambient(params.m, 2 * params.n)
-    for d in range(1, dmax + 1):
-        z = gelfand_element(amb, d)
-        lhs = hc_project(omega(z), 'minus')
-        rhs = omega_cartan(hc_project(z, 'plus'))
-        cases.append(('minus projection of omega d=%d' % d, lhs == rhs, ''))
+    for m, n, dmax in _configs(args, 'duality'):
+        params = HookParams(m, n, 'half')
+        for b in _hooks(params, dmax):
+            z = central_preimage(params, b)
+            c = c_poly_hc(params, b, preimage=z)
+            cs = c_star_poly(params, b, preimage=z)
+            bad = []
+            for mu in enumerate_hooks(params, dmax, upto=True):
+                w = gamma_star_map(mu)
+                if c.value(w) != cs.value(dual_weight(w, params)):
+                    bad.append(str(mu))
+            cases.append(_case('duality for %s' % b, bad, 'mismatch at mu'))
+        amb = Ambient(m, 2 * n)
+        for d in range(1, dmax + 1):
+            z = gelfand_element(amb, d)
+            lhs = hc_project(omega(z), 'minus')
+            rhs = omega_cartan(hc_project(z, 'plus'))
+            cases.append(('minus projection of omega d=%d' % d, lhs == rhs,
+                          ''))
     return cases
 
 

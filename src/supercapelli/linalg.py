@@ -193,18 +193,32 @@ def dict_vectors_basis(vectors):
     return basis
 
 
+def _column_rows(columns):
+    """Dense rows of the matrix whose j-th column is the dict vector
+    columns[j]: one row per key, in sorted key order."""
+    keys, idx = _key_index(columns)
+    rows = [[0] * len(columns) for _ in keys]
+    for j, v in enumerate(columns):
+        for k, c in v.items():
+            rows[idx[k]][j] = c
+    return rows
+
+
+def dict_columns_kernel(columns):
+    """Kernel basis of the matrix whose columns are the dict vectors, as
+    dense coefficient lists: every unit vector when no key occurs."""
+    rows = _column_rows(columns)
+    if not rows:
+        return [[Fraction(int(t == s)) for t in range(len(columns))]
+                for s in range(len(columns))]
+    return mat_reduce(rows, len(columns)).kernel
+
+
 def solve_in_span(vectors, target):
     """Coefficients c with sum c_i vectors_i = target, or None."""
-    keys, idx = _key_index(list(vectors) + [target])
     n = len(vectors)
-    rows = [[Fraction(0)] * n for _ in keys]
-    rhs = [Fraction(0)] * len(keys)
-    for j, v in enumerate(vectors):
-        for k, c in v.items():
-            rows[idx[k]][j] = Fraction(c)
-    for k, c in target.items():
-        rhs[idx[k]] = Fraction(c)
-    if not keys:
+    rows = _column_rows(list(vectors) + [target])
+    if not rows:
         return [Fraction(0)] * n
-    res = lin_solve(rows, rhs, n)
-    return res.solution
+    return lin_solve([row[:n] for row in rows], [row[n] for row in rows],
+                     n).solution

@@ -354,19 +354,6 @@ def apply_weyl(op, poly):
     return {k: Fraction(v, den) for k, v in out.items() if v}
 
 
-class GradedPieceBasis:
-    """Ordered monomial basis of the degree-k piece of P(W)."""
-
-    def __init__(self, ambient, k):
-        self.ambient = ambient
-        self.degree = k
-        self.monos = monomial_basis(ambient, k)
-        self.index = {m: i for i, m in enumerate(self.monos)}
-
-    def __len__(self):
-        return len(self.monos)
-
-
 # ---------------------------------------------------------------------------
 # Polarization actions.
 
@@ -615,11 +602,11 @@ def _commutator(a, b):
 
 
 def invariant_kernel(ambient, d):
-    """Basis (as lists of (y-mono, d-mono, coeff) dict-vectors) of the
-    bidegree-(d,d) operators commuting with the whole polarized action,
-    computed by direct linear algebra: weight-zero filtering by the
-    diagonal action, then the kernel of the off-diagonal commutators."""
-    from .linalg import mat_reduce
+    """Basis (as WeylElements) of the bidegree-(d,d) operators commuting
+    with the whole polarized action, computed by direct linear algebra:
+    weight-zero filtering by the diagonal action, then the kernel of the
+    off-diagonal commutators."""
+    from .linalg import dict_columns_kernel
     ctx = weyl_context(ambient)
     monos = monomial_basis(ambient, d)
     by_counts = {}
@@ -630,11 +617,8 @@ def invariant_kernel(ambient, d):
         for y in group:
             for dd in group:
                 cands.append((y, dd))
-    if not cands:
-        return []
     gens = [(i, j) for i in range(ambient.dim) for j in range(ambient.dim)
             if i != j]
-    rows_keys = {}
     columns = []
     for (y, dd) in cands:
         elem = WeylElement(ambient, {(y, dd): Fraction(1)})
@@ -644,24 +628,8 @@ def invariant_kernel(ambient, d):
             for t, c in com.terms.items():
                 vec[(gi, t)] = c
         columns.append(vec)
-    keys = sorted({k for vec in columns for k in vec})
-    key_idx = {k: i for i, k in enumerate(keys)}
-    rows = [[Fraction(0)] * len(cands) for _ in keys]
-    for j, vec in enumerate(columns):
-        for k, c in vec.items():
-            rows[key_idx[k]][j] = c
-    red = mat_reduce(rows, len(cands)) if keys else None
-    kernel = red.kernel if red else [[Fraction(1) if t == s else Fraction(0)
-                                      for t in range(len(cands))]
-                                     for s in range(len(cands))]
-    out = []
-    for vec in kernel:
-        elem = {}
-        for c, (y, dd) in zip(vec, cands):
-            if c:
-                elem[(y, dd)] = c
-        out.append(WeylElement(ambient, elem))
-    return out
+    return [WeylElement(ambient, {yd: c for yd, c in zip(cands, vec) if c})
+            for vec in dict_columns_kernel(columns)]
 
 
 def invariant_symbol_space(ambient, d, verify=True):
@@ -699,7 +667,7 @@ def mono_weight(ctx, mono):
 def highest_weight_vectors(ambient, k, eps_coords):
     """Basis of the space of vectors in the degree-k piece of P(W) of the
     given epsilon-frame weight killed by the simple raising operators."""
-    from .linalg import mat_reduce
+    from .linalg import dict_columns_kernel
     ctx = weyl_context(ambient)
     eps = tuple(Fraction(c) for c in eps_coords)
     cands = [mm for mm in monomial_basis(ambient, k)
@@ -715,22 +683,8 @@ def highest_weight_vectors(ambient, k, eps_coords):
             for key, c in img.items():
                 vec[(gi, key)] = c
         columns.append(vec)
-    keys = sorted({kk for vec in columns for kk in vec})
-    key_idx = {kk: i for i, kk in enumerate(keys)}
-    rows = [[Fraction(0)] * len(cands) for _ in keys]
-    for j, vec in enumerate(columns):
-        for kk, c in vec.items():
-            rows[key_idx[kk]][j] = c
-    if keys:
-        kernel = mat_reduce(rows, len(cands)).kernel
-    else:
-        kernel = [[Fraction(1) if t == s else Fraction(0)
-                   for t in range(len(cands))] for s in range(len(cands))]
-    out = []
-    for vec in kernel:
-        poly = {mm: c for mm, c in zip(cands, vec) if c}
-        out.append(poly)
-    return out
+    return [{mm: c for mm, c in zip(cands, vec) if c}
+            for vec in dict_columns_kernel(columns)]
 
 
 def all_highest_weight_vectors(ambient, k):

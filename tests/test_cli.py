@@ -140,16 +140,58 @@ def test_suite_registry_complete():
 
 
 def test_verify_empty_suite_fails(capsys):
-    # eigenvalue-coherence has no configuration at (3,1): nothing is checked
+    # (0,0) has no nonempty hook partition: nothing is checked
     code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
-                       '--m', '3', '--n', '1')
+                       '--m', '0', '--n', '0')
     assert code == 1
     assert '(0 cases' in out and 'overall: FAIL' in out
     code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
-                       '--m', '3', '--n', '1', '--format', 'json')
+                       '--m', '0', '--n', '0', '--format', 'json')
     assert code == 1
     data = json.loads(out)
     assert data['passed'] is False and data['cases'] == []
+
+
+def _verify_cases(capsys, *argv):
+    code, out, _ = run(capsys, 'verify', *argv, '--format', 'json')
+    data = json.loads(out)
+    assert data['passed'] is (code == 0)
+    return code, data['cases']
+
+
+def test_verify_all_honours_ranks_outside_the_defaults(capsys):
+    code, cases = _verify_cases(capsys, '--suite', 'all', '--m', '0',
+                                '--n', '1', '--dmax', '2')
+    assert code == 0
+    assert {rec['suite'] for rec in cases} == set(SUITES)
+
+
+def test_verify_pair_outside_the_defaults_takes_smallest_degree(capsys):
+    # (3,1) is not a default pair: it runs at degree 2, spectra up to 3
+    code, cases = _verify_cases(capsys, '--suite', 'eigenvalue-coherence',
+                                '--m', '3', '--n', '1')
+    assert code == 0
+    assert sorted(rec['case'] for rec in cases) == [
+        '(3,1) routes agree 1', '(3,1) routes agree 1,1',
+        '(3,1) routes agree 2', '(3,1) spectrum of D_1',
+        '(3,1) spectrum of D_1,1', '(3,1) spectrum of D_2']
+
+
+@pytest.mark.parametrize('dmax,count', [('1', 1), ('2', 3)])
+def test_verify_dmax_sets_the_degree(capsys, dmax, count):
+    code, cases = _verify_cases(capsys, '--suite', 'vanishing', '--m', '1',
+                                '--n', '1', '--dmax', dmax)
+    assert code == 0 and len(cases) == count
+
+
+def test_abstract_capelli_labels_the_ambient_it_ran(capsys):
+    # odd n: the round trips run at pair ranks (1, 0), ambient gl(1|0)
+    code, cases = _verify_cases(capsys, '--suite', 'abstract-capelli',
+                                '--m', '1', '--n', '1', '--dmax', '1')
+    assert code == 0
+    assert sorted(rec['case'] for rec in cases) == [
+        'gl(1|0) preimage roundtrip ()', 'gl(1|0) preimage roundtrip 1',
+        'gl(1|1) 20 random sigma in S6', 'gl(1|1) all sigma in S4']
 
 
 def test_verify_duality_honours_zero_rank(capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from supercapelli import hooks, solver
 from supercapelli.linalg import (mat_reduce, lin_solve, dict_vectors_rank,
-                                 dict_vectors_basis, solve_in_span)
+                                 dict_vectors_basis, dict_columns_kernel,
+                                 solve_in_span)
 
 
 def matvec(rows, vec):
@@ -104,6 +105,19 @@ def test_dict_vectors_rank_equals_mat_reduce_rank():
             == mat_reduce(rows, nc).rank
         count += 1
     assert count == 2400
+
+
+def test_dict_columns_kernel_equals_reference_kernel():
+    # keyed by a shuffled row order: the RREF, hence the kernel, is unique
+    rng = random.Random(11)
+    for rows, nc in random_matrices():
+        label = list(range(len(rows)))
+        rng.shuffle(label)
+        columns = [{label[i]: row[j] for i, row in enumerate(rows) if row[j]}
+                   for j in range(nc)]
+        assert dict_columns_kernel(columns) == reference_reduce(rows, nc)[3]
+    assert dict_columns_kernel([{}, {}]) == [[1, 0], [0, 1]]
+    assert dict_columns_kernel([]) == []
 
 
 def test_dict_vectors_rank_on_filtered_product_families(monkeypatch):
