@@ -17,7 +17,7 @@ from .weyl import (WeylElement, weyl_mul, rho_check, rho_check_gen, t_sigma,
                    invariant_symbol_space, highest_weight_vectors,
                    capelli_operator, spherical_vector, spherical_poly,
                    symbol)
-from .solver import (sigma_normalize, symbol_preimage, full_preimage,
+from .solver import (coset_type, symbol_preimage, full_preimage,
                      central_preimage, c_poly_hc, c_poly_interp, c_star_poly,
                      ia_star_basis, deformed_power_sum, sp_basis, sp_star,
                      frobenius_transform, verify_sv, verify_main,

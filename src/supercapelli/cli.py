@@ -39,7 +39,7 @@ from math import factorial
 from .cache import default_cache
 from .hooks import (HookParams, enumerate_hooks, parse_partition, gamma_map,
                     gamma_star_map, dual_weight, frobenius_point, a_context,
-                    xy_context)
+                    xy_context, eps_extension)
 from .multipoly import MultiPoly
 from .superlie import (Ambient, UEAElement, gelfand_element, pbw_normalize,
                        hc_project, omega, omega_cartan)
@@ -49,7 +49,6 @@ from .weyl import (WeylElement, t_sigma, rho_check, symbol,
                    cyclic_span_dim, eigenvalue_on, monomial_basis,
                    spherical_vector, spherical_poly, osp_spanning_set,
                    apply_weyl)
-from .hooks import eps_extension
 from .solver import (symbol_preimage, full_preimage, central_preimage,
                      c_poly_hc, c_poly_interp, c_star_poly, sp_star,
                      verify_main, verify_sv, theta_one_family,
@@ -59,7 +58,7 @@ THETA = {'1/2': 'half', 'half': 'half', '1': 'one', 'one': 'one'}
 
 
 def _params(args):
-    theta = THETA.get(getattr(args, 'theta', '1/2') or '1/2')
+    theta = THETA.get(getattr(args, 'theta', '1/2'))
     if theta is None:
         raise ValueError('theta must be 1/2 or 1')
     return HookParams(args.m, args.n, theta)
@@ -201,7 +200,7 @@ def cmd_sp_star(args):
     poly = sp_star(params, _partition(args, params))
     payload = poly.to_json()
     payload['partition'] = args.partition
-    payload['theta'] = args.theta or '1/2'
+    payload['theta'] = args.theta
     return payload, str(poly), 0
 
 

@@ -54,11 +54,12 @@ class HookPartition:
     __slots__ = ('parts', 'params')
 
     def __init__(self, parts, params):
-        parts = tuple(int(p) for p in parts if p)
+        parts = tuple(int(p) for p in parts)
         if any(p < 0 for p in parts):
-            raise ValueError('parts must be positive')
+            raise ValueError('parts must be nonnegative')
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError('parts must be nonincreasing')
+        parts = tuple(p for p in parts if p)    # trailing zeros only
         if len(parts) > params.m and parts[params.m] > params.n:
             raise ValueError('not an (m|n)-hook partition: row %d has %d > %d'
                              % (params.m + 1, parts[params.m], params.n))

@@ -8,7 +8,6 @@ sums.  Their exact agreement is the flagship consistency check.
 """
 
 from fractions import Fraction
-from itertools import permutations
 from math import factorial, lcm, prod
 
 from .multipoly import MultiPoly, AffineSubstitution
@@ -19,99 +18,53 @@ from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
 from .superlie import (Ambient, UEAElement, gelfand_element, hc_project,
                        q_projection, gd_element, omega_cartan)
 from .weyl import (WeylElement, rho_check_gen, symbol, gelfand_product_image,
-                   _partitions_of, _commutator, consecutive_cycles_perm,
-                   capelli_operator, spherical_poly)
+                   _partitions_of, _commutator, capelli_operator,
+                   spherical_poly)
 
 
 # ---------------------------------------------------------------------------
-# Permutation plumbing.
+# Double cosets of the hyperoctahedral group.
 
-def perm_compose(a, b):
-    """(a b)(i) = a(b(i)); permutations as 1-based image tuples."""
-    return tuple(a[b[i] - 1] for i in range(len(b)))
+def coset_type(sigma):
+    """The double coset H sigma H of a permutation of {1..2d}, with H the
+    hyperoctahedral group (the centralizer of (1 2)(3 4)...), as a
+    partition of d, largest part first.
 
-
-def hyperoctahedral(d):
-    """The centralizer of the fixed-point-free involution (1 2)(3 4)...:
-    block permutations combined with flips inside each block, in
-    lexicographic order of the resulting image tuples."""
-    out = []
-    for blockperm in permutations(range(d)):
-        for flips in range(2 ** d):
-            img = [0] * (2 * d)
-            for t in range(d):
-                u = blockperm[t]
-                if (flips >> t) & 1:
-                    img[2 * t] = 2 * u + 2
-                    img[2 * t + 1] = 2 * u + 1
-                else:
-                    img[2 * t] = 2 * u + 1
-                    img[2 * t + 1] = 2 * u + 2
-            out.append(tuple(img))
-    return sorted(out)
-
-
-def _compositions(d):
-    """All ordered compositions of d, graded by length then lex."""
-    out = []
-
-    def rec(left, prefix):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(1, left + 1):
-            prefix.append(p)
-            rec(left - p, prefix)
-            prefix.pop()
-
-    rec(d, [])
-    return sorted(out, key=lambda c: (len(c), c))
-
-
-class CycleDecomposition:
-    """Normalizers sp, spp in the hyperoctahedral subgroup and boundary
-    data with sp * sigma * spp equal to a product of consecutive cycles."""
-
-    def __init__(self, sigma, sp, spp, blocks):
-        self.sigma = tuple(sigma)
-        self.sp = tuple(sp)
-        self.spp = tuple(spp)
-        self.blocks = tuple(blocks)
-        self.boundaries = (0,) + tuple(
-            sum(blocks[:i + 1]) for i in range(len(blocks)))
-        target = consecutive_cycles_perm(blocks)
-        if perm_compose(self.sp, perm_compose(self.sigma, self.spp)) != target:
-            raise AssertionError('cycle decomposition identity failed')
-
-
-def sigma_normalize(sigma):
-    """Normalize a permutation of {1..2d} to a product of consecutive
-    cycles by multiplying with hyperoctahedral elements on both sides.
-
-    Deterministic exhaustive scan (first hit in lexicographic order); the
-    witness identity is re-verified by composition on construction.
-    """
+    The blocks {2t-1, 2t} and their images {sigma(2t-1), sigma(2t)} are
+    two perfect matchings of the 2d points; together they join the points
+    into cycles that alternate between the matchings, each through 2b
+    points, and the halves b are the type.  A product of consecutive
+    cycles with block sizes b_1, b_2, ... has type the b_s, largest
+    first."""
     two_d = len(sigma)
     if two_d % 2 or sorted(sigma) != list(range(1, two_d + 1)):
         raise ValueError('not a permutation of even size')
-    d = two_d // 2
-    targets = {consecutive_cycles_perm(c): c for c in _compositions(d)}
-    H = hyperoctahedral(d)
-    for sp in H:
-        for spp in H:
-            prod = perm_compose(sp, perm_compose(tuple(sigma), spp))
-            if prod in targets:
-                return CycleDecomposition(sigma, sp, spp, targets[prod])
-    raise AssertionError('no hyperoctahedral normalization found')
+    partner = [0] * (two_d + 1)
+    for t in range(0, two_d, 2):
+        p, q = sigma[t], sigma[t + 1]
+        partner[p], partner[q] = q, p
+    seen = [False] * (two_d + 1)
+    out = []
+    for start in range(1, two_d + 1, 2):
+        size = 0
+        p = start
+        while not seen[p]:
+            mate = p + 1 if p % 2 else p - 1
+            seen[p] = seen[mate] = True
+            size += 1
+            p = partner[mate]
+        if size:
+            out.append(size)
+    return tuple(sorted(out, reverse=True))
 
 
 def symbol_preimage(ambient, sigma):
     """A central element whose polarized image has top symbol equal to the
-    invariant attached to sigma: the product of scaled Gelfand elements
-    prescribed by the cycle decomposition."""
-    dec = sigma_normalize(sigma)
+    invariant attached to sigma: the product of the scaled Gelfand
+    elements (-1/2)^b C_b over the parts b of the coset type of sigma
+    (they are central, so their order does not matter)."""
     z = UEAElement.one(ambient)
-    for b in dec.blocks:
+    for b in coset_type(sigma):
         z = z * gelfand_element(ambient, b).scale(Fraction(-1, 2) ** b)
     return z
 

@@ -18,9 +18,12 @@ Elements of the polynomial algebra P(W) are plain dicts
 """
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
-from .multipoly import Combination
+from .hooks import a_context, enumerate_hooks, eps_extension, gamma_star_map
+from .linalg import (dict_columns_kernel, dict_vectors_basis,
+                     dict_vectors_rank, lin_solve, solve_in_span)
+from .multipoly import Combination, MultiPoly
 from .superlie import Ambient, UEAElement, gelfand_element
 
 _ctx_cache = {}
@@ -420,39 +423,6 @@ def gelfand_product_image(ambient, part, memo=None):
     return img
 
 
-def rho_gen_action(ambient, i, j, xpoly):
-    """Action of E_{ij} on the symmetric algebra S(W) via x-polarization:
-    rho(E_ij) = sum_r x_{ir} D_{jr}, with D the polarized derivative.
-    xpoly: {x-monomial: coeff} over canonical pair indices."""
-    ctx = weyl_context(ambient)
-    pj = ambient.parity(j)
-    out = {}
-    for r in range(ambient.dim):
-        pr = ambient.parity(r)
-        xg, xs = ctx.canon(i, r)
-        if xg is None:
-            continue
-        pD = (pj + pr) % 2
-        for mono, c in xpoly.items():
-            pref = 0
-            for t, g in enumerate(mono):
-                k, l = ctx.pairs[g]
-                # D_{jr}(x_{kl}) = d_jk d_rl + (-1)^{|j||r|} d_jl d_rk
-                val = 0
-                if j == k and r == l:
-                    val += 1
-                if j == l and r == k:
-                    val += (-1) ** (pj * pr)
-                if val:
-                    s = (-1) ** (pD * pref)
-                    reduced = mono[:t] + mono[t + 1:]
-                    nm, s2 = ctx.sort_mono((xg,) + reduced)
-                    if nm is not None:
-                        out[nm] = out.get(nm, 0) + c * val * s * s2 * xs
-                pref += ctx.parity[g]
-    return {k: v for k, v in out.items() if v != 0}
-
-
 # ---------------------------------------------------------------------------
 # Invariant symbols.
 
@@ -606,7 +576,6 @@ def invariant_kernel(ambient, d):
     with the whole polarized action, computed by direct linear algebra:
     weight-zero filtering by the diagonal action, then the kernel of the
     off-diagonal commutators."""
-    from .linalg import dict_columns_kernel
     ctx = weyl_context(ambient)
     monos = monomial_basis(ambient, d)
     by_counts = {}
@@ -640,7 +609,6 @@ def invariant_symbol_space(ambient, d, verify=True):
     raises, since it would contradict the structure theory the solvers
     rely on.
     """
-    from .linalg import dict_vectors_basis, dict_vectors_rank, solve_in_span
     span = invariant_spanning_set(ambient, d)
     vecs = [t.terms for _, t in span]
     basis_vecs = dict_vectors_basis(vecs)
@@ -667,7 +635,6 @@ def mono_weight(ctx, mono):
 def highest_weight_vectors(ambient, k, eps_coords):
     """Basis of the space of vectors in the degree-k piece of P(W) of the
     given epsilon-frame weight killed by the simple raising operators."""
-    from .linalg import dict_columns_kernel
     ctx = weyl_context(ambient)
     eps = tuple(Fraction(c) for c in eps_coords)
     cands = [mm for mm in monomial_basis(ambient, k)
@@ -704,7 +671,6 @@ def all_highest_weight_vectors(ambient, k):
 def cyclic_span_dim(ambient, vec):
     """Dimension of the span of a vector under repeated application of the
     lowering operators."""
-    from .linalg import dict_vectors_rank
     lowering = [rho_check_gen(ambient, i, j)
                 for i in range(ambient.dim) for j in range(ambient.dim) if i > j]
     basis = [vec]
@@ -751,9 +717,6 @@ def eigenvalue_on(op, vec):
 def capelli_operator(params, b, inv_basis=None):
     """The invariant operator of bidegree (d,d) acting as d! on the module
     indexed by b and as zero on the other modules of the same degree."""
-    from math import factorial
-    from .hooks import enumerate_hooks, gamma_star_map, eps_extension
-    from .linalg import lin_solve
     if params.theta != 'half':
         raise ValueError('capelli operators live in the half regime')
     amb = Ambient(params.m, 2 * params.n)
@@ -783,133 +746,63 @@ def capelli_operator(params, b, inv_basis=None):
 # ---------------------------------------------------------------------------
 # Spherical machinery.
 
-def beta_value(ambient, i, j):
-    """The fixed even supersymmetric form: identity on the even block,
-    symplectic 2x2 blocks on the odd block."""
-    m = ambient.m
-    if i < m or j < m:
-        return Fraction(1) if i == j else Fraction(0)
-    a, bb = i - m, j - m
-    if a // 2 == bb // 2:
-        if a % 2 == 0 and bb % 2 == 1:
-            return Fraction(1)
-        if a % 2 == 1 and bb % 2 == 0:
-            return Fraction(-1)
-    return Fraction(0)
+def _cartan_generators(params):
+    """The canonical y-generators that restrict to the even Cartan a, as
+    {generator: (a-coordinate index, value)}.
 
-
-def h_beta_gen(ambient, g):
-    """Value of the contraction homomorphism on a canonical x-generator."""
-    ctx = weyl_context(ambient)
-    i, j = ctx.pairs[g]
-    return beta_value(ambient, i, j)
-
-
-def beta_star(ambient):
-    """The distinguished invariant vector of S^2(W)~ used to restrict to
-    the even Cartan: -1/4 sum x_{kk} + 1/2 sum x_{(2l-1)b,(2l)b},
-    as {x-monomial: coeff}."""
-    ctx = weyl_context(ambient)
-    m = ambient.m
-    out = {}
-    for k in range(m):
-        out[(ctx.index[(k, k)],)] = Fraction(-1, 4)
-    for l in range(ambient.n // 2):
-        g = ctx.index[(m + 2 * l, m + 2 * l + 1)]
-        out[(g,)] = Fraction(1, 2)
-    return out
+    The form beta is 1 on the canonical pairs x_kk and x_{(2l-1)b,(2l)b}
+    and 0 on every other pair.  Restriction runs through iota(h) =
+    rho(h) beta*, with beta* = -1/4 sum x_kk + 1/2 sum x_{(2l-1)b,(2l)b}:
+    rho(E_kk) beta* = -1/2 x_kk and rho(E_(2l-1)b,(2l-1)b +
+    E_(2l)b,(2l)b) beta* = x_{(2l-1)b,(2l)b}.  With the supertrace Gram
+    entries 1 and -2 of these Cartan elements and the pairings
+    <y_kk, x_kk> = 2 and <y_{(2l-1)b,(2l)b}, x_{(2l-1)b,(2l)b}> = 1, y_kk
+    restricts to -a_k, y_{(2l-1)b,(2l)b} to -ab_l / 2, and every other
+    y-generator to 0."""
+    m, n = params.m, params.n
+    ctx = weyl_context(Ambient(m, 2 * n))
+    table = {ctx.index[(k, k)]: (k, Fraction(-1)) for k in range(m)}
+    for l in range(n):
+        table[ctx.index[(m + 2 * l, m + 2 * l + 1)]] = (m + l, Fraction(-1, 2))
+    return table
 
 
 def spherical_vector(params, b, capelli=None):
     """The invariant vector: contract the x-side of the Capelli operator
-    with the form beta.  Returns {y-monomial: coeff}."""
-    amb = Ambient(params.m, 2 * params.n)
+    with the form beta.  beta is 1 on the Cartan generators and 0 on every
+    other pair (see _cartan_generators), so a term keeps its y-monomial
+    and coefficient exactly when all its derivatives are Cartan
+    generators.  Returns {y-monomial: coeff}."""
     if capelli is None:
         capelli = capelli_operator(params, b)
+    cartan = _cartan_generators(params)
     out = {}
     for (y, dd), c in capelli.terms.items():
-        val = c
-        for g in dd:
-            val *= h_beta_gen(amb, g)
-            if not val:
-                break
-        if val:
-            out[y] = out.get(y, 0) + val
+        if all(g in cartan for g in dd):
+            out[y] = out.get(y, 0) + c
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _iota_a_images(params):
-    """Images of the y-generators under restriction to the even Cartan
-    followed by the trace-form identification: a substitution map from
-    canonical y-generators to linear polynomials in the weight context."""
-    from .multipoly import MultiPoly
-    from .hooks import a_context
-    m, n = params.m, params.n
-    amb = Ambient(m, 2 * n)
-    ctx = weyl_context(amb)
-    avars = a_context(m, n)
-    dim_a = m + n
-    # basis of the even Cartan: h_k = E_kk, hb_l = E_(2l-1)b,(2l-1)b + E_(2l)b,(2l)b
-    h_basis = []
-    for k in range(m):
-        v = [Fraction(0)] * amb.dim
-        v[k] = Fraction(1)
-        h_basis.append(v)
-    for l in range(n):
-        v = [Fraction(0)] * amb.dim
-        v[m + 2 * l] = Fraction(1)
-        v[m + 2 * l + 1] = Fraction(1)
-        h_basis.append(v)
-    # iota(h) = rho(h) beta*, computed through the polarized action on S(W)
-    bstar = beta_star(amb)
-    iota = []
-    for v in h_basis:
-        img = {}
-        for i, coeff in enumerate(v):
-            if not coeff:
-                continue
-            part = rho_gen_action(amb, i, i, bstar)
-            for mm, c in part.items():
-                img[mm] = img.get(mm, 0) + coeff * c
-        iota.append({k: c for k, c in img.items() if c})
-    # supertrace Gram matrix of the h basis (diagonal here)
-    gram = []
-    for v in h_basis:
-        g = sum(((-1) ** amb.parity(i)) * c * c for i, c in enumerate(v))
-        gram.append(Fraction(g))
-    # j sends the i-th dual coordinate to h_i / gram_i; evaluating the
-    # y-generator at iota(j(point)) pairs it against each x-generator
-    images = {}
-    for g in range(len(ctx.pairs)):
-        poly = MultiPoly.zero(avars)
-        for idx in range(dim_a):
-            for mm, c in iota[idx].items():
-                if len(mm) == 1 and mm[0] == g:
-                    i, j = ctx.pairs[g]
-                    pair_val = 2 if i == j else 1
-                    coeff = c * pair_val / gram[idx]
-                    poly = poly + MultiPoly.variable(avars, avars[idx]).scale(coeff)
-        images[g] = poly
-    return images
 
 
 def spherical_poly(params, b, capelli=None):
     """Polynomial on the weight coordinates obtained by restricting the
-    spherical vector to the even Cartan."""
-    from .multipoly import MultiPoly
-    from .hooks import a_context
-    vec = spherical_vector(params, b, capelli=capelli)
-    images = _iota_a_images(params)
+    spherical vector to the even Cartan: a y-monomial that lies wholly in
+    the Cartan table becomes the product of its generators' coordinates
+    and values, and any other y-monomial restricts to 0."""
+    cartan = _cartan_generators(params)
     avars = a_context(params.m, params.n)
-    out = MultiPoly.zero(avars)
-    for mono, c in vec.items():
-        term = MultiPoly.const(avars, c)
+    terms = {}
+    for mono, c in spherical_vector(params, b, capelli=capelli).items():
+        exp = [0] * len(avars)
         for g in mono:
-            term = term * images[g]
-            if term.is_zero():
+            if g not in cartan:
                 break
-        out = out + term
-    return out
+            idx, val = cartan[g]
+            exp[idx] += 1
+            c *= val
+        else:
+            exp = tuple(exp)
+            terms[exp] = terms.get(exp, 0) + c
+    return MultiPoly(avars, terms)
 
 
 def osp_spanning_set(params):

@@ -56,6 +56,22 @@ def test_invalid_partition_exits_2(capsys):
     assert 'error:' in err
 
 
+@pytest.mark.parametrize('partition', ['0,1', '1,0,1'])
+def test_positive_part_after_a_zero_exits_2(capsys, partition):
+    code, out, err = run(capsys, 'gamma', '--m', '1', '--n', '1',
+                         '--partition', partition)
+    assert code == 2 and not out
+    assert 'nonincreasing' in err
+
+
+@pytest.mark.parametrize('cmd', ['gamma', 'sp-star'])
+def test_empty_theta_exits_2(capsys, cmd):
+    code, out, err = run(capsys, cmd, '--m', '1', '--n', '1',
+                         '--partition', '1', '--theta', '')
+    assert code == 2 and not out
+    assert 'theta must be 1/2 or 1' in err
+
+
 def test_invalid_sigma_exits_2(capsys):
     code, _, err = run(capsys, 't-sigma', '--m', '1', '--n', '1',
                        '--sigma', '1,3,2')

@@ -35,6 +35,16 @@ def test_hook_condition():
     assert str(parse_partition('()', P11)) == '()'
 
 
+def test_positive_part_after_a_zero_is_rejected():
+    for parts in ((0, 1), (1, 0, 1), (2, 0, 0, 1)):
+        with pytest.raises(ValueError):
+            HookPartition(parts, P11)
+    with pytest.raises(ValueError):
+        parse_partition('0,1', P11)
+    assert HookPartition((2, 1, 0, 0), P11).parts == (2, 1)
+    assert parse_partition('1,0', P11).parts == (1,)
+
+
 def test_enumeration_counts():
     assert [len(enumerate_hooks(P11, d)) for d in range(5)] == [1, 1, 2, 3, 4]
     assert len(enumerate_hooks(P11, 3, upto=True)) == 7

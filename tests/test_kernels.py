@@ -1,7 +1,7 @@
-"""The integer, table-driven normal-ordering kernels and the integer
-apply_weyl against the plain Fraction kernels they replaced, kept here
-as references: equal values and equal str() on random and exhaustive
-inputs."""
+"""The integer, table-driven normal-ordering kernels, the integer
+apply_weyl and the closed-form spherical restriction against the plain
+Fraction routes they replaced, kept here as references: equal values and
+equal str() on random and exhaustive inputs."""
 
 import gc
 import random
@@ -10,16 +10,19 @@ from itertools import permutations, product
 
 import pytest
 
-from supercapelli.hooks import HookParams, enumerate_hooks
+from supercapelli.hooks import HookParams, a_context, enumerate_hooks
+from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
                                    gelfand_element, pbw_normalize,
                                    _gen_key)
 from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
-                               apply_weyl, consecutive_cycles_perm,
+                               apply_weyl, capelli_operator,
+                               consecutive_cycles_perm,
                                invariant_symbol_space, monomial_basis,
                                osp_spanning_set, rho_check, rho_check_gen,
-                               spherical_vector, t_sigma, weyl_context,
-                               weyl_mul, _partitions_of)
+                               spherical_poly, spherical_vector, t_sigma,
+                               weyl_context, weyl_mul, _cartan_generators,
+                               _partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -423,3 +426,182 @@ def test_apply_weyl_matches_reference_on_spherical_vectors(mn):
         for op in images:
             assert_same_poly(apply_weyl(op, vec),
                              reference_apply_weyl(op, vec))
+
+
+# ---------------------------------------------------------------------------
+# The spherical restriction: the route through beta, beta* = iota's
+# source, the x-polarization action and a Gram matrix, against the
+# closed-form table of Cartan generators.
+
+def reference_beta_value(ambient, i, j):
+    """The fixed even supersymmetric form: identity on the even block,
+    symplectic 2x2 blocks on the odd block."""
+    m = ambient.m
+    if i < m or j < m:
+        return Fraction(1) if i == j else Fraction(0)
+    a, bb = i - m, j - m
+    if a // 2 == bb // 2:
+        if a % 2 == 0 and bb % 2 == 1:
+            return Fraction(1)
+        if a % 2 == 1 and bb % 2 == 0:
+            return Fraction(-1)
+    return Fraction(0)
+
+
+def reference_h_beta_gen(ambient, g):
+    i, j = weyl_context(ambient).pairs[g]
+    return reference_beta_value(ambient, i, j)
+
+
+def reference_beta_star(ambient):
+    """-1/4 sum x_{kk} + 1/2 sum x_{(2l-1)b,(2l)b}, as {x-monomial: coeff}."""
+    ctx = weyl_context(ambient)
+    m = ambient.m
+    out = {}
+    for k in range(m):
+        out[(ctx.index[(k, k)],)] = Fraction(-1, 4)
+    for l in range(ambient.n // 2):
+        g = ctx.index[(m + 2 * l, m + 2 * l + 1)]
+        out[(g,)] = Fraction(1, 2)
+    return out
+
+
+def reference_rho_gen_action(ambient, i, j, xpoly):
+    """Action of E_{ij} on S(W) via x-polarization:
+    rho(E_ij) = sum_r x_{ir} D_{jr}, with D the polarized derivative."""
+    ctx = weyl_context(ambient)
+    pj = ambient.parity(j)
+    out = {}
+    for r in range(ambient.dim):
+        pr = ambient.parity(r)
+        xg, xs = ctx.canon(i, r)
+        if xg is None:
+            continue
+        pD = (pj + pr) % 2
+        for mono, c in xpoly.items():
+            pref = 0
+            for t, g in enumerate(mono):
+                k, l = ctx.pairs[g]
+                # D_{jr}(x_{kl}) = d_jk d_rl + (-1)^{|j||r|} d_jl d_rk
+                val = 0
+                if j == k and r == l:
+                    val += 1
+                if j == l and r == k:
+                    val += (-1) ** (pj * pr)
+                if val:
+                    s = (-1) ** (pD * pref)
+                    reduced = mono[:t] + mono[t + 1:]
+                    nm, s2 = ctx.sort_mono((xg,) + reduced)
+                    if nm is not None:
+                        out[nm] = out.get(nm, 0) + c * val * s * s2 * xs
+                pref += ctx.parity[g]
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def reference_iota_a_images(params):
+    """Images of the y-generators under iota(h) = rho(h) beta* and the
+    supertrace identification, one MultiPoly per canonical generator."""
+    m, n = params.m, params.n
+    amb = Ambient(m, 2 * n)
+    ctx = weyl_context(amb)
+    avars = a_context(m, n)
+    h_basis = []
+    for k in range(m):
+        v = [Fraction(0)] * amb.dim
+        v[k] = Fraction(1)
+        h_basis.append(v)
+    for l in range(n):
+        v = [Fraction(0)] * amb.dim
+        v[m + 2 * l] = Fraction(1)
+        v[m + 2 * l + 1] = Fraction(1)
+        h_basis.append(v)
+    bstar = reference_beta_star(amb)
+    iota = []
+    for v in h_basis:
+        img = {}
+        for i, coeff in enumerate(v):
+            if not coeff:
+                continue
+            part = reference_rho_gen_action(amb, i, i, bstar)
+            for mm, c in part.items():
+                img[mm] = img.get(mm, 0) + coeff * c
+        iota.append({k: c for k, c in img.items() if c})
+    gram = [Fraction(sum(((-1) ** amb.parity(i)) * c * c
+                         for i, c in enumerate(v))) for v in h_basis]
+    images = {}
+    for g in range(len(ctx.pairs)):
+        poly = MultiPoly.zero(avars)
+        for idx in range(m + n):
+            for mm, c in iota[idx].items():
+                if len(mm) == 1 and mm[0] == g:
+                    i, j = ctx.pairs[g]
+                    pair_val = 2 if i == j else 1
+                    coeff = c * pair_val / gram[idx]
+                    poly = poly + MultiPoly.variable(
+                        avars, avars[idx]).scale(coeff)
+        images[g] = poly
+    return images
+
+
+def reference_spherical_vector(params, capelli):
+    amb = Ambient(params.m, 2 * params.n)
+    out = {}
+    for (y, dd), c in capelli.terms.items():
+        val = c
+        for g in dd:
+            val *= reference_h_beta_gen(amb, g)
+            if not val:
+                break
+        if val:
+            out[y] = out.get(y, 0) + val
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def reference_spherical_poly(params, capelli):
+    vec = reference_spherical_vector(params, capelli)
+    images = reference_iota_a_images(params)
+    avars = a_context(params.m, params.n)
+    out = MultiPoly.zero(avars)
+    for mono, c in vec.items():
+        term = MultiPoly.const(avars, c)
+        for g in mono:
+            term = term * images[g]
+            if term.is_zero():
+                break
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize('mn', list(product(range(4), repeat=2)))
+def test_cartan_generators_match_beta_and_iota(mn):
+    params = HookParams(*mn, 'half')
+    amb = Ambient(mn[0], 2 * mn[1])
+    avars = a_context(*mn)
+    table = _cartan_generators(params)
+    images = reference_iota_a_images(params)
+    assert set(images) == set(range(len(weyl_context(amb).pairs)))
+    for g, img in images.items():
+        if g in table:
+            idx, val = table[g]
+            want = MultiPoly.variable(avars, avars[idx]).scale(val)
+        else:
+            want = MultiPoly.zero(avars)
+        assert_same(want, img)
+        assert reference_h_beta_gen(amb, g) == (1 if g in table else 0)
+
+
+@pytest.mark.parametrize('mn,dmax', [((1, 1), 3), ((2, 1), 3), ((1, 0), 3),
+                                     ((0, 1), 3), ((1, 2), 2), ((0, 2), 2),
+                                     ((2, 2), 2)])
+def test_spherical_restriction_matches_reference(mn, dmax):
+    params = HookParams(*mn, 'half')
+    for b in enumerate_hooks(params, dmax, upto=True):
+        if not b.size:
+            continue
+        D = capelli_operator(params, b)
+        vec = spherical_vector(params, b, capelli=D)
+        want = reference_spherical_vector(params, D)
+        assert vec == want and str(vec) == str(want)
+        assert all(type(c) is Fraction for c in vec.values())
+        assert_same(spherical_poly(params, b, capelli=D),
+                    reference_spherical_poly(params, D))

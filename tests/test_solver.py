@@ -14,9 +14,9 @@ from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
     q_projection, gd_element, hc_project
 from supercapelli.weyl import (t_sigma, rho_check, symbol, capelli_operator,
                                consecutive_cycles_perm, gelfand_product_image,
-                               invariant_symbol_space, _partitions_of)
-from supercapelli.solver import (perm_compose, hyperoctahedral, sigma_normalize,
-                                 symbol_preimage, full_preimage,
+                               invariant_symbol_space, spherical_poly,
+                               _partitions_of)
+from supercapelli.solver import (coset_type, symbol_preimage, full_preimage,
                                  central_preimage, c_poly_hc, c_poly_interp,
                                  c_star_poly, ia_star_basis,
                                  deformed_power_sum, sp_basis, sp_star,
@@ -24,6 +24,66 @@ from supercapelli.solver import (perm_compose, hyperoctahedral, sigma_normalize,
                                  theta_one_family, verify_sv, verify_main)
 
 P11 = HookParams(1, 1, 'half')
+
+
+# ---------------------------------------------------------------------------
+# Reference: the exhaustive hyperoctahedral search that coset_type replaced.
+
+def perm_compose(a, b):
+    """(a b)(i) = a(b(i)); permutations as 1-based image tuples."""
+    return tuple(a[b[i] - 1] for i in range(len(b)))
+
+
+def hyperoctahedral(d):
+    """The centralizer of the fixed-point-free involution (1 2)(3 4)...:
+    block permutations combined with flips inside each block, in
+    lexicographic order of the resulting image tuples."""
+    out = []
+    for blockperm in permutations(range(d)):
+        for flips in range(2 ** d):
+            img = [0] * (2 * d)
+            for t in range(d):
+                u = blockperm[t]
+                if (flips >> t) & 1:
+                    img[2 * t] = 2 * u + 2
+                    img[2 * t + 1] = 2 * u + 1
+                else:
+                    img[2 * t] = 2 * u + 1
+                    img[2 * t + 1] = 2 * u + 2
+            out.append(tuple(img))
+    return sorted(out)
+
+
+def _compositions(d):
+    """All ordered compositions of d, graded by length then lex."""
+    out = []
+
+    def rec(left, prefix):
+        if left == 0:
+            out.append(tuple(prefix))
+            return
+        for p in range(1, left + 1):
+            prefix.append(p)
+            rec(left - p, prefix)
+            prefix.pop()
+
+    rec(d, [])
+    return sorted(out, key=lambda c: (len(c), c))
+
+
+def reference_sigma_normalize(sigma):
+    """(sp, spp, blocks) with sp, spp in the hyperoctahedral group and
+    sp * sigma * spp the product of consecutive cycles with those block
+    sizes: the first hit of a lexicographic scan of H x H."""
+    d = len(sigma) // 2
+    targets = {consecutive_cycles_perm(c): c for c in _compositions(d)}
+    H = hyperoctahedral(d)
+    for sp in H:
+        for spp in H:
+            prod = perm_compose(sp, perm_compose(tuple(sigma), spp))
+            if prod in targets:
+                return sp, spp, targets[prod]
+    raise AssertionError('no hyperoctahedral normalization found')
 
 
 def test_perm_compose():
@@ -50,19 +110,20 @@ def test_hyperoctahedral_group():
             assert block in ({1, 2}, {3, 4})
 
 
-def test_sigma_normalize_all_s4():
-    for sig in permutations(range(1, 5)):
-        dec = sigma_normalize(sig)
-        target = consecutive_cycles_perm(dec.blocks)
-        assert perm_compose(dec.sp, perm_compose(sig, dec.spp)) == target
-        assert sum(dec.blocks) == 2
+@pytest.mark.parametrize('d', [1, 2, 3])
+def test_coset_type_equals_search(d):
+    for sig in permutations(range(1, 2 * d + 1)):
+        sp, spp, blocks = reference_sigma_normalize(sig)
+        assert perm_compose(sp, perm_compose(sig, spp)) == \
+            consecutive_cycles_perm(blocks)
+        assert coset_type(sig) == tuple(sorted(blocks, reverse=True)), sig
 
 
-def test_sigma_normalize_rejects_bad_input():
+def test_coset_type_rejects_bad_input():
     with pytest.raises(ValueError):
-        sigma_normalize((1, 2, 3))
+        coset_type((1, 2, 3))
     with pytest.raises(ValueError):
-        sigma_normalize((1, 1, 2, 3))
+        coset_type((1, 1, 2, 3))
 
 
 def test_symbol_preimage_s4():
@@ -365,3 +426,19 @@ def test_hc_symbol_identity():
             lhs = symbol(rho_check(gelfand_element(amb, d)), d)
             rhs = t_sigma(amb, consecutive_cycles_perm((d,))).scale((-2) ** d)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize('m,n,dmax', [(0, 2, 3), (3, 0, 3), (2, 2, 2),
+                                      (3, 1, 2)])
+def test_verify_main_outside_the_default_ranks(m, n, dmax):
+    """The top part of the HC eigenvalue polynomial equals d_b at ranks
+    the default verify suites never restrict at: m = 0, n = 0, (2,2) and
+    (3,1)."""
+    params = HookParams(m, n, 'half')
+    hooks = [b for b in enumerate_hooks(params, dmax, upto=True) if b.size]
+    assert hooks
+    for b in hooks:
+        D = capelli_operator(params, b)
+        assert not spherical_poly(params, b, capelli=D).is_zero(), b
+        report = verify_main(params, b, capelli=D)
+        assert report.passed, report
