@@ -73,7 +73,12 @@ def _partition(args, params):
 def _sigma(args):
     if args.sigma is None:
         raise ValueError('--sigma is required')
-    sigma = tuple(int(p) for p in args.sigma.split(','))
+    try:
+        sigma = tuple(int(p) for p in args.sigma.split(','))
+    except ValueError:
+        raise ValueError('--sigma must be comma-separated integers, the '
+                         'images of 1..2d (e.g. 2,1,4,3), got %r'
+                         % args.sigma) from None
     if len(sigma) % 2 or sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError('sigma must be a permutation of 1..2d '
                          'as a comma-separated image tuple')

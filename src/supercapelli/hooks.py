@@ -102,7 +102,12 @@ def parse_partition(text, params):
     text = text.strip()
     if text in ('', '()', '0'):
         return HookPartition((), params)
-    return HookPartition([int(p) for p in text.split(',')], params)
+    try:
+        parts = [int(p) for p in text.split(',')]
+    except ValueError:
+        raise ValueError('--partition must be comma-separated integers '
+                         '(e.g. 2,1,1), got %r' % text) from None
+    return HookPartition(parts, params)
 
 
 def enumerate_hooks(params, d, upto=False):

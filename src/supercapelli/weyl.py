@@ -18,7 +18,7 @@ Elements of the polynomial algebra P(W) are plain dicts
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .hooks import a_context, enumerate_hooks, eps_extension, gamma_star_map
 from .linalg import (dict_columns_kernel, dict_vectors_basis,
@@ -42,6 +42,8 @@ class WeylContext:
         self.parity = [ambient.gen_parity(p) for p in self.pairs]
         self.canon_table = [[self._canon(i, j) for j in range(dim)]
                             for i in range(dim)]
+        self.rho_gen = {(i, j): self._rho_gen(i, j)
+                        for i in range(dim) for j in range(dim)}
         self._push_cache = {}
 
     def _canon(self, i, j):
@@ -51,6 +53,20 @@ class WeylContext:
             return self.index[(i, j)], 1
         sgn = (-1) ** (self.ambient.parity(i) * self.ambient.parity(j))
         return self.index[(j, i)], sgn
+
+    def _rho_gen(self, i, j):
+        """The int terms of rho_check(E_ij) (see rho_check_gen)."""
+        amb = self.ambient
+        sij = -1 if amb.parity(i) and amb.parity(j) else 1
+        terms = {}
+        for r in range(amb.dim):
+            yg, ys = self.canon_table[r][j]
+            dg, ds = self.canon_table[r][i]
+            if yg is not None and dg is not None:
+                # r fixes both pairs, so no two r share a term
+                terms[((yg,), (dg,))] = \
+                    -sij * (-1 if amb.parity(r) else 1) * ys * ds
+        return terms
 
     def canon(self, i, j):
         """Canonical (pair index, sign); (None, 0) for a vanishing pair."""
@@ -363,39 +379,81 @@ def apply_weyl(op, poly):
 def rho_check_gen(ambient, i, j):
     """First-order operator realizing E_{ij} on P(W):
     -(-1)^{|i||j|} sum_r (-1)^{|r|} y_{rj} d_{ri}."""
-    ctx = weyl_context(ambient)
-    pi, pj = ambient.parity(i), ambient.parity(j)
-    terms = {}
-    for r in range(ambient.dim):
-        yg, ys = ctx.canon(r, j)
-        dg, ds = ctx.canon(r, i)
-        if yg is None or dg is None:
-            continue
-        coef = -((-1) ** (pi * pj)) * ((-1) ** ambient.parity(r)) * ys * ds
-        k = ((yg,), (dg,))
-        terms[k] = terms.get(k, 0) + coef
-    return WeylElement(ambient, terms)
+    return WeylElement(ambient, weyl_context(ambient).rho_gen[(i, j)])
 
 
 def rho_check(x):
     """Multiplicative extension of the polarization action to enveloping
-    algebra elements, word by word on Python ints (the generator images
-    have integer coefficients); divided back once per output term."""
+    algebra elements, by Horner evaluation over the words.
+
+    The input is cleared to Python ints.  Its words, read right to left,
+    form a trie; a node stands for the sum of c_w * (prefix) over the
+    words w that end in the node's path, so a node's image is its end
+    coefficient plus, for each letter g, the image of the child times
+    rho_check(E_g) (right multiplication by a generator image from the
+    context's int table).  Subtrees equal up to an integer scalar are
+    stored once (_rho_intern), and each distinct subtree is multiplied
+    out once, children first (_rho_eval): a Gelfand element C_d has
+    dim^d words but only about d * dim^2 distinct subtrees, the entries
+    of the powers of the generator matrix T, so its image costs about as
+    much as the supertrace of rho_check(T)^d.  Divided back once per
+    output term."""
     amb = x.ambient
     ctx = weyl_context(amb)
     den, words = x.cleared()
-    gen_img = {}
-    terms = {}
+    if not words:
+        return WeylElement.zero(amb)
+    root = [0, {}]
     for w, c in words.items():
-        acc = {((), ()): c}
-        for g in w:
-            if g not in gen_img:
-                gen_img[g] = rho_check_gen(amb, *g).cleared()[1]
-            acc = _mul_ints(ctx, acc, gen_img[g])
-        for t, v in acc.items():
-            terms[t] = terms.get(t, 0) + v
-    return WeylElement(amb, {k: Fraction(v, den)
-                             for k, v in terms.items() if v})
+        node = root
+        for g in reversed(w):
+            kids = node[1]
+            node = kids.get(g)
+            if node is None:
+                node = kids[g] = [0, {}]
+        node[0] += c
+    nodes = []
+    root_id, content = _rho_intern(root, {}, nodes)
+    img = _rho_eval(ctx, nodes, root_id)
+    return WeylElement(amb, {k: Fraction(content * v, den)
+                             for k, v in img.items()})
+
+
+def _rho_intern(node, table, nodes):
+    """Hash-cons the trie node [end coefficient, {letter: child}] and its
+    subtree: returns (id, content) with the node equal to content times
+    the canonical node nodes[id] = (end, ((letter, child id, scale),
+    ...)).  The content is the gcd of the end coefficient and the child
+    scales, signed like the first nonzero of them, so subtrees equal up
+    to a nonzero integer share one id.  Children get their ids first."""
+    end, kids = node
+    edges = sorted((g,) + _rho_intern(child, table, nodes)
+                   for g, child in kids.items())
+    content = gcd(end, *(s for _, _, s in edges))
+    if (end or edges[0][2]) < 0:
+        content = -content
+    key = (end // content,
+           tuple((g, cid, s // content) for g, cid, s in edges))
+    nid = table.get(key)
+    if nid is None:
+        nid = table[key] = len(nodes)
+        nodes.append(key)
+    return nid, content
+
+
+def _rho_eval(ctx, nodes, root_id):
+    """The int image of every canonical node, children first (a child's
+    id is smaller than its parent's): end + sum scale * img(child) *
+    rho_check(E_letter)."""
+    gens = ctx.rho_gen
+    imgs = []
+    for end, edges in nodes:
+        img = {((), ()): end} if end else {}
+        for g, cid, s in edges:
+            for k, v in _mul_ints(ctx, imgs[cid], gens[g]).items():
+                img[k] = img.get(k, 0) + s * v
+        imgs.append({k: v for k, v in img.items() if v})
+    return imgs[root_id]
 
 
 def gelfand_product_image(ambient, part, memo=None):

@@ -79,6 +79,18 @@ def test_invalid_sigma_exits_2(capsys):
     assert 'error' in err
 
 
+@pytest.mark.parametrize('argv,flag,value', [
+    (('t-sigma', '--sigma', '2,x'), '--sigma', '2,x'),
+    (('c-poly', '--partition', '1,,1'), '--partition', '1,,1'),
+])
+def test_malformed_integer_names_its_flag(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, '--m', '1', '--n', '1')
+    assert code == 2 and not out
+    assert err.startswith('error: %s must be comma-separated integers' % flag)
+    assert repr(value) in err
+    assert 'invalid literal' not in err
+
+
 def test_hc_text(capsys):
     code, out, _ = run(capsys, 'hc', '--m', '1', '--n', '1', '--dmax', '2')
     assert code == 0

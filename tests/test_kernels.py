@@ -1,7 +1,7 @@
-"""The integer, table-driven normal-ordering kernels, the integer
-apply_weyl and the closed-form spherical restriction against the plain
-Fraction routes they replaced, kept here as references: equal values and
-equal str() on random and exhaustive inputs."""
+"""The integer, table-driven normal-ordering kernels, the Horner
+rho_check, the integer apply_weyl and the closed-form spherical
+restriction against the routes they replaced, kept here as references:
+equal values and equal str() on random and exhaustive inputs."""
 
 import gc
 import random
@@ -10,8 +10,10 @@ from itertools import permutations, product
 
 import pytest
 
+from supercapelli.cli import _CONFIGS
 from supercapelli.hooks import HookParams, a_context, enumerate_hooks
 from supercapelli.multipoly import MultiPoly
+from supercapelli.solver import full_preimage, symbol_preimage
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
                                    gelfand_element, pbw_normalize,
                                    _gen_key)
@@ -22,7 +24,7 @@ from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                osp_spanning_set, rho_check, rho_check_gen,
                                spherical_poly, spherical_vector, t_sigma,
                                weyl_context, weyl_mul, _cartan_generators,
-                               _partitions_of)
+                               _mul_ints, _partitions_of)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,26 @@ def reference_t_sigma(ambient, sigma):
     return WeylElement(ambient, terms)
 
 
+def reference_rho_check(x):
+    """Word by word: each word multiplied out letter by letter on ints,
+    nothing shared between words."""
+    amb = x.ambient
+    ctx = weyl_context(amb)
+    den, words = x.cleared()
+    gen_img = {}
+    terms = {}
+    for w, c in words.items():
+        acc = {((), ()): c}
+        for g in w:
+            if g not in gen_img:
+                gen_img[g] = rho_check_gen(amb, *g).cleared()[1]
+            acc = _mul_ints(ctx, acc, gen_img[g])
+        for t, v in acc.items():
+            terms[t] = terms.get(t, 0) + v
+    return WeylElement(amb, {k: Fraction(v, den)
+                             for k, v in terms.items() if v})
+
+
 def reference_apply_weyl(op, poly):
     ctx = weyl_context(op.ambient)
     out = {}
@@ -317,14 +339,102 @@ def test_kernels_leave_no_reference_cycle():
     amb = Ambient(1, 2)
     op = t_sigma(amb, consecutive_cycles_perm((2,)))
     vec = {mm: Fraction(1, 3) for mm in monomial_basis(amb, 2)}
+    z = symbol_preimage(amb, (2, 3, 1, 4))
     gc.collect()
     gc.disable()
     try:
         t_sigma(amb, consecutive_cycles_perm((1, 1)))
         apply_weyl(op, vec)
+        rho_check(z)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# rho_check: Horner over the hash-consed word trie == word by word.
+
+@pytest.mark.parametrize('mn,dmax', [((1, 1), 4), ((2, 1), 4), ((1, 2), 4),
+                                     ((2, 2), 4), ((0, 2), 4), ((3, 0), 4),
+                                     ((1, 4), 3)])
+def test_rho_check_matches_reference_on_gelfand_elements(mn, dmax):
+    amb = Ambient(*mn)
+    for d in range(1, dmax + 1):
+        c = gelfand_element(amb, d)
+        assert_same(rho_check(c), reference_rho_check(c))
+
+
+@pytest.mark.parametrize('mn', [(1, 2), (2, 2)])
+def test_rho_check_matches_reference_on_symbol_preimages(mn):
+    amb = Ambient(*mn)
+    sigmas = list(permutations(range(1, 5)))
+    sigmas += random.Random(0).sample(list(permutations(range(1, 7))), 20)
+    for sig in sigmas:
+        z = symbol_preimage(amb, sig)
+        assert_same(rho_check(z), reference_rho_check(z))
+
+
+def test_rho_check_matches_reference_on_full_preimages():
+    # the round trips of the abstract-capelli suite, at its pair ranks
+    for (m, n), d in _CONFIGS['abstract-capelli'].items():
+        params = HookParams(m, n // 2, 'half')
+        for b in enumerate_hooks(params, d, upto=True):
+            D = capelli_operator(params, b)
+            z = full_preimage(D, check_invariant=False)
+            got = rho_check(z)
+            assert_same(got, reference_rho_check(z))
+            assert got == D
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2)])
+def test_rho_check_matches_reference_on_osp_spanning_set(mn):
+    for k in osp_spanning_set(HookParams(mn[0], mn[1], 'half')):
+        assert_same(rho_check(k), reference_rho_check(k))
+
+
+def random_uea(amb, rng):
+    """Mixed word lengths, now and then the empty word or a repeated
+    letter, and a block P*g*c + P*h*(-k*c) + g*P*c' + h*P*(-k'*c') whose
+    subtrees (under the last or the first letter) are equal up to a
+    negative scalar."""
+    gens = [(i, j) for i in range(amb.dim) for j in range(amb.dim)]
+
+    def words(count, maxlen):
+        terms = {}
+        for _ in range(count):
+            w = [rng.choice(gens) for _ in range(rng.randrange(maxlen + 1))]
+            if w and rng.random() < 0.3:
+                w.insert(rng.randrange(len(w) + 1), rng.choice(w))
+            terms[tuple(w)] = random_coeff(rng)
+        if rng.random() < 0.3:
+            terms[()] = random_coeff(rng)
+        return UEAElement(amb, terms)
+
+    x = words(rng.randrange(1, 5), 4)
+    if rng.random() < 0.7:
+        p = words(rng.randrange(1, 4), 3)
+        g, h = (UEAElement.gen(amb, *e) for e in rng.sample(gens, 2))
+        for left, right, k in ((p * g, p * h, rng.randrange(1, 4)),
+                               (g * p, h * p, rng.randrange(1, 4))):
+            c = random_coeff(rng)
+            x = x + left.scale(c) + right.scale(-k * c)
+    return x
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (0, 2), (2, 0)])
+def test_rho_check_matches_reference_on_random_input(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('rho %s %s' % mn)
+    for _ in range(40):
+        x = random_uea(amb, rng)
+        assert_same(rho_check(x), reference_rho_check(x))
+
+
+def test_rho_check_of_zero():
+    amb = Ambient(1, 2)
+    zero = UEAElement.zero(amb)
+    assert_same(rho_check(zero), WeylElement.zero(amb))
+    assert_same(rho_check(zero), reference_rho_check(zero))
 
 
 # ---------------------------------------------------------------------------
