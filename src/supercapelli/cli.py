@@ -86,13 +86,13 @@ def _sigma(args):
 
 
 def _cached_weyl(args, key_parts, compute):
-    cache = default_cache(args.cache_dir)
-    if cache is not None and not args.no_cache:
+    cache = None if args.no_cache else default_cache(args.cache_dir)
+    if cache is not None:
         payload = cache.load(key_parts)
         if payload is not None:
             return WeylElement.from_json(payload)
     result = compute()
-    if cache is not None and not args.no_cache:
+    if cache is not None:
         cache.store(key_parts, result.to_json())
     return result
 
@@ -579,18 +579,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         payload, text, code = args.fn(args)
-    except (ValueError, KeyError) as exc:
+        out = json.dumps(payload, sort_keys=True) if args.format == 'json' \
+            else text
+        if args.output:
+            with open(args.output, 'w') as fh:
+                fh.write(out + '\n')
+    except (ValueError, KeyError, OSError) as exc:
+        # OSError: an unusable --cache-dir or --output path
         print('error: %s' % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:
         print('internal error: %s' % exc, file=sys.stderr)
         return 3
-    out = json.dumps(payload, sort_keys=True) if args.format == 'json' \
-        else text
-    if args.output:
-        with open(args.output, 'w') as fh:
-            fh.write(out + '\n')
-    else:
+    if not args.output:
         print(out)
     return code
 

@@ -15,6 +15,14 @@ dict_vectors_rank needs only the rank, so it runs forward elimination
 alone on the primitive integer rows (each pivot clears the rows below
 it) and counts the pivots; it builds no Fraction RREF, no kernel and no
 back-elimination.
+
+Span grows an echelon one dict vector at a time: each kept row is a
+primitive integer dict whose pivot is its smallest key, and a new vector
+is reduced against the kept rows, pivot by pivot, by the same
+cross-multiply-and-divide-by-content step.  A vector that survives is
+outside the span and is kept; so a greedy basis or a growing span costs
+one reduction per candidate instead of an elimination of the whole
+family.
 """
 
 from fractions import Fraction
@@ -181,16 +189,50 @@ def dict_vectors_rank(vectors):
     return len(_eliminate(rows, len(keys), jordan=False))
 
 
+class Span:
+    """The span of the dict vectors added so far, as an echelon of
+    primitive integer dict rows keyed by their pivot, the smallest key of
+    the row.  Keys must be mutually comparable."""
+
+    def __init__(self):
+        self._rows = {}
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def add(self, v):
+        """Reduce the dict vector v against the kept rows; keep what is
+        left and return True when v is outside the span, else False."""
+        row = {k: c for k, c in zip(v, _cleared(v.values())[1]) if c}
+        if not row:
+            return False
+        rows = self._rows
+        while True:
+            g = gcd(*row.values())
+            if g > 1:
+                row = {k: c // g for k, c in row.items()}
+            p = min(row)
+            prow = rows.get(p)
+            if prow is None:
+                rows[p] = row
+                return True
+            a, b = prow[p], row[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            new = {k: a * c for k, c in row.items()}
+            for k, c in prow.items():
+                new[k] = new.get(k, 0) - b * c
+            row = {k: c for k, c in new.items() if c}
+            if not row:
+                return False
+
+
 def dict_vectors_basis(vectors):
     """Subset of the input vectors forming a basis of their span
     (greedy, in input order)."""
-    basis = []
-    for v in vectors:
-        if not v:
-            continue
-        if dict_vectors_rank(basis + [v]) > len(basis):
-            basis.append(v)
-    return basis
+    span = Span()
+    return [v for v in vectors if v and span.add(v)]
 
 
 def _column_rows(columns):

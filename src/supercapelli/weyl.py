@@ -17,11 +17,12 @@ Elements of the polynomial algebra P(W) are plain dicts
 {y-monomial: Fraction}.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .hooks import a_context, enumerate_hooks, eps_extension, gamma_star_map
-from .linalg import (dict_columns_kernel, dict_vectors_basis,
+from .linalg import (Span, dict_columns_kernel, dict_vectors_basis,
                      dict_vectors_rank, lin_solve, solve_in_span)
 from .multipoly import Combination, MultiPoly
 from .superlie import Ambient, UEAElement, gelfand_element
@@ -98,6 +99,39 @@ class WeylContext:
                 elif h == g:
                     return None, 0
         return tuple(sorted(items)), sign
+
+    def merge_mono(self, a, b):
+        """sort_mono(a + b) for canonical monomials a and b.  A
+        one-generator side is inserted by bisection, with the sign of the
+        odd entries it passes, and an empty side returns the other; only
+        two longer sides go through sort_mono.  (None, 0) when an odd
+        generator occurs on both sides."""
+        if not (a and b):
+            return a or b, 1
+        parity = self.parity
+        if len(b) == 1:
+            g = b[0]
+            t = bisect_right(a, g)
+            if not parity[g]:
+                return a[:t] + b + a[t:], 1
+            if t and a[t - 1] == g:
+                return None, 0
+            passed = a[t:]          # g moves left past these
+            out = a[:t] + b + passed
+        elif len(a) == 1:
+            g = a[0]
+            t = bisect_left(b, g)
+            if not parity[g]:
+                return b[:t] + a + b[t:], 1
+            if t < len(b) and b[t] == g:
+                return None, 0
+            passed = b[:t]          # g moves right past these
+            out = passed + a + b[t:]
+        else:
+            return self.sort_mono(a + b)
+        if sum(map(parity.__getitem__, passed)) % 2:
+            return out, -1
+        return out, 1
 
     def mono_parity(self, mono):
         return sum(self.parity[g] for g in mono) % 2
@@ -237,8 +271,9 @@ def _push(ctx, dmono, ymono):
     out = {}
     # the derivative passes through the whole y-monomial
     sign_full = -1 if pd and sum(parity[g] for g in ymono) % 2 else 1
+    last = (delta,)
     for (y1, d1), c in _push(ctx, rest, ymono).items():
-        nd, s = ctx.sort_mono(d1 + (delta,))
+        nd, s = ctx.merge_mono(d1, last)
         if nd is None:
             continue
         k = (y1, nd)
@@ -260,17 +295,18 @@ def _push(ctx, dmono, ymono):
 
 
 def _mul_ints(ctx, a, b):
-    """The normal-ordered product of two {(y-mono, d-mono): int} maps."""
-    sort_mono = ctx.sort_mono
+    """The normal-ordered product of two {(y-mono, d-mono): int} maps with
+    canonical keys."""
+    merge = ctx.merge_mono
     terms = {}
     for (y1, d1), c1 in a.items():
         for (y2, d2), c2 in b.items():
             c12 = c1 * c2
             for (ym, dm), c in _push(ctx, d1, y2).items():
-                ny, s1 = sort_mono(y1 + ym)
+                ny, s1 = merge(y1, ym)
                 if ny is None:
                     continue
-                nd, s2 = sort_mono(dm + d2)
+                nd, s2 = merge(dm, d2)
                 if nd is None:
                     continue
                 k = (ny, nd)
@@ -278,13 +314,30 @@ def _mul_ints(ctx, a, b):
     return terms
 
 
+def _canonical_ints(ctx, ints):
+    """An {(y-mono, d-mono): int} map with each monomial sorted by
+    sort_mono, its sign applied and the vanishing ones dropped."""
+    out = {}
+    for (y, d), c in ints.items():
+        ny, sy = ctx.sort_mono(y)
+        nd, sd = ctx.sort_mono(d)
+        if sy and sd:
+            k = (ny, nd)
+            out[k] = out.get(k, 0) + sy * sd * c
+    return out
+
+
 def weyl_mul(a, b):
     """The normal-ordered product, on the operands' terms cleared to
-    Python ints; divided back once per output term."""
+    Python ints; divided back once per output term.  The operand keys are
+    sorted once on entry (an element read from JSON may list a monomial
+    in any order), so the product merges sorted monomials."""
     a._check(b)
+    ctx = weyl_context(a.ambient)
     den_a, ints_a = a.cleared()
     den_b, ints_b = b.cleared()
-    terms = _mul_ints(weyl_context(a.ambient), ints_a, ints_b)
+    terms = _mul_ints(ctx, _canonical_ints(ctx, ints_a),
+                      _canonical_ints(ctx, ints_b))
     den = den_a * den_b
     return WeylElement(a.ambient, {k: Fraction(v, den)
                                    for k, v in terms.items() if v})
@@ -728,26 +781,22 @@ def all_highest_weight_vectors(ambient, k):
 
 def cyclic_span_dim(ambient, vec):
     """Dimension of the span of a vector under repeated application of the
-    lowering operators."""
+    lowering operators: one Span grown breadth first, each image of a
+    newly kept vector added to it once."""
     lowering = [rho_check_gen(ambient, i, j)
                 for i in range(ambient.dim) for j in range(ambient.dim) if i > j]
-    basis = [vec]
-    rank = dict_vectors_rank(basis)
+    span = Span()
+    span.add(vec)
     frontier = [vec]
     while frontier:
         new_frontier = []
         for v in frontier:
             for op in lowering:
                 w = apply_weyl(op, v)
-                if not w:
-                    continue
-                r = dict_vectors_rank(basis + [w])
-                if r > rank:
-                    basis.append(w)
-                    rank = r
+                if w and span.add(w):
                     new_frontier.append(w)
         frontier = new_frontier
-    return rank
+    return span.rank
 
 
 # ---------------------------------------------------------------------------

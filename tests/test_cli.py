@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import supercapelli
 from supercapelli import cli
 from supercapelli.cli import main, SUITES
 
@@ -138,6 +142,42 @@ def test_output_file(capsys, tmp_path):
     data = json.loads(target.read_text())
     assert data['terms'] == [{'word': [['1', '1']], 'coef': '1'},
                              {'word': [['1b', '1b']], 'coef': '1'}]
+
+
+def test_unusable_cache_dir_exits_2(capsys, tmp_path):
+    blocker = tmp_path / 'file'
+    blocker.write_text('')
+    code, out, err = run(capsys, 'capelli-op', '--m', '1', '--n', '1',
+                         '--partition', '1', '--cache-dir',
+                         str(blocker / 'cache'))
+    assert code == 2 and out == ''
+    assert err.startswith('error: ') and str(blocker) in err
+    # --no-cache bypasses the directory, so it is never created
+    code, out, _ = run(capsys, 'capelli-op', '--m', '1', '--n', '1',
+                       '--partition', '1', '--cache-dir',
+                       str(blocker / 'cache'), '--no-cache')
+    assert code == 0 and out
+
+
+def test_unusable_output_path_exits_2(capsys, tmp_path):
+    target = tmp_path / 'missing' / 'x'
+    code, out, err = run(capsys, 'gelfand', '--m', '1', '--n', '1',
+                         '--dmax', '2', '--output', str(target))
+    assert code == 2 and out == ''
+    assert err.startswith('error: ') and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ['hooks', '--m', '1', '--n', '1', '--size', '2']
+    code, out, _ = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(supercapelli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get('PYTHONPATH')] if p]))
+    proc = subprocess.run([sys.executable, '-m', 'supercapelli'] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_verify_single_suite(capsys):

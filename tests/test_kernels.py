@@ -12,6 +12,7 @@ import pytest
 
 from supercapelli.cli import _CONFIGS
 from supercapelli.hooks import HookParams, a_context, enumerate_hooks
+from supercapelli.linalg import dict_vectors_rank
 from supercapelli.multipoly import MultiPoly
 from supercapelli.solver import full_preimage, symbol_preimage
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
@@ -19,7 +20,7 @@ from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
                                    _gen_key)
 from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                apply_weyl, capelli_operator,
-                               consecutive_cycles_perm,
+                               consecutive_cycles_perm, cyclic_span_dim,
                                invariant_symbol_space, monomial_basis,
                                osp_spanning_set, rho_check, rho_check_gen,
                                spherical_poly, spherical_vector, t_sigma,
@@ -290,6 +291,85 @@ def test_weyl_mul_matches_reference(mn):
         assert_same(weyl_mul(a, b), reference_weyl_mul(a, b))
 
 
+def random_canonical(ctx, rng, maxlen):
+    while True:
+        mono, _ = ctx.sort_mono([rng.randrange(len(ctx.pairs))
+                                 for _ in range(rng.randrange(maxlen + 1))])
+        if mono is not None:
+            return mono
+
+
+def merge_pairs(ctx, rng):
+    """Canonical (a, b): random pairs, pairs with an empty side or a single
+    generator on either side, and pairs that share a generator of a (so
+    equal even generators and odd generators on both sides)."""
+    for _ in range(400):
+        a, b = random_canonical(ctx, rng, 5), random_canonical(ctx, rng, 5)
+        kind = rng.randrange(6)
+        if kind == 0:
+            a, b = rng.choice([((), b), (a, ()), ((), ())])
+        elif kind == 1:
+            b = b[:1]
+        elif kind == 2:
+            a = a[:1]
+        elif kind in (3, 4) and a:
+            shared = rng.choice(a)
+            b, _ = ctx.sort_mono(b[:rng.randrange(3)] + (shared,))
+            if b is None:
+                continue
+            if kind == 4:
+                a, b = b, a
+        yield a, b
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
+                                (3, 0)])
+def test_merge_mono_matches_reference_sort(mn):
+    ctx = weyl_context(Ambient(*mn))
+    rng = random.Random('merge %s %s' % mn)
+    seen = set()
+    for a, b in merge_pairs(ctx, rng):
+        got = ctx.merge_mono(a, b)
+        assert got == reference_sort_mono(ctx, a + b)
+        assert got[0] is None or type(got[0]) is tuple
+        seen.add((min(len(a), 2), min(len(b), 2), got[1]))
+    # every insertion and merge shape; the zero for an odd generator on
+    # both sides, and the sign -1 once two odd generators exist
+    shapes = {(i, j) for i, j, _ in seen}
+    assert shapes == {(i, j) for i in range(3) for j in range(3)}
+    odd = sum(ctx.parity)
+    want = {1} | ({0} if odd else set()) | ({-1} if odd > 1 else set())
+    assert {s for _, _, s in seen} == want
+
+
+def shuffled_weyl(amb, rng):
+    """Terms with monomials in random order, as hand-written JSON may give
+    them: repeated entries (odd repeats are zero), and two keys that
+    differ only in order."""
+    npairs = len(weyl_context(amb).pairs)
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        y = [rng.randrange(npairs) for _ in range(rng.randrange(4))]
+        d = [rng.randrange(npairs) for _ in range(rng.randrange(4))]
+        if y and rng.random() < 0.3:
+            y.append(rng.choice(y))
+        rng.shuffle(y)
+        rng.shuffle(d)
+        terms[(tuple(y), tuple(d))] = random_coeff(rng)
+        terms[(tuple(reversed(y)), tuple(d))] = random_coeff(rng)
+    return WeylElement(amb, terms)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_weyl_mul_matches_reference_on_out_of_order_keys(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('shuffled %s %s' % mn)
+    for _ in range(25):
+        a, b = shuffled_weyl(amb, rng), shuffled_weyl(amb, rng)
+        assert_same(weyl_mul(a, b), reference_weyl_mul(a, b))
+        assert_same(weyl_mul(b, a), reference_weyl_mul(b, a))
+
+
 @pytest.mark.parametrize('mn', [(1, 2), (2, 2)])
 def test_t_sigma_matches_reference_on_s4(mn):
     amb = Ambient(*mn)
@@ -344,6 +424,7 @@ def test_kernels_leave_no_reference_cycle():
     gc.disable()
     try:
         t_sigma(amb, consecutive_cycles_perm((1, 1)))
+        weyl_mul(op, op)
         apply_weyl(op, vec)
         rho_check(z)
         assert gc.collect() == 0
@@ -715,3 +796,42 @@ def test_spherical_restriction_matches_reference(mn, dmax):
         assert all(type(c) is Fraction for c in vec.values())
         assert_same(spherical_poly(params, b, capelli=D),
                     reference_spherical_poly(params, D))
+
+
+# ---------------------------------------------------------------------------
+# cyclic_span_dim: one growing Span == re-ranking the whole kept family.
+
+def reference_cyclic_span_dim(ambient, vec):
+    lowering = [rho_check_gen(ambient, i, j)
+                for i in range(ambient.dim) for j in range(ambient.dim) if i > j]
+    basis = [vec]
+    rank = dict_vectors_rank(basis)
+    frontier = [vec]
+    while frontier:
+        new_frontier = []
+        for v in frontier:
+            for op in lowering:
+                w = apply_weyl(op, v)
+                if not w:
+                    continue
+                r = dict_vectors_rank(basis + [w])
+                if r > rank:
+                    basis.append(w)
+                    rank = r
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return rank
+
+
+@pytest.mark.parametrize('mn,kmax', [((1, 2), 3), ((2, 2), 3), ((1, 4), 2)])
+def test_cyclic_span_dim_matches_reference(mn, kmax):
+    amb = Ambient(*mn)
+    for k in range(kmax + 1):
+        total = 0
+        for _, basis in all_highest_weight_vectors(amb, k):
+            for vec in basis:
+                dim = cyclic_span_dim(amb, vec)
+                assert dim == reference_cyclic_span_dim(amb, vec)
+                total += dim
+        assert total == len(monomial_basis(amb, k))
+    assert cyclic_span_dim(amb, {}) == reference_cyclic_span_dim(amb, {}) == 0

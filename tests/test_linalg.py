@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from supercapelli import hooks, solver
-from supercapelli.linalg import (mat_reduce, lin_solve, dict_vectors_rank,
-                                 dict_vectors_basis, dict_columns_kernel,
-                                 solve_in_span)
+from supercapelli.linalg import (Span, mat_reduce, lin_solve,
+                                 dict_vectors_rank, dict_vectors_basis,
+                                 dict_columns_kernel, solve_in_span)
+from supercapelli.superlie import Ambient
+from supercapelli.weyl import invariant_spanning_set
 
 
 def matvec(rows, vec):
@@ -105,6 +107,54 @@ def test_dict_vectors_rank_equals_mat_reduce_rank():
             == mat_reduce(rows, nc).rank
         count += 1
     assert count == 2400
+
+
+def reference_vectors_basis(vectors):
+    """The greedy basis as dict_vectors_basis read it before: re-rank the
+    whole kept family plus each candidate."""
+    basis = []
+    for v in vectors:
+        if v and dict_vectors_rank(basis + [v]) > len(basis):
+            basis.append(v)
+    return basis
+
+
+def test_span_rank_equals_dict_vectors_rank_on_every_prefix():
+    count = grew = 0
+    for rows, _ in random_matrices():
+        vectors = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        span = Span()
+        for t, v in enumerate(vectors):
+            before = span.rank
+            added = span.add(v)
+            assert span.rank == dict_vectors_rank(vectors[:t + 1])
+            assert added == (span.rank > before)
+            grew += added
+        assert dict_vectors_basis(vectors) == reference_vectors_basis(vectors)
+        count += 1
+    assert count == 2400
+    assert grew > 0
+
+
+@pytest.mark.parametrize('mn,dmax', [((1, 1), 4), ((2, 1), 3), ((1, 2), 3),
+                                     ((2, 2), 3)])
+def test_dict_vectors_basis_on_invariant_spanning_sets(mn, dmax):
+    """The basis step of invariant_symbol_space."""
+    amb = Ambient(*mn)
+    for d in range(1, dmax + 1):
+        vecs = [t.terms for _, t in invariant_spanning_set(amb, d)]
+        assert dict_vectors_basis(vecs) == reference_vectors_basis(vecs)
+
+
+def test_span_ignores_zero_entries_and_takes_any_coefficient_type():
+    span = Span()
+    assert not span.add({})
+    assert not span.add({'a': 0, 'b': Fraction(0), 'c': '0'})
+    assert span.add({'a': '1/2', 'b': '0', 'c': 3})
+    assert not span.add({'a': Fraction(1, 6), 'c': 1})
+    assert span.add({'c': Fraction(-2, 3)})
+    assert not span.add({'a': 1})
+    assert span.rank == 2
 
 
 def test_dict_columns_kernel_equals_reference_kernel():
