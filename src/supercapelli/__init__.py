@@ -11,8 +11,8 @@ from .hooks import (HookParams, HookPartition, Weight, FrobeniusPoint,
                     classical_hook_product, frobenius_point,
                     frobenius_affine_map)
 from .superlie import (Ambient, UEAElement, bracket, pbw_normalize,
-                       gelfand_element, omega, hc_project, q_projection,
-                       gd_element)
+                       gelfand_element, gelfand_product, omega, hc_project,
+                       q_projection, gd_element)
 from .weyl import (WeylElement, weyl_mul, rho_check, rho_check_gen, t_sigma,
                    invariant_symbol_space, highest_weight_vectors,
                    capelli_operator, spherical_vector, spherical_poly,

@@ -41,15 +41,16 @@ from .hooks import (HookParams, enumerate_hooks, parse_partition, gamma_map,
                     gamma_star_map, dual_weight, frobenius_point, a_context,
                     xy_context, eps_extension)
 from .multipoly import MultiPoly
-from .superlie import (Ambient, UEAElement, gelfand_element, pbw_normalize,
-                       hc_project, omega, omega_cartan)
+from .superlie import (Ambient, UEAElement, gelfand_element,
+                       gelfand_product, pbw_normalize, hc_project, omega,
+                       omega_cartan)
 from .weyl import (WeylElement, t_sigma, rho_check, symbol,
                    consecutive_cycles_perm, capelli_operator,
                    highest_weight_vectors, all_highest_weight_vectors,
                    cyclic_span_dim, eigenvalue_on, monomial_basis,
                    spherical_vector, spherical_poly, osp_spanning_set,
                    apply_weyl)
-from .solver import (symbol_preimage, full_preimage, central_preimage,
+from .solver import (coset_type, full_preimage, central_preimage,
                      c_poly_hc, c_poly_interp, c_star_poly, sp_star,
                      verify_main, verify_sv, theta_one_family,
                      natural_algebra_check)
@@ -275,8 +276,8 @@ def suite_symbol_identity(args):
     for m, n, dmax in _configs(args, 'symbol-identity'):
         amb = Ambient(m, n)
         for d in range(1, dmax + 1):
-            lhs = symbol(rho_check(gelfand_element(amb, d)), d)
-            rhs = t_sigma(amb, consecutive_cycles_perm((d,))).scale((-2) ** d)
+            lhs = symbol(rho_check(gelfand_product(amb, (d,))), d)
+            rhs = t_sigma(amb, consecutive_cycles_perm((d,)))
             cases.append(('gl(%d|%d) d=%d' % (m, n, d), lhs == rhs, ''))
     return cases
 
@@ -285,17 +286,18 @@ def suite_abstract_capelli(args):
     cases = []
     for m, n, d in _configs(args, 'abstract-capelli'):
         amb = Ambient(m, n)
-        bad = [sig for sig in permutations(range(1, 5))
-               if symbol(rho_check(symbol_preimage(amb, sig)), 2)
-               != t_sigma(amb, sig)]
-        cases.append(_case('gl(%d|%d) all sigma in S4' % (m, n), bad,
-                           'failing sigma'))
         sample = random.Random(0).sample(list(permutations(range(1, 7))), 20)
-        bad = [sig for sig in sample
-               if symbol(rho_check(symbol_preimage(amb, sig)), 3)
-               != t_sigma(amb, sig)]
-        cases.append(_case('gl(%d|%d) 20 random sigma in S6' % (m, n), bad,
-                           'failing sigma'))
+        for label, sigmas in (('all sigma in S4', permutations(range(1, 5))),
+                              ('20 random sigma in S6', sample)):
+            # one Gelfand-product symbol per coset type t (of degree |t|),
+            # compared with the literal t_sigma of each sigma of that type
+            types = {sig: coset_type(sig) for sig in sigmas}
+            symbols = {t: symbol(rho_check(gelfand_product(amb, t)), sum(t))
+                       for t in set(types.values())}
+            bad = [sig for sig, t in types.items()
+                   if symbols[t] != t_sigma(amb, sig)]
+            cases.append(_case('gl(%d|%d) %s' % (m, n, label), bad,
+                               'failing sigma'))
         # the pair ranks (m, n // 2) live in gl(m|2(n // 2)), which is
         # gl(m|n - 1) for odd n
         params = HookParams(m, n // 2, 'half')

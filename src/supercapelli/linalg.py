@@ -11,18 +11,13 @@ elimination would hold, so pivots, rank, reduced row echelon form and
 kernel are exactly those of elimination over Fractions.  lin_solve
 verifies its own answer by back-substitution on every call.
 
-dict_vectors_rank needs only the rank, so it runs forward elimination
-alone on the primitive integer rows (each pivot clears the rows below
-it) and counts the pivots; it builds no Fraction RREF, no kernel and no
-back-elimination.
-
 Span grows an echelon one dict vector at a time: each kept row is a
 primitive integer dict whose pivot is its smallest key, and a new vector
 is reduced against the kept rows, pivot by pivot, by the same
 cross-multiply-and-divide-by-content step.  A vector that survives is
 outside the span and is kept; so a greedy basis or a growing span costs
 one reduction per candidate instead of an elimination of the whole
-family.
+family, and dict_vectors_rank is the rank of a Span grown by its vectors.
 """
 
 from fractions import Fraction
@@ -58,13 +53,11 @@ def _integer_row(row):
     return _primitive(_cleared(row)[1])
 
 
-def _eliminate(m, ncols, jordan):
-    """Fraction-free elimination of the integer rows m in place; returns
-    the pivot columns.  The pivot of each column is the first row at or
-    below the current rank with a nonzero entry there.  A pivot clears
-    its column in every other row when jordan is set (Gauss-Jordan), and
-    only in the rows below it otherwise (forward elimination, enough for
-    the rank)."""
+def _eliminate(m, ncols):
+    """Fraction-free Gauss-Jordan elimination of the integer rows m in
+    place; returns the pivot columns.  The pivot of each column is the
+    first row at or below the current rank with a nonzero entry there,
+    and it clears its column in every other row."""
     pivots = []
     for col in range(ncols):
         rank = len(pivots)
@@ -78,7 +71,7 @@ def _eliminate(m, ncols, jordan):
         m[rank], m[piv] = m[piv], m[rank]
         prow = m[rank]
         p = prow[col]
-        for r in range(0 if jordan else rank + 1, len(m)):
+        for r in range(len(m)):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
                 m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
@@ -100,7 +93,7 @@ def mat_reduce(rows, ncols=None):
     for row in m:
         if len(row) != ncols:
             raise ValueError('ragged matrix')
-    pivots = _eliminate(m, ncols, jordan=True)
+    pivots = _eliminate(m, ncols)
     rank = len(pivots)
     zero = Fraction(0)
     rref = []
@@ -175,18 +168,11 @@ def _key_index(vectors):
 
 
 def dict_vectors_rank(vectors):
-    """Rank of the span: forward elimination of primitive integer rows,
-    with no RREF or kernel built."""
-    keys, idx = _key_index(vectors)
-    if not keys:
-        return 0
-    rows = []
+    """Rank of the span, read from a Span grown by the vectors."""
+    span = Span()
     for v in vectors:
-        row = [0] * len(keys)
-        for k, c in v.items():
-            row[idx[k]] = c
-        rows.append(_integer_row(row))
-    return len(_eliminate(rows, len(keys), jordan=False))
+        span.add(v)
+    return span.rank
 
 
 class Span:
@@ -211,7 +197,8 @@ class Span:
         while True:
             g = gcd(*row.values())
             if g > 1:
-                row = {k: c // g for k, c in row.items()}
+                for k in row:
+                    row[k] //= g
             p = min(row)
             prow = rows.get(p)
             if prow is None:
@@ -220,10 +207,15 @@ class Span:
             a, b = prow[p], row[p]
             g = gcd(a, b)
             a, b = a // g, b // g
-            new = {k: a * c for k, c in row.items()}
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, c in prow.items():
-                new[k] = new.get(k, 0) - b * c
-            row = {k: c for k, c in new.items() if c}
+                x = row.get(k, 0) - b * c
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
             if not row:
                 return False
 

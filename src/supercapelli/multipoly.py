@@ -36,8 +36,9 @@ class Combination:
     __slots__ = ('terms',)
 
     def __init__(self, terms=None):
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items()
-                      if c != 0}
+        # a plain Fraction is immutable and already reduced: keep it
+        self.terms = {k: c if type(c) is Fraction else Fraction(c)
+                      for k, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def zero(cls, context):

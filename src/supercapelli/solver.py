@@ -15,7 +15,7 @@ from .linalg import lin_solve, solve_in_span, dict_vectors_rank
 from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     classical_hook_product, frobenius_point,
                     frobenius_affine_map, a_context, xy_context)
-from .superlie import (Ambient, UEAElement, gelfand_element, hc_project,
+from .superlie import (Ambient, UEAElement, gelfand_product, hc_project,
                        q_projection, gd_element, omega_cartan)
 from .weyl import (WeylElement, rho_check_gen, symbol, gelfand_product_image,
                    _partitions_of, _commutator, capelli_operator,
@@ -60,13 +60,9 @@ def coset_type(sigma):
 
 def symbol_preimage(ambient, sigma):
     """A central element whose polarized image has top symbol equal to the
-    invariant attached to sigma: the product of the scaled Gelfand
-    elements (-1/2)^b C_b over the parts b of the coset type of sigma
-    (they are central, so their order does not matter)."""
-    z = UEAElement.one(ambient)
-    for b in coset_type(sigma):
-        z = z * gelfand_element(ambient, b).scale(Fraction(-1, 2) ** b)
-    return z
+    invariant attached to sigma: the Gelfand product of the coset type of
+    sigma (its factors are central, so their order does not matter)."""
+    return gelfand_product(ambient, coset_type(sigma))
 
 
 def full_preimage(D, check_invariant=True):
@@ -74,9 +70,12 @@ def full_preimage(D, check_invariant=True):
     D, built by peeling top symbols down the order filtration.
 
     At order d the symbols of the polarized Gelfand products, one per
-    partition of d, span the invariant symbols; the same images, kept for
-    the duration of the call, give the term subtracted from the
-    remainder, so rho_check is never applied to the growing z."""
+    partition of d, span the invariant symbols (at order 0 the empty
+    partition's image is 1); the same images, kept for the duration of
+    the call, give the term subtracted from the remainder, so rho_check
+    is never applied to z.  Each order's nonzero (coefficient, partition)
+    pairs are kept, and z = sum c * gelfand_product(part) is built once
+    at the end."""
     amb = D.ambient
     if check_invariant:
         for i in range(amb.dim):
@@ -85,41 +84,29 @@ def full_preimage(D, check_invariant=True):
                     continue
                 if not _commutator(rho_check_gen(amb, i, j), D).is_zero():
                     raise ValueError('operator is not invariant')
-    z = UEAElement.zero(amb)
+    peeled = []
     R = D
     images = {}
     while not R.is_zero():
         d = R.order()
-        if d == 0:
-            c = R.terms.get(((), ()), Fraction(0))
-            if R.terms != {((), ()): c}:
-                raise AssertionError('order-zero remainder is not scalar')
-            z = z + UEAElement.one(amb).scale(c)
-            break
-        s = symbol(R, d)
         parts = _partitions_of(d)
         span = [gelfand_product_image(amb, part, images) for part in parts]
         coeffs = solve_in_span([symbol(img, d).terms for img in span],
-                               s.terms)
+                               symbol(R, d).terms)
         if coeffs is None:
             raise AssertionError('symbol of order %d not in the invariant '
                                  'span' % d)
-        zd = UEAElement.zero(amb)
         rest = dict(R.terms)
         for c, part, img in zip(coeffs, parts, span):
-            if not c:
-                continue
-            prod = UEAElement.one(amb)
-            for b in part:
-                prod = prod * gelfand_element(amb, b).scale(Fraction(-1, 2) ** b)
-            zd = zd + prod.scale(c)
-            for t, v in img.terms.items():
-                rest[t] = rest.get(t, 0) - c * v
-        z = z + zd
+            if c:
+                peeled.append((c, part))
+                for t, v in img.terms.items():
+                    rest[t] = rest.get(t, 0) - c * v
         R = WeylElement(amb, rest)
         if not R.is_zero() and R.order() >= d:
             raise AssertionError('order did not drop during recursion')
-    return z
+    return sum((gelfand_product(amb, part).scale(c) for c, part in peeled),
+               UEAElement.zero(amb))
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +131,31 @@ def central_preimage(params, b, capelli=None):
     return full_preimage(capelli, check_invariant=False)
 
 
-def c_poly_hc(params, b, preimage=None):
-    """Eigenvalue polynomial through the plus Harish-Chandra projection of
-    a central preimage of the Capelli operator."""
+def _hc_poly(params, b, preimage, sign):
+    """The q projection of the sign Harish-Chandra projection of a central
+    preimage of the Capelli operator, with each variable negated for the
+    minus sign."""
     if params.theta != 'half':
         raise ValueError('half regime required')
     amb = Ambient(params.m, 2 * params.n)
     if preimage is None:
         preimage = central_preimage(params, b)
-    cart = hc_project(preimage, 'plus')
-    poly = q_projection(cart, amb).rename(a_context(params.m, params.n))
-    return EigenPoly(b, poly)
+    poly = q_projection(hc_project(preimage, sign), amb)
+    if sign == 'minus':
+        poly = omega_cartan(poly)
+    return EigenPoly(b, poly.rename(a_context(params.m, params.n)))
+
+
+def c_poly_hc(params, b, preimage=None):
+    """Eigenvalue polynomial through the plus Harish-Chandra projection of
+    a central preimage of the Capelli operator."""
+    return _hc_poly(params, b, preimage, 'plus')
 
 
 def c_star_poly(params, b, preimage=None):
     """Dual eigenvalue polynomial: minus projection with negated
     evaluation variables."""
-    if params.theta != 'half':
-        raise ValueError('half regime required')
-    amb = Ambient(params.m, 2 * params.n)
-    if preimage is None:
-        preimage = central_preimage(params, b)
-    cart = hc_project(preimage, 'minus')
-    poly = omega_cartan(q_projection(cart, amb))
-    return EigenPoly(b, poly.rename(a_context(params.m, params.n)))
+    return _hc_poly(params, b, preimage, 'minus')
 
 
 class InterpolationBasis:

@@ -269,6 +269,17 @@ def gelfand_element(ambient, d):
 _gelfand_cache = {}
 
 
+def gelfand_product(ambient, part):
+    """The product over the blocks b of part, in order, of the scaled
+    Gelfand elements (-1/2)^b C_b; the unit for the empty partition.
+    Its polarized image has top symbol the invariant t_sigma of every
+    sigma of coset type part."""
+    z = UEAElement.one(ambient)
+    for b in part:
+        z = z * gelfand_element(ambient, b).scale(Fraction(-1, 2) ** b)
+    return z
+
+
 def omega(a):
     """The antiautomorphism with omega(x) = -x on the superalgebra and
     omega(xy) = (-1)^{|x||y|} omega(y) omega(x)."""

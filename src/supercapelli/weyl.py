@@ -25,7 +25,7 @@ from .hooks import a_context, enumerate_hooks, eps_extension, gamma_star_map
 from .linalg import (Span, dict_columns_kernel, dict_vectors_basis,
                      dict_vectors_rank, lin_solve, solve_in_span)
 from .multipoly import Combination, MultiPoly
-from .superlie import Ambient, UEAElement, gelfand_element
+from .superlie import Ambient, UEAElement, gelfand_product
 
 _ctx_cache = {}
 
@@ -510,8 +510,7 @@ def _rho_eval(ctx, nodes, root_id):
 
 
 def gelfand_product_image(ambient, part, memo=None):
-    """rho_check of the product over the blocks b of part, in order, of
-    (-1/2)^b C_b, with C_b the Gelfand element.  Since rho_check is
+    """rho_check of gelfand_product(ambient, part).  Since rho_check is
     multiplicative, this is the weyl_mul product of the images of the
     single blocks.  memo, a dict keyed by partition, keeps the images of
     the blocks and of the leading sub-products for later calls."""
@@ -521,12 +520,8 @@ def gelfand_product_image(ambient, part, memo=None):
     img = memo.get(part)
     if img is not None:
         return img
-    if not part:
-        img = WeylElement.one(ambient)
-    elif len(part) == 1:
-        b = part[0]
-        img = rho_check(gelfand_element(ambient, b)).scale(
-            Fraction(-1, 2) ** b)
+    if len(part) <= 1:
+        img = rho_check(gelfand_product(ambient, part))
     else:
         img = weyl_mul(gelfand_product_image(ambient, part[:-1], memo),
                        gelfand_product_image(ambient, part[-1:], memo))
@@ -748,8 +743,13 @@ def highest_weight_vectors(ambient, k, eps_coords):
     given epsilon-frame weight killed by the simple raising operators."""
     ctx = weyl_context(ambient)
     eps = tuple(Fraction(c) for c in eps_coords)
-    cands = [mm for mm in monomial_basis(ambient, k)
-             if tuple(Fraction(w) for w in mono_weight(ctx, mm)) == eps]
+    # int weights compare equal to Fraction ones, so none is converted
+    return _highest_in(ambient, [mm for mm in monomial_basis(ambient, k)
+                                 if mono_weight(ctx, mm) == eps])
+
+
+def _highest_in(ambient, cands):
+    """highest_weight_vectors among the monomials cands of one weight."""
     if not cands:
         return []
     raising = [rho_check_gen(ambient, i, i + 1) for i in range(ambient.dim - 1)]
@@ -769,14 +769,11 @@ def all_highest_weight_vectors(ambient, k):
     """All (weight, basis) pairs with nonzero highest-weight space in the
     degree-k graded piece."""
     ctx = weyl_context(ambient)
-    weights = sorted({mono_weight(ctx, mm) for mm in monomial_basis(ambient, k)},
-                     reverse=True)
-    out = []
-    for w in weights:
-        basis = highest_weight_vectors(ambient, k, w)
-        if basis:
-            out.append((w, basis))
-    return out
+    groups = {}
+    for mm in monomial_basis(ambient, k):
+        groups.setdefault(mono_weight(ctx, mm), []).append(mm)
+    return [(w, basis) for w in sorted(groups, reverse=True)
+            if (basis := _highest_in(ambient, groups[w]))]
 
 
 def cyclic_span_dim(ambient, vec):

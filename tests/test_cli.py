@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -260,6 +262,28 @@ def test_abstract_capelli_labels_the_ambient_it_ran(capsys):
     assert sorted(rec['case'] for rec in cases) == [
         'gl(1|0) preimage roundtrip ()', 'gl(1|0) preimage roundtrip 1',
         'gl(1|1) 20 random sigma in S6', 'gl(1|1) all sigma in S4']
+
+
+def test_abstract_capelli_checks_each_sigma_against_its_own_t_sigma(
+        capsys, monkeypatch):
+    # each wrong sigma shares its coset type with other sigma, so a check
+    # made once per type could not name it
+    s6 = random.Random(0).sample(list(permutations(range(1, 7))), 20)[5]
+    wrong = {(1, 2, 3, 4), s6}
+    real = cli.t_sigma
+
+    def t_sigma(amb, sig):
+        out = real(amb, sig)
+        return out + cli.WeylElement.one(amb) if sig in wrong else out
+
+    monkeypatch.setattr(cli, 't_sigma', t_sigma)
+    code, cases = _verify_cases(capsys, '--suite', 'abstract-capelli',
+                                '--m', '1', '--n', '1', '--dmax', '1')
+    assert code == 1
+    assert {rec['case']: rec['witness'] for rec in cases
+            if not rec['passed']} == {
+        'gl(1|1) all sigma in S4': 'failing sigma: [(1, 2, 3, 4)]',
+        'gl(1|1) 20 random sigma in S6': 'failing sigma: [%r]' % (s6,)}
 
 
 def test_verify_duality_honours_zero_rank(capsys):

@@ -71,6 +71,27 @@ def test_shared_arithmetic(name):
             assert not sample(name) == sample(other_name)
 
 
+class SubFraction(Fraction):
+    pass
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_constructor_keeps_exact_fractions(name):
+    cls, ctx, _, keys = CASES[name]
+    k0, k1, k2, k3 = keys
+    f = Fraction(-2, 3)
+    x = cls(ctx, {k0: f, k1: 3, k2: '1/4', k3: SubFraction(5, 2)})
+    # a value of type exactly Fraction is the input object itself
+    assert x.terms[k0] is f
+    # ints, strings and Fraction subclasses become plain Fractions
+    assert x.terms == {k0: f, k1: 3, k2: Fraction(1, 4), k3: Fraction(5, 2)}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    # zeros of every type are dropped, as before
+    assert cls(ctx, {k0: 0, k1: Fraction(0), k2: SubFraction(0),
+                     k3: 0.0}).terms == {}
+    assert cls(ctx, {k0: 0, k1: f}).terms == {k1: f}
+
+
 @pytest.mark.parametrize('name', sorted(CASES))
 def test_str_is_pinned(name):
     x = sample(name)

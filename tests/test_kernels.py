@@ -12,7 +12,7 @@ import pytest
 
 from supercapelli.cli import _CONFIGS
 from supercapelli.hooks import HookParams, a_context, enumerate_hooks
-from supercapelli.linalg import dict_vectors_rank
+from supercapelli.linalg import mat_reduce
 from supercapelli.multipoly import MultiPoly
 from supercapelli.solver import full_preimage, symbol_preimage
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
@@ -801,11 +801,21 @@ def test_spherical_restriction_matches_reference(mn, dmax):
 # ---------------------------------------------------------------------------
 # cyclic_span_dim: one growing Span == re-ranking the whole kept family.
 
+def reference_rank(vectors):
+    """Rank of dict vectors by mat_reduce of their dense rows, independent
+    of the Span that cyclic_span_dim grows."""
+    keys = list(dict.fromkeys(k for v in vectors for k in v))
+    if not keys:
+        return 0
+    return mat_reduce([[v.get(k, 0) for k in keys] for v in vectors],
+                      len(keys)).rank
+
+
 def reference_cyclic_span_dim(ambient, vec):
     lowering = [rho_check_gen(ambient, i, j)
                 for i in range(ambient.dim) for j in range(ambient.dim) if i > j]
     basis = [vec]
-    rank = dict_vectors_rank(basis)
+    rank = reference_rank(basis)
     frontier = [vec]
     while frontier:
         new_frontier = []
@@ -814,7 +824,7 @@ def reference_cyclic_span_dim(ambient, vec):
                 w = apply_weyl(op, v)
                 if not w:
                     continue
-                r = dict_vectors_rank(basis + [w])
+                r = reference_rank(basis + [w])
                 if r > rank:
                     basis.append(w)
                     rank = r

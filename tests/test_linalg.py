@@ -114,7 +114,7 @@ def reference_vectors_basis(vectors):
     whole kept family plus each candidate."""
     basis = []
     for v in vectors:
-        if v and dict_vectors_rank(basis + [v]) > len(basis):
+        if v and reference_rank(basis + [v]) > len(basis):
             basis.append(v)
     return basis
 
@@ -127,7 +127,8 @@ def test_span_rank_equals_dict_vectors_rank_on_every_prefix():
         for t, v in enumerate(vectors):
             before = span.rank
             added = span.add(v)
-            assert span.rank == dict_vectors_rank(vectors[:t + 1])
+            assert span.rank == reference_rank(vectors[:t + 1]) \
+                == dict_vectors_rank(vectors[:t + 1])
             assert added == (span.rank > before)
             grew += added
         assert dict_vectors_basis(vectors) == reference_vectors_basis(vectors)

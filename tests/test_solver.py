@@ -8,11 +8,12 @@ import pytest
 from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
                                 gamma_star_map, dual_weight, hook_product_H,
                                 xy_context)
-from supercapelli.linalg import lin_solve
+from supercapelli.linalg import lin_solve, solve_in_span
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
-    q_projection, gd_element, hc_project
-from supercapelli.weyl import (t_sigma, rho_check, symbol, capelli_operator,
+    gelfand_product, q_projection, gd_element, hc_project
+from supercapelli.weyl import (WeylElement, t_sigma, rho_check, symbol,
+                               capelli_operator, y_gen,
                                consecutive_cycles_perm, gelfand_product_image,
                                invariant_symbol_space, spherical_poly,
                                _partitions_of)
@@ -191,6 +192,92 @@ def test_full_preimage_rejects_noninvariant():
     op = weyl_mul(y_gen(amb, 0, 0), d_gen(amb, 0, 1))
     with pytest.raises(ValueError):
         full_preimage(op, check_invariant=True)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the preimage routes that multiplied the scaled Gelfand
+# elements out in place, before gelfand_product.
+
+def reference_gelfand_loop(ambient, part):
+    z = UEAElement.one(ambient)
+    for b in part:
+        z = z * gelfand_element(ambient, b).scale(Fraction(-1, 2) ** b)
+    return z
+
+
+def reference_full_preimage(D):
+    """full_preimage(D, check_invariant=False) as it was: each order's
+    products multiplied out per nonzero coefficient and added to z, and
+    a scalar order-zero remainder added directly."""
+    amb = D.ambient
+    z = UEAElement.zero(amb)
+    R = D
+    images = {}
+    while not R.is_zero():
+        d = R.order()
+        if d == 0:
+            c = R.terms.get(((), ()), Fraction(0))
+            if R.terms != {((), ()): c}:
+                raise AssertionError('order-zero remainder is not scalar')
+            z = z + UEAElement.one(amb).scale(c)
+            break
+        s = symbol(R, d)
+        parts = _partitions_of(d)
+        span = [gelfand_product_image(amb, part, images) for part in parts]
+        coeffs = solve_in_span([symbol(img, d).terms for img in span],
+                               s.terms)
+        assert coeffs is not None
+        zd = UEAElement.zero(amb)
+        rest = dict(R.terms)
+        for c, part, img in zip(coeffs, parts, span):
+            if not c:
+                continue
+            zd = zd + reference_gelfand_loop(amb, part).scale(c)
+            for t, v in img.terms.items():
+                rest[t] = rest.get(t, 0) - c * v
+        z = z + zd
+        R = WeylElement(amb, rest)
+        assert R.is_zero() or R.order() < d
+    return z
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2)])
+def test_gelfand_product_equals_the_loop(mn):
+    amb = Ambient(*mn)
+    assert gelfand_product(amb, ()) == UEAElement.one(amb)
+    for d in range(1, 5):
+        for part in _partitions_of(d):
+            assert gelfand_product(amb, part) == \
+                reference_gelfand_loop(amb, part), part
+
+
+def test_symbol_preimage_equals_the_loop_over_the_coset_type():
+    amb = Ambient(1, 2)
+    sample = random.Random(0).sample(list(permutations(range(1, 7))), 20)
+    for sig in list(permutations(range(1, 5))) + sample:
+        assert symbol_preimage(amb, sig) == \
+            reference_gelfand_loop(amb, coset_type(sig)), sig
+
+
+@pytest.mark.parametrize('m, n, dmax', [(1, 1, 4), (2, 1, 3), (1, 2, 3)])
+def test_full_preimage_equals_reference(m, n, dmax):
+    params = HookParams(m, n, 'half')
+    for d in range(dmax + 1):
+        inv = invariant_symbol_space(Ambient(m, 2 * n), d, verify=False)
+        for b in enumerate_hooks(params, d):
+            D = capelli_operator(params, b, inv_basis=inv)
+            z = full_preimage(D, check_invariant=False)
+            ref = reference_full_preimage(D)
+            assert z == ref and str(z) == str(ref), b
+
+
+def test_full_preimage_rejects_a_nonscalar_order_zero_remainder():
+    amb = Ambient(1, 2)
+    # the constant 3 peels to 3 * 1; y_11 has order 0 but is no scalar
+    assert full_preimage(WeylElement.one(amb).scale(3),
+                         check_invariant=False) == UEAElement.one(amb).scale(3)
+    with pytest.raises(AssertionError, match='not in the invariant span'):
+        full_preimage(y_gen(amb, 0, 0), check_invariant=False)
 
 
 def test_eigen_poly_routes_agree():

@@ -5,6 +5,7 @@ import pytest
 
 from supercapelli.hooks import (HookParams, enumerate_hooks, gamma_star_map,
                                 eps_extension, a_context)
+from supercapelli.linalg import dict_columns_kernel
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, bracket, gelfand_element
 from supercapelli.weyl import (WeylElement, weyl_context, y_gen, d_gen,
@@ -151,6 +152,57 @@ def test_highest_weight_bookkeeping():
         assert count == len(enumerate_hooks(params, k))
         total = sum(cyclic_span_dim(amb, v) for _, basis in hw for v in basis)
         assert total == len(monomial_basis(amb, k))
+
+
+def reference_highest_weight_vectors(ambient, k, eps_coords):
+    """highest_weight_vectors as it filtered its candidates before: every
+    degree-k monomial, its weight converted to Fractions, compared with
+    the requested weight (one pass over the whole basis per weight)."""
+    ctx = weyl_context(ambient)
+    eps = tuple(Fraction(c) for c in eps_coords)
+    cands = [mm for mm in monomial_basis(ambient, k)
+             if tuple(Fraction(w) for w in mono_weight(ctx, mm)) == eps]
+    if not cands:
+        return []
+    raising = [rho_check_gen(ambient, i, i + 1) for i in range(ambient.dim - 1)]
+    columns = []
+    for mm in cands:
+        vec = {}
+        for gi, op in enumerate(raising):
+            img = apply_weyl(op, {mm: Fraction(1)})
+            for key, c in img.items():
+                vec[(gi, key)] = c
+        columns.append(vec)
+    return [{mm: c for mm, c in zip(cands, vec) if c}
+            for vec in dict_columns_kernel(columns)]
+
+
+@pytest.mark.parametrize('mn', [(1, 2), (2, 2), (1, 4), (0, 2), (3, 0)])
+def test_highest_weight_vectors_equal_the_filter_route(mn):
+    amb = Ambient(*mn)
+    ctx = weyl_context(amb)
+    for k in range(4):
+        weights = sorted({mono_weight(ctx, mm)
+                          for mm in monomial_basis(amb, k)}, reverse=True)
+        want = []
+        for w in weights:
+            basis = reference_highest_weight_vectors(amb, k, w)
+            assert highest_weight_vectors(amb, k, w) == basis, (w, k)
+            # Fraction-coercible coordinates name the same weight
+            for coords in ([Fraction(c) for c in w], [str(c) for c in w]):
+                assert highest_weight_vectors(amb, k, coords) == basis, (w, k)
+            if basis:
+                want.append((w, basis))
+        assert all_highest_weight_vectors(amb, k) == want, k
+
+
+def test_highest_weight_vectors_of_a_weight_with_no_monomial():
+    amb = Ambient(1, 2)
+    half = Fraction(-1, 2)
+    assert highest_weight_vectors(amb, 2, (-1, half, half)) == []
+    assert highest_weight_vectors(amb, 2, ('-1', '-1/2', '-1/2')) == []
+    assert highest_weight_vectors(amb, 2, (-2, 0)) == []     # wrong length
+    assert highest_weight_vectors(amb, 2, (-1, -1, -1)) == []  # wrong degree
 
 
 def test_capelli_operator_rank_one():
