@@ -75,7 +75,8 @@ def full_preimage(D, check_invariant=True):
     the call, give the term subtracted from the remainder, so rho_check
     is never applied to z.  Each order's nonzero (coefficient, partition)
     pairs are kept, and z = sum c * gelfand_product(part) is built once
-    at the end."""
+    at the end, each product extending its longest prefix already built
+    in this call."""
     amb = D.ambient
     if check_invariant:
         for i in range(amb.dim):
@@ -105,8 +106,9 @@ def full_preimage(D, check_invariant=True):
         R = WeylElement(amb, rest)
         if not R.is_zero() and R.order() >= d:
             raise AssertionError('order did not drop during recursion')
-    return sum((gelfand_product(amb, part).scale(c) for c, part in peeled),
-               UEAElement.zero(amb))
+    products = {}
+    return sum((gelfand_product(amb, part, products).scale(c)
+                for c, part in peeled), UEAElement.zero(amb))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class WeylContext:
         self.rho_gen = {(i, j): self._rho_gen(i, j)
                         for i in range(dim) for j in range(dim)}
         self._push_cache = {}
+        # block size b -> cleared t_sigma of the b-cycle (_cycle_symbol)
+        self.cycle_symbols = {}
 
     def _canon(self, i, j):
         if i == j and self.ambient.parity(i):
@@ -311,6 +313,29 @@ def _mul_ints(ctx, a, b):
                     continue
                 k = (ny, nd)
                 terms[k] = terms.get(k, 0) + c12 * c * s1 * s2
+    return terms
+
+
+def _symbol_mul_ints(ctx, a, b):
+    """The supercommutative symbol product of two {(y-mono, x-mono): int}
+    maps with canonical keys: symbol(weyl_mul(a, b), |a| + |b|) with no
+    contraction terms.  The y-monomials are merged second factor first
+    and the x-monomials first factor first; moving the x-monomial of a
+    past the y-monomial of b would cost the same sign, since every term
+    of an invariant symbol has weight zero, so its y- and x-monomials
+    have the same parity."""
+    merge = ctx.merge_mono
+    terms = {}
+    for (y1, x1), c1 in a.items():
+        for (y2, x2), c2 in b.items():
+            ny, s1 = merge(y2, y1)
+            if ny is None:
+                continue
+            nx, s2 = merge(x1, x2)
+            if nx is None:
+                continue
+            k = (ny, nx)
+            terms[k] = terms.get(k, 0) + c1 * c2 * s1 * s2
     return terms
 
 
@@ -662,12 +687,35 @@ def _partitions_of(d):
     return out
 
 
+def _cycle_symbol(ctx, b):
+    """(den, ints) of the single-cycle symbol t_sigma of the b-cycle
+    (consecutive_cycles_perm((b,))), cleared once and kept on the
+    context: one entry per block size."""
+    entry = ctx.cycle_symbols.get(b)
+    if entry is None:
+        entry = ctx.cycle_symbols[b] = t_sigma(
+            ctx.ambient, consecutive_cycles_perm((b,))).cleared()
+    return entry
+
+
 def invariant_spanning_set(ambient, d):
-    """Representative invariant symbols, one per partition of d (products
-    of consecutive cycles); every t_sigma lies in their span."""
+    """Representative invariant symbols, one per partition of d: the
+    t_sigma of the product of consecutive cycles of the part sizes.  That
+    sigma maps each block of positions onto itself, so the literal sum
+    factorises block by block, and its t_sigma is the symbol product of
+    the single-cycle symbols of the parts.  Every t_sigma lies in their
+    span."""
+    ctx = weyl_context(ambient)
     out = []
     for part in _partitions_of(d):
-        out.append((part, t_sigma(ambient, consecutive_cycles_perm(part))))
+        den, ints = 1, {((), ()): 1}
+        for b in part:
+            den_b, ints_b = _cycle_symbol(ctx, b)
+            den *= den_b
+            ints = _symbol_mul_ints(ctx, ints, ints_b)
+        out.append((part, WeylElement(ambient, {k: Fraction(v, den)
+                                                for k, v in ints.items()
+                                                if v})))
     return out
 
 
@@ -710,16 +758,21 @@ def invariant_kernel(ambient, d):
 def invariant_symbol_space(ambient, d, verify=True):
     """Row-reduced spanning set of the invariant symbols in bidegree (d,d).
 
-    When verify is set, checks that the span coincides with the kernel of
-    the polarized action computed by independent linear algebra; a mismatch
-    raises, since it would contradict the structure theory the solvers
-    rely on.
+    When verify is set, checks that each spanning symbol equals the
+    literal t_sigma of its product of consecutive cycles, and that the
+    span coincides with the kernel of the polarized action computed by
+    independent linear algebra; a mismatch raises, since it would
+    contradict the structure theory the solvers rely on.
     """
     span = invariant_spanning_set(ambient, d)
     vecs = [t.terms for _, t in span]
     basis_vecs = dict_vectors_basis(vecs)
     basis = [WeylElement(ambient, v) for v in basis_vecs]
     if verify:
+        for part, t in span:
+            if t != t_sigma(ambient, consecutive_cycles_perm(part)):
+                raise AssertionError('symbol product differs from the '
+                                     'literal t_sigma at %s' % (part,))
         kernel = invariant_kernel(ambient, d)
         if dict_vectors_rank([k.terms for k in kernel]) != len(basis):
             raise AssertionError('invariant span does not match the kernel '

@@ -251,6 +251,19 @@ def test_gelfand_product_equals_the_loop(mn):
                 reference_gelfand_loop(amb, part), part
 
 
+def test_gelfand_product_memo_extends_the_longest_prefix():
+    amb = Ambient(2, 1)
+    memo = {}
+    for d in range(4, 0, -1):
+        for part in _partitions_of(d):
+            assert gelfand_product(amb, part, memo) == \
+                reference_gelfand_loop(amb, part), part
+    # every nonempty prefix of every partition of d <= 4, and no other key
+    assert set(memo) == {p for d in range(1, 5) for p in _partitions_of(d)}
+    # a product found in the memo is returned as it is
+    assert gelfand_product(amb, (2, 1), memo) is memo[(2, 1)]
+
+
 def test_symbol_preimage_equals_the_loop_over_the_coset_type():
     amb = Ambient(1, 2)
     sample = random.Random(0).sample(list(permutations(range(1, 7))), 20)

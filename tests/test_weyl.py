@@ -8,9 +8,10 @@ from supercapelli.hooks import (HookParams, enumerate_hooks, gamma_star_map,
 from supercapelli.linalg import dict_columns_kernel
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, bracket, gelfand_element
-from supercapelli.weyl import (WeylElement, weyl_context, y_gen, d_gen,
-                               weyl_mul, monomial_basis, apply_weyl,
-                               rho_check, rho_check_gen, t_sigma,
+from supercapelli import weyl
+from supercapelli.weyl import (WeylElement, _symbol_mul_ints, weyl_context,
+                               y_gen, d_gen, weyl_mul, monomial_basis,
+                               apply_weyl, rho_check, rho_check_gen, t_sigma,
                                consecutive_cycles_perm, invariant_spanning_set,
                                invariant_symbol_space, mono_weight,
                                highest_weight_vectors,
@@ -141,6 +142,74 @@ def test_invariant_spanning_set_degree_two_covers_s4():
     span = [t.terms for _, t in invariant_spanning_set(amb, 2)]
     for sig in permutations(range(1, 5)):
         assert solve_in_span(span, t_sigma(amb, sig).terms) is not None, sig
+
+
+@pytest.mark.parametrize('mn, dmax', [
+    ((0, 0), 2), ((1, 0), 3), ((0, 2), 3), ((1, 1), 4), ((2, 1), 4),
+    ((1, 2), 4), ((2, 2), 4), ((3, 0), 3), ((1, 4), 3), ((3, 2), 3)])
+def test_invariant_spanning_set_equals_the_literal_t_sigma(mn, dmax):
+    # old route: the literal sum of each product of consecutive cycles
+    amb = Ambient(*mn)
+    for d in range(dmax + 1):
+        for part, t in invariant_spanning_set(amb, d):
+            lit = t_sigma(amb, consecutive_cycles_perm(part))
+            assert t == lit and str(t) == str(lit), (mn, part)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (0, 2)])
+def test_symbol_product_is_the_symbol_of_the_weyl_product(mn):
+    amb = Ambient(*mn)
+    ctx = weyl_context(amb)
+    cycles = {b: t_sigma(amb, consecutive_cycles_perm((b,)))
+              for b in (1, 2, 3)}
+    for b1, a in cycles.items():
+        for b2, b in cycles.items():
+            den_a, ints_a = a.cleared()
+            den_b, ints_b = b.cleared()
+            prod = WeylElement(amb, {k: Fraction(v, den_a * den_b)
+                                     for k, v in _symbol_mul_ints(
+                                         ctx, ints_a, ints_b).items()})
+            assert prod == symbol(weyl_mul(a, b), b1 + b2), (b1, b2)
+
+
+def test_cycle_symbols_are_walked_once_per_block_size(monkeypatch):
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    calls = []
+
+    def counted(ambient, sigma):
+        calls.append(sigma)
+        return t_sigma(ambient, sigma)
+
+    monkeypatch.setattr(weyl, 't_sigma', counted)
+    amb = Ambient(2, 1)
+    first = invariant_symbol_space(amb, 4, verify=False)
+    # one literal walk per block size, each of a single cycle
+    assert sorted(calls, key=len) == [consecutive_cycles_perm((b,))
+                                      for b in (1, 2, 3, 4)]
+    del calls[:]
+    for d in range(5):
+        basis = invariant_symbol_space(amb, d, verify=False)
+    assert basis == first and calls == []
+
+
+def test_context_table_holds_one_symbol_per_degree(monkeypatch):
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    amb = Ambient(1, 2)
+    for d in range(6):
+        invariant_symbol_space(amb, d, verify=False)
+        assert len(weyl_context(amb).cycle_symbols) == d
+
+
+def test_verify_compares_each_product_with_the_literal_t_sigma(monkeypatch):
+    amb = Ambient(1, 2)
+    span = invariant_spanning_set(amb, 2)
+    (p0, t0), (p1, t1) = span
+    # a rescaled product spans the same space, so only the literal
+    # comparison can catch it
+    monkeypatch.setattr(weyl, 'invariant_spanning_set',
+                        lambda ambient, d: [(p0, t0.scale(2)), (p1, t1)])
+    with pytest.raises(AssertionError, match='literal t_sigma'):
+        invariant_symbol_space(amb, 2, verify=True)
 
 
 def test_highest_weight_bookkeeping():
