@@ -1,27 +1,104 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one elimination engine.
 
-Matrices are lists of rows of Fraction-coercible values.  Dimensions here
-are desk scale (at most a few thousand), so plain Gauss-Jordan elimination
-is fast enough and trivially correct.  It runs fraction-free: each row is
-scaled by the lcm of its denominators to a row of integers, eliminations
-cross-multiply, and every updated row is divided by its content (the gcd
-of its entries), which keeps the integers small without any gcd work per
-entry.  Each integer row is a nonzero multiple of the row the Fraction
-elimination would hold, so pivots, rank, reduced row echelon form and
-kernel are exactly those of elimination over Fractions.  lin_solve
-verifies its own answer by back-substitution on every call.
+Span grows an echelon one dict vector at a time.  Each kept row is a
+primitive integer dict (cleared of denominators and divided by the gcd
+of its entries) whose pivot is its smallest key.  A new vector is
+reduced against the kept rows pivot by pivot; each step cross-multiplies,
+so no Fraction is formed, and a row is divided by its content only when
+it is kept.  A vector that survives is outside the span and is kept, so
+a greedy basis or a growing span costs one reduction per candidate.
+Span.reduce clears each pivot column in the other rows by the same step,
+which leaves each row a multiple of a row of the reduced row echelon
+form (RREF).
 
-Span grows an echelon one dict vector at a time: each kept row is a
-primitive integer dict whose pivot is its smallest key, and a new vector
-is reduced against the kept rows, pivot by pivot, by the same
-cross-multiply-and-divide-by-content step.  A vector that survives is
-outside the span and is kept; so a greedy basis or a growing span costs
-one reduction per candidate instead of an elimination of the whole
-family, and dict_vectors_rank is the rank of a Span grown by its vectors.
+mat_reduce and dict_columns_kernel add the rows of a matrix to a Span as
+{column: value} dicts and read rank, pivots, RREF and kernel from the
+back-reduced rows.  The RREF is unique, so these equal Gauss-Jordan
+elimination over Fractions whatever the order of the rows.  lin_solve
+reduces the augmented matrix and checks its answer by back-substitution
+on every call; solve_in_span goes through it.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def _cleared(row):
+    """(den, ints): the lcm of the denominators of a row of
+    Fraction-coercible values, and the row times it."""
+    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = lcm(*(x.denominator for x in fr))
+    return den, [x.numerator * (den // x.denominator) for x in fr]
+
+
+def _divide_content(row):
+    """Divide the integer dict row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _cancel(row, prow, p):
+    """Cancel the entry of the integer dict row at the pivot p of the kept
+    row prow, in place: row <- (a/g) row - (b/g) prow, with a, b the two
+    entries at p and g their gcd."""
+    a, b = prow[p], row[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, c in prow.items():
+        x = row.get(k, 0) - b * c
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+class Span:
+    """The span of the dict vectors added so far, as an echelon of
+    primitive integer dict rows keyed by their pivot, the smallest key of
+    the row.  Keys must be mutually comparable."""
+
+    def __init__(self):
+        self._rows = {}
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def add(self, v):
+        """Reduce the dict vector v against the kept rows; keep what is
+        left and return True when v is outside the span, else False."""
+        row = {k: c for k, c in zip(v, _cleared(v.values())[1]) if c}
+        rows = self._rows
+        while row:
+            p = min(row)
+            prow = rows.get(p)
+            if prow is None:
+                _divide_content(row)
+                rows[p] = row
+                return True
+            _cancel(row, prow, p)
+        return False
+
+    def reduce(self):
+        """Back-reduce the kept rows in place, from the largest pivot
+        down: each row is cleared at the pivots of the rows after it,
+        which are reduced already, and divided by its content.  Every
+        pivot column is then zero in every other row.  Return the
+        (pivot, row) pairs in pivot order."""
+        rows = self._rows
+        pivots = sorted(rows)
+        for i in range(len(pivots) - 2, -1, -1):
+            row = rows[pivots[i]]
+            for p in pivots[i + 1:]:
+                if p in row:
+                    _cancel(row, rows[p], p)
+            _divide_content(row)
+        return [(p, rows[p]) for p in pivots]
 
 
 class ReducedMatrix:
@@ -34,49 +111,31 @@ class ReducedMatrix:
         self.kernel = kernel
 
 
-def _primitive(row):
-    """Row divided by the gcd of its entries (unchanged when zero)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _cleared(row):
-    """(den, ints): the lcm of the denominators of a row of
-    Fraction-coercible values, and the row times it."""
-    fr = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = lcm(*(x.denominator for x in fr))
-    return den, [x.numerator * (den // x.denominator) for x in fr]
-
-
-def _integer_row(row):
-    """Row of Fraction-coercible values scaled to a primitive integer row."""
-    return _primitive(_cleared(row)[1])
-
-
-def _eliminate(m, ncols):
-    """Fraction-free Gauss-Jordan elimination of the integer rows m in
-    place; returns the pivot columns.  The pivot of each column is the
-    first row at or below the current rank with a nonzero entry there,
-    and it clears its column in every other row."""
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        p = prow[col]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = _primitive([p * a - f * b for a, b in zip(m[r], prow)])
-        pivots.append(col)
-    return pivots
+def _reduce_rows(rows, ncols):
+    """ReducedMatrix (RREF and kernel as dense Fraction lists) of the dict
+    rows keyed by the columns 0..ncols-1, read from a Span grown by them
+    and back-reduced: the RREF entry f at a free column k of the row
+    pivoted at p puts -f at p in the kernel vector of k."""
+    span = Span()
+    for row in rows:
+        span.add(row)
+    zero = Fraction(0)
+    reduced = span.reduce()
+    pivots = [p for p, _ in reduced]
+    kernel = {}
+    for c in sorted(set(range(ncols)).difference(pivots)):
+        kernel[c] = vec = [zero] * ncols
+        vec[c] = Fraction(1)
+    rref = []
+    for p, row in reduced:
+        a = row[p]
+        dense = [zero] * ncols
+        for k, x in row.items():
+            dense[k] = f = Fraction(x, a)
+            if k != p:
+                kernel[k][p] = -f
+        rref.append(dense)
+    return ReducedMatrix(len(pivots), pivots, rref, list(kernel.values()))
 
 
 def mat_reduce(rows, ncols=None):
@@ -85,30 +144,13 @@ def mat_reduce(rows, ncols=None):
     rows: list of rows (lists of Fraction-coercible values).  ncols must be
     given when rows is empty.
     """
-    m = [_integer_row(row) for row in rows]
     if ncols is None:
-        if not m:
+        if not rows:
             raise ValueError('ncols required for an empty matrix')
-        ncols = len(m[0])
-    for row in m:
-        if len(row) != ncols:
-            raise ValueError('ragged matrix')
-    pivots = _eliminate(m, ncols)
-    rank = len(pivots)
-    zero = Fraction(0)
-    rref = []
-    for row, pc in zip(m, pivots):
-        p = row[pc]
-        rref.append([Fraction(x, p) if x else zero for x in row])
-    free = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        kernel.append(vec)
-    return ReducedMatrix(rank, pivots, rref, kernel)
+        ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError('ragged matrix')
+    return _reduce_rows((dict(enumerate(row)) for row in rows), ncols)
 
 
 class SolveResult:
@@ -160,12 +202,7 @@ def lin_solve(rows, rhs, ncols=None):
 
 # ---------------------------------------------------------------------------
 # Dict-keyed vectors.  Much of the library works with sparse vectors keyed by
-# monomials or operator terms; these helpers translate to dense matrices.
-
-def _key_index(vectors):
-    keys = sorted({k for v in vectors for k in v})
-    return keys, {k: i for i, k in enumerate(keys)}
-
+# monomials or operator terms; these helpers reduce them on a Span.
 
 def dict_vectors_rank(vectors):
     """Rank of the span, read from a Span grown by the vectors."""
@@ -173,51 +210,6 @@ def dict_vectors_rank(vectors):
     for v in vectors:
         span.add(v)
     return span.rank
-
-
-class Span:
-    """The span of the dict vectors added so far, as an echelon of
-    primitive integer dict rows keyed by their pivot, the smallest key of
-    the row.  Keys must be mutually comparable."""
-
-    def __init__(self):
-        self._rows = {}
-
-    @property
-    def rank(self):
-        return len(self._rows)
-
-    def add(self, v):
-        """Reduce the dict vector v against the kept rows; keep what is
-        left and return True when v is outside the span, else False."""
-        row = {k: c for k, c in zip(v, _cleared(v.values())[1]) if c}
-        if not row:
-            return False
-        rows = self._rows
-        while True:
-            g = gcd(*row.values())
-            if g > 1:
-                for k in row:
-                    row[k] //= g
-            p = min(row)
-            prow = rows.get(p)
-            if prow is None:
-                rows[p] = row
-                return True
-            a, b = prow[p], row[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                for k in row:
-                    row[k] *= a
-            for k, c in prow.items():
-                x = row.get(k, 0) - b * c
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
-            if not row:
-                return False
 
 
 def dict_vectors_basis(vectors):
@@ -228,31 +220,25 @@ def dict_vectors_basis(vectors):
 
 
 def _column_rows(columns):
-    """Dense rows of the matrix whose j-th column is the dict vector
-    columns[j]: one row per key, in sorted key order."""
-    keys, idx = _key_index(columns)
-    rows = [[0] * len(columns) for _ in keys]
+    """The rows of the matrix whose j-th column is the dict vector
+    columns[j], as {j: value} dicts, one per key in no fixed order (the
+    order changes no reduced row echelon form)."""
+    rows = {}
     for j, v in enumerate(columns):
         for k, c in v.items():
-            rows[idx[k]][j] = c
-    return rows
+            rows.setdefault(k, {})[j] = c
+    return list(rows.values())
 
 
 def dict_columns_kernel(columns):
     """Kernel basis of the matrix whose columns are the dict vectors, as
-    dense coefficient lists: every unit vector when no key occurs."""
-    rows = _column_rows(columns)
-    if not rows:
-        return [[Fraction(int(t == s)) for t in range(len(columns))]
-                for s in range(len(columns))]
-    return mat_reduce(rows, len(columns)).kernel
+    dense coefficient lists."""
+    return _reduce_rows(_column_rows(columns), len(columns)).kernel
 
 
 def solve_in_span(vectors, target):
     """Coefficients c with sum c_i vectors_i = target, or None."""
     n = len(vectors)
     rows = _column_rows(list(vectors) + [target])
-    if not rows:
-        return [Fraction(0)] * n
-    return lin_solve([row[:n] for row in rows], [row[n] for row in rows],
-                     n).solution
+    return lin_solve([[row.get(j, 0) for j in range(n)] for row in rows],
+                     [row.get(n, 0) for row in rows], n).solution

@@ -217,6 +217,17 @@ class InterpolationBasis:
                 % (self.params, self.d, self.point.__name__.strip('_'),
                    params, b, point.__name__.strip('_')))
 
+    def interpolate(self, params, b, point, value):
+        """The element of the basis span taking `value` at the node b and
+        0 at every other node, from one exact solve of the node system;
+        check() runs first."""
+        self.check(params, b, point)
+        rhs = [value if bp == b else Fraction(0) for bp in self.nodes]
+        res = lin_solve(self.node_rows(), rhs, len(self))
+        if not res.unique:
+            raise AssertionError('interpolation system is singular')
+        return self.combine(res.solution)
+
     def combine(self, coeffs):
         """The polynomial sum c_j p_j, accumulated on ints in one dict and
         divided by the common denominator once per term."""
@@ -277,13 +288,8 @@ def c_poly_interp(params, b, basis=None):
     d = b.size
     if basis is None:
         basis = ia_star_basis(params, d)
-    basis.check(params, b, _gamma_star_point)
-    rhs = [Fraction(factorial(d)) if bp == b else Fraction(0)
-           for bp in basis.nodes]
-    res = lin_solve(basis.node_rows(), rhs, len(basis))
-    if not res.unique:
-        raise AssertionError('interpolation system is singular')
-    return EigenPoly(b, basis.combine(res.solution))
+    return EigenPoly(b, basis.interpolate(params, b, _gamma_star_point,
+                                          Fraction(factorial(d))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +334,9 @@ def sp_star(params, b, basis=None):
     d = b.size
     if basis is None:
         basis = sp_basis(params, d)
-    basis.check(params, b, _frobenius_point)
     target = hook_product_H(b) if params.theta == 'half' \
         else Fraction(classical_hook_product(b))
-    rhs = [target if bp == b else Fraction(0) for bp in basis.nodes]
-    res = lin_solve(basis.node_rows(), rhs, len(basis))
-    if not res.unique:
-        raise AssertionError('interpolation system is singular')
-    return basis.combine(res.solution)
+    return basis.interpolate(params, b, _frobenius_point, target)
 
 
 def frobenius_transform(params, p):

@@ -22,8 +22,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from .hooks import a_context, enumerate_hooks, eps_extension, gamma_star_map
-from .linalg import (Span, dict_columns_kernel, dict_vectors_basis,
-                     dict_vectors_rank, lin_solve, solve_in_span)
+from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
 from .multipoly import Combination, MultiPoly
 from .superlie import Ambient, UEAElement, gelfand_product
 
@@ -773,12 +772,14 @@ def invariant_symbol_space(ambient, d, verify=True):
             if t != t_sigma(ambient, consecutive_cycles_perm(part)):
                 raise AssertionError('symbol product differs from the '
                                      'literal t_sigma at %s' % (part,))
-        kernel = invariant_kernel(ambient, d)
-        if dict_vectors_rank([k.terms for k in kernel]) != len(basis):
+        kernel = Span()
+        for k in invariant_kernel(ambient, d):
+            kernel.add(k.terms)
+        if kernel.rank != len(basis):
             raise AssertionError('invariant span does not match the kernel '
                                  'of the polarized action at degree %d' % d)
         for _, t in span:
-            if solve_in_span([k.terms for k in kernel], t.terms) is None:
+            if kernel.add(t.terms):
                 raise AssertionError('symbol outside the invariant kernel')
     return basis
 

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from supercapelli import hooks, solver
+from supercapelli import hooks, solver, weyl
 from supercapelli.linalg import (Span, mat_reduce, lin_solve,
                                  dict_vectors_rank, dict_vectors_basis,
                                  dict_columns_kernel, solve_in_span)
 from supercapelli.superlie import Ambient
-from supercapelli.weyl import invariant_spanning_set
+from supercapelli.weyl import (capelli_operator, invariant_kernel,
+                               invariant_spanning_set, invariant_symbol_space)
 
 
 def matvec(rows, vec):
@@ -169,6 +170,151 @@ def test_dict_columns_kernel_equals_reference_kernel():
         assert dict_columns_kernel(columns) == reference_reduce(rows, nc)[3]
     assert dict_columns_kernel([{}, {}]) == [[1, 0], [0, 1]]
     assert dict_columns_kernel([]) == []
+
+
+def sparse_reference_reduce(rows, ncols):
+    """reference_reduce with each row held as a {column: Fraction} dict:
+    the same Gauss-Jordan elimination over Fractions, pivoting on the
+    first remaining row with a nonzero entry, for systems too large for
+    dense Fraction rows."""
+    m = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
+    pivots, prows = [], []
+    for col in range(ncols):
+        piv = next((r for r, row in enumerate(m) if col in row), None)
+        if piv is None:
+            continue
+        inv = 1 / m[piv][col]
+        prow = {j: x * inv for j, x in m.pop(piv).items()}
+        for row in m + prows:
+            f = row.get(col)
+            if f:
+                for j, x in prow.items():
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+        pivots.append(col)
+        prows.append(prow)
+    zero = Fraction(0)
+    rref = [[row.get(j, zero) for j in range(ncols)] for row in prows]
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        kernel.append(vec)
+    return len(pivots), pivots, rref, kernel
+
+
+def dense_transposition(columns):
+    """The matrix whose j-th column is the dict vector columns[j], as
+    dense rows over the sorted keys (the route dict_columns_kernel and
+    solve_in_span took before)."""
+    keys = sorted({k for v in columns for k in v})
+    return [[v.get(k, 0) for v in columns] for k in keys]
+
+
+def reference_solve_in_span(vectors, target):
+    """solve_in_span as it read before: the dense transposition of the
+    vectors with the target as last column, reduced over Fractions."""
+    n = len(vectors)
+    _, pivots, rref, _ = reference_reduce(
+        dense_transposition(list(vectors) + [target]), n + 1)
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        sol[pc] = rref[r][n]
+    return sol
+
+
+def assert_solves_as_reference(vectors, target):
+    got = solve_in_span(vectors, target)
+    assert got == reference_solve_in_span(vectors, target)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+        total = {}
+        for c, v in zip(got, vectors):
+            for k, x in v.items():
+                total[k] = total.get(k, 0) + c * x
+        assert {k: x for k, x in total.items() if x} == \
+            {k: x for k, x in target.items() if x}
+    return got
+
+
+def test_solve_in_span_equals_reference():
+    # the columns of each random matrix, keyed by a shuffled row order,
+    # against a combination of them and against a random target
+    rng = random.Random(5)
+    inside = outside = 0
+    for rows, nc in random_matrices():
+        label = list(range(len(rows)))
+        rng.shuffle(label)
+        vectors = [{label[i]: row[j] for i, row in enumerate(rows) if row[j]}
+                   for j in range(nc)]
+        combo = {}
+        for v in vectors:
+            c = random_entry(rng)
+            for k, x in v.items():
+                combo[k] = combo.get(k, 0) + c * x
+        assert assert_solves_as_reference(vectors, combo) is not None
+        other = {label[i]: random_entry(rng) for i in range(len(rows))}
+        if assert_solves_as_reference(vectors, other) is None:
+            outside += 1
+        else:
+            inside += 1
+    assert inside > 100 and outside > 100
+
+
+def test_solve_in_span_equals_reference_on_preimage_systems(monkeypatch):
+    """The symbol systems full_preimage peels at (2,1) d<=4 and
+    (1,2) d<=3."""
+    systems = []
+    real_solve = solver.solve_in_span
+
+    def recording_solve(vectors, target):
+        systems.append(([dict(v) for v in vectors], dict(target)))
+        return real_solve(vectors, target)
+
+    monkeypatch.setattr(solver, 'solve_in_span', recording_solve)
+    for (m, n), dmax in (((2, 1), 4), ((1, 2), 3)):
+        params = hooks.HookParams(m, n, 'half')
+        for d in range(1, dmax + 1):
+            inv = invariant_symbol_space(Ambient(m, 2 * n), d, verify=False)
+            for b in hooks.enumerate_hooks(params, d):
+                solver.full_preimage(capelli_operator(params, b, inv),
+                                     check_invariant=False)
+    assert len(systems) == 48
+    for vectors, target in systems:
+        assert assert_solves_as_reference(vectors, target) is not None
+
+
+def test_sparse_reference_reduce_equals_reference_reduce():
+    for rows, nc in random_matrices():
+        assert sparse_reference_reduce(rows, nc) == reference_reduce(rows, nc)
+
+
+def test_dict_columns_kernel_equals_reference_on_invariant_kernel(
+        monkeypatch):
+    """The commutator system invariant_kernel builds at gl(2|2), d=3:
+    218 columns over 1 656 keys."""
+    systems = []
+    real_kernel = weyl.dict_columns_kernel
+
+    def recording_kernel(columns):
+        systems.append([dict(v) for v in columns])
+        return real_kernel(columns)
+
+    monkeypatch.setattr(weyl, 'dict_columns_kernel', recording_kernel)
+    assert len(invariant_kernel(Ambient(2, 2), 3)) == 3
+    (columns,) = systems
+    assert len(columns) == 218
+    kernel = dict_columns_kernel(columns)
+    assert kernel == sparse_reference_reduce(dense_transposition(columns),
+                                             218)[3]
+    assert all(type(x) is Fraction for vec in kernel for x in vec)
 
 
 def test_dict_vectors_rank_on_filtered_product_families(monkeypatch):

@@ -448,6 +448,18 @@ def test_mismatched_basis_is_rejected():
         == sp_star(one, parse_partition('2', one))
 
 
+def test_singular_interpolation_system_is_rejected():
+    half = HookParams(2, 1, 'half')
+    b = parse_partition('2', half)
+    for basis, solve in ((ia_star_basis(half, 2), c_poly_interp),
+                         (sp_basis(half, 2), sp_star)):
+        # every node row replaced by the first: a rank-one node system
+        basis._rows = (basis._rows[0],) * len(basis._rows)
+        with pytest.raises(AssertionError,
+                           match='interpolation system is singular'):
+            solve(half, b, basis=basis)
+
+
 def test_deformed_power_sum_is_transformed_generator():
     for params in (P11, HookParams(2, 1, 'half')):
         amb = Ambient(params.m, 2 * params.n)

@@ -129,10 +129,13 @@ def test_consecutive_cycles_perm():
 
 
 def test_invariant_space_dimensions():
-    amb = Ambient(1, 2)
-    for d in (1, 2, 3):
-        basis = invariant_symbol_space(amb, d, verify=True)
-        assert len(basis) == len(enumerate_hooks(HookParams(1, 1, 'half'), d))
+    # gl(1|2) and gl(2|2)
+    for m, n in ((1, 1), (2, 1)):
+        amb = Ambient(m, 2 * n)
+        for d in (1, 2, 3):
+            basis = invariant_symbol_space(amb, d, verify=True)
+            assert len(basis) == len(enumerate_hooks(HookParams(m, n, 'half'),
+                                                     d))
 
 
 def test_invariant_spanning_set_degree_two_covers_s4():
@@ -209,6 +212,25 @@ def test_verify_compares_each_product_with_the_literal_t_sigma(monkeypatch):
     monkeypatch.setattr(weyl, 'invariant_spanning_set',
                         lambda ambient, d: [(p0, t0.scale(2)), (p1, t1)])
     with pytest.raises(AssertionError, match='literal t_sigma'):
+        invariant_symbol_space(amb, 2, verify=True)
+
+
+def test_verify_compares_the_span_with_the_kernel(monkeypatch):
+    amb = Ambient(1, 2)
+    kernel = weyl.invariant_kernel(amb, 2)
+    assert len(kernel) == 2
+    monkeypatch.setattr(weyl, 'invariant_kernel',
+                        lambda ambient, d: kernel[:1])
+    with pytest.raises(AssertionError, match='does not match the kernel'):
+        invariant_symbol_space(amb, 2, verify=True)
+    # a kernel of the right dimension that misses a spanning symbol: one
+    # kernel vector swapped for a single (non-invariant) monomial
+    mm = monomial_basis(amb, 2)[0]
+    other = WeylElement(amb, {(mm, mm): Fraction(1)})
+    monkeypatch.setattr(weyl, 'invariant_kernel',
+                        lambda ambient, d: [kernel[0], other])
+    with pytest.raises(AssertionError,
+                       match='symbol outside the invariant kernel'):
         invariant_symbol_space(amb, 2, verify=True)
 
 
