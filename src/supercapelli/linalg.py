@@ -1,22 +1,21 @@
 """Exact linear algebra over the rationals, on one elimination engine.
 
 Span grows an echelon one dict vector at a time.  Each kept row is a
-primitive integer dict (cleared of denominators and divided by the gcd
-of its entries) whose pivot is its smallest key.  A new vector is
-reduced against the kept rows pivot by pivot; each step cross-multiplies,
-so no Fraction is formed, and a row is divided by its content only when
-it is kept.  A vector that survives is outside the span and is kept, so
-a greedy basis or a growing span costs one reduction per candidate.
-Span.reduce clears each pivot column in the other rows by the same step,
-which leaves each row a multiple of a row of the reduced row echelon
-form (RREF).
+primitive integer dict (cleared of denominators, divided by the gcd of
+its entries) pivoted on its smallest key.  A new vector is reduced
+against the kept rows pivot by pivot by cross-multiplication, so no
+Fraction is formed; a vector that survives is outside the span and is
+kept.  Span.reduce clears each pivot column in the other rows by the
+same step, which leaves each row a multiple of a row of the reduced row
+echelon form (RREF).
 
 mat_reduce and dict_columns_kernel add the rows of a matrix to a Span as
-{column: value} dicts and read rank, pivots, RREF and kernel from the
-back-reduced rows.  The RREF is unique, so these equal Gauss-Jordan
-elimination over Fractions whatever the order of the rows.  lin_solve
-reduces the augmented matrix and checks its answer by back-substitution
-on every call; solve_in_span goes through it.
+dicts of their nonzero entries and read rank, pivots, RREF and kernel
+from the back-reduced rows.  The RREF is unique, so these equal
+Gauss-Jordan elimination over Fractions whatever the order of the rows.
+lin_solve (through mat_reduce) and solve_in_span (on the dict rows of
+its columns) reduce [m | b] the same way and check the answer by
+back-substitution on every call.
 """
 
 from fractions import Fraction
@@ -138,19 +137,30 @@ def _reduce_rows(rows, ncols):
     return ReducedMatrix(len(pivots), pivots, rref, list(kernel.values()))
 
 
-def mat_reduce(rows, ncols=None):
-    """Reduced row echelon form with pivot bookkeeping and kernel basis.
+def _row_dict(row):
+    """The nonzero entries of a row, keyed by column."""
+    return {j: x for j, x in enumerate(row) if x}
 
-    rows: list of rows (lists of Fraction-coercible values).  ncols must be
-    given when rows is empty.
-    """
+
+def _width(rows, ncols):
+    """ncols, or the first row's length if None; every row must have it."""
     if ncols is None:
         if not rows:
             raise ValueError('ncols required for an empty matrix')
         ncols = len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError('ragged matrix')
-    return _reduce_rows((dict(enumerate(row)) for row in rows), ncols)
+    return ncols
+
+
+def mat_reduce(rows, ncols=None):
+    """Reduced row echelon form with pivot bookkeeping and kernel basis.
+
+    rows: iterable of rows (lists of Fraction-coercible values).  ncols
+    must be given when rows is empty.
+    """
+    rows = list(rows)
+    return _reduce_rows(map(_row_dict, rows), _width(rows, ncols))
 
 
 class SolveResult:
@@ -168,36 +178,37 @@ class SolveResult:
         return self.solution is not None and not self.kernel
 
 
-def lin_solve(rows, rhs, ncols=None):
-    """Solve m x = rhs exactly.
-
-    Returns a SolveResult with one solution (or None if inconsistent) and a
-    kernel basis.  The solution is verified by exact back-substitution,
-    run on the rows and the solution cleared of denominators.
-    """
-    rows = [list(row) for row in rows]
-    rhs = [Fraction(x) for x in rhs]
-    if len(rhs) != len(rows):
-        raise ValueError('rhs length does not match row count')
-    if ncols is None:
-        if not rows:
-            raise ValueError('ncols required for an empty matrix')
-        ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red = mat_reduce(aug, ncols + 1)
+def _solution(red, rows, ncols):
+    """The x with m x = b read from the ReducedMatrix red of [m | b], or
+    None; checked by back-substitution on rows, the rows of [m | b] as
+    dicts with b at the column ncols, cleared of denominators."""
     if ncols in red.pivots:
-        return SolveResult(None, mat_reduce(rows, ncols).kernel)
+        return None
     sol = [Fraction(0)] * ncols
     for r, pc in enumerate(red.pivots):
         sol[pc] = red.rref[r][ncols]
-    # On ints: row . sol == b  iff  (rden row) . (sden sol) == b rden sden.
+    # On ints: row . sol == b  iff  (rden row) . (sden sol, -sden) == 0.
     sden, snum = _cleared(sol)
-    for row, b in zip(rows, rhs):
-        rden, rnum = _cleared(row)
-        if sum(a * s for a, s in zip(rnum, snum)) != b * (rden * sden):
+    snum.append(-sden)
+    for row in rows:
+        if sum(a * snum[k] for k, a in zip(row, _cleared(row.values())[1])):
             raise AssertionError('back-substitution check failed')
-    kernel = [vec[:ncols] for vec in red.kernel if vec[ncols] == 0]
-    return SolveResult(sol, kernel)
+    return sol
+
+
+def lin_solve(rows, rhs, ncols=None):
+    """Solve m x = rhs exactly: a SolveResult with one solution (None if
+    inconsistent), checked by back-substitution, and a kernel basis."""
+    rows, rhs = list(rows), list(rhs)
+    if len(rhs) != len(rows):
+        raise ValueError('rhs length does not match row count')
+    ncols = _width(rows, ncols)
+    aug = [[*row, b] for row, b in zip(rows, rhs)]
+    red = mat_reduce(aug, ncols + 1)
+    sol = _solution(red, map(_row_dict, aug), ncols)
+    # The kernel of m: column ncols is never free when it is a pivot.
+    return SolveResult(sol, [vec[:ncols] for vec in red.kernel
+                             if vec[ncols] == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +249,6 @@ def dict_columns_kernel(columns):
 
 def solve_in_span(vectors, target):
     """Coefficients c with sum c_i vectors_i = target, or None."""
-    n = len(vectors)
-    rows = _column_rows(list(vectors) + [target])
-    return lin_solve([[row.get(j, 0) for j in range(n)] for row in rows],
-                     [row.get(n, 0) for row in rows], n).solution
+    columns = [*vectors, target]
+    rows = _column_rows(columns)
+    return _solution(_reduce_rows(rows, len(columns)), rows, len(columns) - 1)

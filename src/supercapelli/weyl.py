@@ -759,9 +759,9 @@ def invariant_symbol_space(ambient, d, verify=True):
 
     When verify is set, checks that each spanning symbol equals the
     literal t_sigma of its product of consecutive cycles, and that the
-    span coincides with the kernel of the polarized action computed by
-    independent linear algebra; a mismatch raises, since it would
-    contradict the structure theory the solvers rely on.
+    span coincides with the kernel of the polarized action, a route to
+    the invariants that does not go through t_sigma; a mismatch raises,
+    since it would contradict the structure theory the solvers rely on.
     """
     span = invariant_spanning_set(ambient, d)
     vecs = [t.terms for _, t in span]

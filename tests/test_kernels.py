@@ -12,7 +12,6 @@ import pytest
 
 from supercapelli.cli import _CONFIGS
 from supercapelli.hooks import HookParams, a_context, enumerate_hooks
-from supercapelli.linalg import mat_reduce
 from supercapelli.multipoly import MultiPoly
 from supercapelli.solver import full_preimage, symbol_preimage
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
@@ -26,6 +25,8 @@ from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                spherical_poly, spherical_vector, t_sigma,
                                weyl_context, weyl_mul, _cartan_generators,
                                _mul_ints, _partitions_of)
+
+from linalg_reference import reference_rank
 
 
 # ---------------------------------------------------------------------------
@@ -800,16 +801,6 @@ def test_spherical_restriction_matches_reference(mn, dmax):
 
 # ---------------------------------------------------------------------------
 # cyclic_span_dim: one growing Span == re-ranking the whole kept family.
-
-def reference_rank(vectors):
-    """Rank of dict vectors by mat_reduce of their dense rows, independent
-    of the Span that cyclic_span_dim grows."""
-    keys = list(dict.fromkeys(k for v in vectors for k in v))
-    if not keys:
-        return 0
-    return mat_reduce([[v.get(k, 0) for k in keys] for v in vectors],
-                      len(keys)).rank
-
 
 def reference_cyclic_span_dim(ambient, vec):
     lowering = [rho_check_gen(ambient, i, j)

@@ -11,44 +11,13 @@ from supercapelli.superlie import Ambient
 from supercapelli.weyl import (capelli_operator, invariant_kernel,
                                invariant_spanning_set, invariant_symbol_space)
 
+from linalg_reference import (reference_rank, reference_reduce,
+                              sparse_reference_reduce)
+
 
 def matvec(rows, vec):
     return [sum((Fraction(a) * x for a, x in zip(row, vec)), Fraction(0))
             for row in rows]
-
-
-def reference_reduce(rows, ncols):
-    """Gauss-Jordan elimination on Fraction rows, pivoting on the first
-    nonzero entry: the reference for the fraction-free mat_reduce."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    pivots = []
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    rref = m[:rank]
-    kernel = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        kernel.append(vec)
-    return rank, pivots, rref, kernel
 
 
 def assert_matches_reference(rows, ncols):
@@ -90,16 +59,6 @@ def test_mat_reduce_equals_fraction_gauss_jordan():
         assert_matches_reference(rows, nc)
 
 
-def reference_rank(vectors):
-    """The rank as dict_vectors_rank read it before: mat_reduce of the
-    dense rows."""
-    keys = sorted({k for v in vectors for k in v})
-    if not keys:
-        return 0
-    rows = [[v.get(k, 0) for k in keys] for v in vectors]
-    return mat_reduce(rows, len(keys)).rank
-
-
 def test_dict_vectors_rank_equals_mat_reduce_rank():
     count = 0
     for rows, nc in random_matrices():
@@ -111,8 +70,8 @@ def test_dict_vectors_rank_equals_mat_reduce_rank():
 
 
 def reference_vectors_basis(vectors):
-    """The greedy basis as dict_vectors_basis read it before: re-rank the
-    whole kept family plus each candidate."""
+    """The greedy basis by re-ranking the whole kept family plus each
+    candidate with reference_rank."""
     basis = []
     for v in vectors:
         if v and reference_rank(basis + [v]) > len(basis):
@@ -170,42 +129,6 @@ def test_dict_columns_kernel_equals_reference_kernel():
         assert dict_columns_kernel(columns) == reference_reduce(rows, nc)[3]
     assert dict_columns_kernel([{}, {}]) == [[1, 0], [0, 1]]
     assert dict_columns_kernel([]) == []
-
-
-def sparse_reference_reduce(rows, ncols):
-    """reference_reduce with each row held as a {column: Fraction} dict:
-    the same Gauss-Jordan elimination over Fractions, pivoting on the
-    first remaining row with a nonzero entry, for systems too large for
-    dense Fraction rows."""
-    m = [{j: Fraction(x) for j, x in enumerate(row) if x} for row in rows]
-    pivots, prows = [], []
-    for col in range(ncols):
-        piv = next((r for r, row in enumerate(m) if col in row), None)
-        if piv is None:
-            continue
-        inv = 1 / m[piv][col]
-        prow = {j: x * inv for j, x in m.pop(piv).items()}
-        for row in m + prows:
-            f = row.get(col)
-            if f:
-                for j, x in prow.items():
-                    y = row.get(j, 0) - f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-        pivots.append(col)
-        prows.append(prow)
-    zero = Fraction(0)
-    rref = [[row.get(j, zero) for j in range(ncols)] for row in prows]
-    kernel = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [zero] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        kernel.append(vec)
-    return len(pivots), pivots, rref, kernel
 
 
 def dense_transposition(columns):
@@ -293,7 +216,8 @@ def test_solve_in_span_equals_reference_on_preimage_systems(monkeypatch):
 
 def test_sparse_reference_reduce_equals_reference_reduce():
     for rows, nc in random_matrices():
-        assert sparse_reference_reduce(rows, nc) == reference_reduce(rows, nc)
+        sparse = [dict(enumerate(row)) for row in rows]
+        assert sparse_reference_reduce(sparse, nc) == reference_reduce(rows, nc)
 
 
 def test_dict_columns_kernel_equals_reference_on_invariant_kernel(
@@ -312,8 +236,8 @@ def test_dict_columns_kernel_equals_reference_on_invariant_kernel(
     (columns,) = systems
     assert len(columns) == 218
     kernel = dict_columns_kernel(columns)
-    assert kernel == sparse_reference_reduce(dense_transposition(columns),
-                                             218)[3]
+    rows = [dict(enumerate(row)) for row in dense_transposition(columns)]
+    assert kernel == sparse_reference_reduce(rows, 218)[3]
     assert all(type(x) is Fraction for vec in kernel for x in vec)
 
 
@@ -384,6 +308,22 @@ def test_mat_reduce_identity_and_empty():
         mat_reduce([[1, 2], [3]])
     with pytest.raises(ValueError, match='ragged'):
         mat_reduce([[1, 2]], ncols=3)
+
+
+def test_mat_reduce_and_lin_solve_take_iterables():
+    rows = [[1, 2, 3], [2, 4, 7], [0, 0, 1]]
+    red = mat_reduce(rows, 3)
+    for given in (iter(rows), (row for row in rows)):
+        got = mat_reduce(given, 3)
+        assert (got.rank, got.pivots, got.rref, got.kernel) \
+            == (red.rank, red.pivots, red.rref, red.kernel) \
+            == reference_reduce(rows, 3)
+    res = lin_solve(iter(rows), iter([1, 3, 1]))
+    assert res.solution == [-2, 0, 1] and res.kernel == red.kernel
+    res = lin_solve(iter(rows), iter([1, 1, 0]))
+    assert res.solution is None and res.kernel == red.kernel
+    with pytest.raises(ValueError, match='ragged'):
+        lin_solve([[1, 2], [3]], [1, 2])
 
 
 def test_mat_reduce_random_kernel_property():
