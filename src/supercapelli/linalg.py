@@ -13,9 +13,12 @@ mat_reduce and dict_columns_kernel add the rows of a matrix to a Span as
 dicts of their nonzero entries and read rank, pivots, RREF and kernel
 from the back-reduced rows.  The RREF is unique, so these equal
 Gauss-Jordan elimination over Fractions whatever the order of the rows.
-lin_solve (through mat_reduce) and solve_in_span (on the dict rows of
-its columns) reduce [m | b] the same way and check the answer by
-back-substitution on every call.
+lin_solve reduces [m | b] the same way (through mat_reduce).
+solve_in_span reduces its few vectors as rows instead, each marked by a
+unit tag key that sorts after every real key, so the tags of a reduced
+row record its combination; its answer is the RREF solution with free
+coefficients 0.  Both check the answer by back-substitution on every
+call.
 """
 
 from fractions import Fraction
@@ -68,20 +71,34 @@ class Span:
     def rank(self):
         return len(self._rows)
 
-    def add(self, v):
-        """Reduce the dict vector v against the kept rows; keep what is
-        left and return True when v is outside the span, else False."""
-        row = {k: c for k, c in zip(v, _cleared(v.values())[1]) if c}
+    def _residue(self, row):
+        """Reduce the integer dict row in place until no kept row is
+        pivoted at its smallest key, and return that key (None when the
+        row reduces to zero, that is, lies in the span)."""
         rows = self._rows
         while row:
             p = min(row)
             prow = rows.get(p)
             if prow is None:
-                _divide_content(row)
-                rows[p] = row
-                return True
+                return p
             _cancel(row, prow, p)
-        return False
+        return None
+
+    def _keep(self, row, p):
+        """Keep the reduced integer dict row, divided by its content, at
+        its pivot p."""
+        _divide_content(row)
+        self._rows[p] = row
+
+    def add(self, v):
+        """Reduce the dict vector v against the kept rows; keep what is
+        left and return True when v is outside the span, else False."""
+        row = {k: c for k, c in zip(v, _cleared(v.values())[1]) if c}
+        p = self._residue(row)
+        if p is None:
+            return False
+        self._keep(row, p)
+        return True
 
     def reduce(self):
         """Back-reduce the kept rows in place, from the largest pivot
@@ -247,8 +264,68 @@ def dict_columns_kernel(columns):
     return _reduce_rows(_column_rows(columns), len(columns)).kernel
 
 
+class _Tag:
+    """A key that sorts after every key that is not a _Tag, and after
+    the tags of lower index: solve_in_span marks each of its rows with
+    one, so the tags of a reduced row record its combination."""
+
+    __slots__ = ('index',)
+
+    def __init__(self, index):
+        self.index = index
+
+    def __lt__(self, other):
+        return isinstance(other, _Tag) and self.index < other.index
+
+    def __gt__(self, other):
+        return not isinstance(other, _Tag) or self.index > other.index
+
+
+def _tagged(v, tag):
+    """(den, ints, row): the dict vector v cleared of denominators, and
+    the row of v plus the unit tag, times den."""
+    den, ints = _cleared(v.values())
+    ints = {k: c for k, c in zip(v, ints) if c}
+    row = dict(ints)
+    row[tag] = den
+    return den, ints, row
+
+
 def solve_in_span(vectors, target):
-    """Coefficients c with sum c_i vectors_i = target, or None."""
-    columns = [*vectors, target]
-    rows = _column_rows(columns)
-    return _solution(_reduce_rows(rows, len(columns)), rows, len(columns) - 1)
+    """Coefficients c with sum c_i vectors_i = target, or None.
+
+    The vectors, each with its tag, are reduced in order on a Span and
+    kept when they leave a real key: a vector that reduces to tags only
+    lies in the span of those before it and gets coefficient 0.  The
+    target, with the last tag, then reduces to tags only exactly when it
+    lies in the span, and its tags give the coefficients.  The answer is
+    the reduced row echelon solution of [vectors | target] with free
+    coefficients 0, checked by back-substitution on ints."""
+    n = len(vectors)
+    tags = [_Tag(i) for i in range(n + 1)]
+    span = Span()
+    cleared = []
+    for v, tag in zip(vectors, tags):
+        den, ints, row = _tagged(v, tag)
+        cleared.append((den, ints))
+        p = span._residue(row)
+        if type(p) is not _Tag:
+            span._keep(row, p)
+    tden, tints, row = _tagged(target, tags[n])
+    if type(span._residue(row)) is not _Tag:
+        return None
+    s = row[tags[n]]
+    sol = [Fraction(-row.get(tag, 0), s) for tag in tags[:n]]
+    # On ints: sum_i sol_i ints_i / den_i == tints / tden, times
+    # sden * lcm(den_i, tden), with sol = snum / sden.
+    sden, snum = _cleared(sol)
+    dens = lcm(tden, *(den for den, _ in cleared))
+    total = {k: -sden * (dens // tden) * c for k, c in tints.items()}
+    for x, (den, ints) in zip(snum, cleared):
+        if x:
+            x *= dens // den
+            for k, c in ints.items():
+                total[k] = total.get(k, 0) + x * c
+    if any(total.values()):
+        raise AssertionError('back-substitution check failed')
+    return sol

@@ -8,7 +8,7 @@ sums.  Their exact agreement is the flagship consistency check.
 """
 
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .multipoly import MultiPoly, AffineSubstitution
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
@@ -17,7 +17,7 @@ from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     frobenius_affine_map, a_context, xy_context)
 from .superlie import (Ambient, UEAElement, gelfand_product, hc_project,
                        q_projection, gd_element, omega_cartan)
-from .weyl import (WeylElement, rho_check_gen, symbol, gelfand_product_image,
+from .weyl import (rho_check_gen, weyl_context, _gelfand_image,
                    _partitions_of, _commutator, capelli_operator,
                    spherical_poly)
 
@@ -65,18 +65,26 @@ def symbol_preimage(ambient, sigma):
     return gelfand_product(ambient, coset_type(sigma))
 
 
+def _ddeg_part(ints, d):
+    """The terms of derivative degree d of an {(y, d-mono): int} map."""
+    return {k: c for k, c in ints.items() if len(k[1]) == d}
+
+
 def full_preimage(D, check_invariant=True):
     """A central enveloping algebra element z with polarized image exactly
     D, built by peeling top symbols down the order filtration.
 
     At order d the symbols of the polarized Gelfand products, one per
     partition of d, span the invariant symbols (at order 0 the empty
-    partition's image is 1); the same images, kept for the duration of
-    the call, give the term subtracted from the remainder, so rho_check
-    is never applied to z.  Each order's nonzero (coefficient, partition)
-    pairs are kept, and z = sum c * gelfand_product(part) is built once
-    at the end, each product extending its longest prefix already built
-    in this call."""
+    partition's image is 1).  The images are the cleared ones kept on the
+    ambient's Weyl context (_gelfand_image), shared by every call on that
+    ambient; they also give the term subtracted from the remainder, which
+    is kept as Python ints over one common denominator, so rho_check is
+    never applied to z.  Each order's nonzero (coefficient, partition)
+    pairs are kept, and z = sum c * gelfand_product(part) is accumulated
+    into one dict of Python ints over one common denominator at the end,
+    each product extending its longest prefix already built in this
+    call."""
     amb = D.ambient
     if check_invariant:
         for i in range(amb.dim):
@@ -85,30 +93,46 @@ def full_preimage(D, check_invariant=True):
                     continue
                 if not _commutator(rho_check_gen(amb, i, j), D).is_zero():
                     raise ValueError('operator is not invariant')
+    ctx = weyl_context(amb)
     peeled = []
-    R = D
-    images = {}
-    while not R.is_zero():
-        d = R.order()
+    den, rest = D.cleared()      # the remainder is rest / den
+    while rest:
+        d = max(len(dm) for _, dm in rest)
         parts = _partitions_of(d)
-        span = [gelfand_product_image(amb, part, images) for part in parts]
-        coeffs = solve_in_span([symbol(img, d).terms for img in span],
-                               symbol(R, d).terms)
+        span = [_gelfand_image(ctx, part) for part in parts]
+        # sum c_i ints_i = rest in degree d, with image_i = ints_i / den_i
+        coeffs = solve_in_span([_ddeg_part(ints, d) for _, ints in span],
+                               _ddeg_part(rest, d))
         if coeffs is None:
             raise AssertionError('symbol of order %d not in the invariant '
                                  'span' % d)
-        rest = dict(R.terms)
-        for c, part, img in zip(coeffs, parts, span):
+        scale = lcm(*(c.denominator for c in coeffs))
+        rest = {k: scale * c for k, c in rest.items()}
+        for c, part, (den_i, ints) in zip(coeffs, parts, span):
             if c:
-                peeled.append((c, part))
-                for t, v in img.terms.items():
-                    rest[t] = rest.get(t, 0) - c * v
-        R = WeylElement(amb, rest)
-        if not R.is_zero() and R.order() >= d:
+                peeled.append((c * den_i / den, part))
+                c = c.numerator * (scale // c.denominator)
+                for k, v in ints.items():
+                    rest[k] = rest.get(k, 0) - c * v
+        rest = {k: v for k, v in rest.items() if v}
+        den *= scale
+        g = gcd(den, *rest.values())
+        if g > 1:
+            den //= g
+            rest = {k: v // g for k, v in rest.items()}
+        if any(len(dm) >= d for _, dm in rest):
             raise AssertionError('order did not drop during recursion')
     products = {}
-    return sum((gelfand_product(amb, part, products).scale(c)
-                for c, part in peeled), UEAElement.zero(amb))
+    peeled = [(c, gelfand_product(amb, part, products).cleared())
+              for c, part in peeled]
+    den = lcm(*(c.denominator * pden for c, (pden, _) in peeled))
+    terms = {}
+    for c, (pden, ints) in peeled:
+        c = c.numerator * (den // (c.denominator * pden))
+        for w, v in ints.items():
+            terms[w] = terms.get(w, 0) + c * v
+    return UEAElement(amb, {w: Fraction(v, den)
+                            for w, v in terms.items() if v})
 
 
 # ---------------------------------------------------------------------------

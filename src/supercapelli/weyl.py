@@ -47,6 +47,8 @@ class WeylContext:
         self._push_cache = {}
         # block size b -> cleared t_sigma of the b-cycle (_cycle_symbol)
         self.cycle_symbols = {}
+        # partition -> cleared rho_check(gelfand_product) (_gelfand_image)
+        self.gelfand_images = {}
 
     def _canon(self, i, j):
         if i == j and self.ambient.parity(i):
@@ -533,24 +535,37 @@ def _rho_eval(ctx, nodes, root_id):
     return imgs[root_id]
 
 
-def gelfand_product_image(ambient, part, memo=None):
-    """rho_check of gelfand_product(ambient, part).  Since rho_check is
-    multiplicative, this is the weyl_mul product of the images of the
-    single blocks.  memo, a dict keyed by partition, keeps the images of
-    the blocks and of the leading sub-products for later calls."""
-    part = tuple(part)
-    if memo is None:
-        memo = {}
-    img = memo.get(part)
-    if img is not None:
-        return img
-    if len(part) <= 1:
-        img = rho_check(gelfand_product(ambient, part))
-    else:
-        img = weyl_mul(gelfand_product_image(ambient, part[:-1], memo),
-                       gelfand_product_image(ambient, part[-1:], memo))
-    memo[part] = img
-    return img
+def _gelfand_image(ctx, part):
+    """(den, ints) of rho_check(gelfand_product(ctx.ambient, part)),
+    cleared once and kept on the context: one entry per partition
+    requested.  Since rho_check is multiplicative, a partition of two or
+    more parts is the weyl_mul product of the entries of its leading
+    parts and of its last part.  The entry is shared: callers read it
+    and never change it."""
+    entry = ctx.gelfand_images.get(part)
+    if entry is None:
+        if len(part) <= 1:
+            img = rho_check(gelfand_product(ctx.ambient, part))
+        else:
+            img = weyl_mul(_gelfand_element(ctx, part[:-1]),
+                           _gelfand_element(ctx, part[-1:]))
+        entry = ctx.gelfand_images[part] = img.cleared()
+    return entry
+
+
+def _gelfand_element(ctx, part):
+    """A fresh WeylElement of the entry _gelfand_image(ctx, part)."""
+    den, ints = _gelfand_image(ctx, part)
+    return WeylElement(ctx.ambient, {k: Fraction(v, den)
+                                     for k, v in ints.items()})
+
+
+def gelfand_product_image(ambient, part):
+    """rho_check of gelfand_product(ambient, part), as a fresh element
+    built from the image kept on the ambient's context (_gelfand_image),
+    so every call on one ambient shares the images of the blocks and of
+    the leading sub-products."""
+    return _gelfand_element(weyl_context(ambient), tuple(part))
 
 
 # ---------------------------------------------------------------------------

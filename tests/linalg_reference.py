@@ -79,3 +79,25 @@ def reference_rank(vectors):
               enumerate(dict.fromkeys(k for v in vectors for k in v))}
     rows = [{column[k]: x for k, x in v.items()} for v in vectors]
     return sparse_reference_reduce(rows, len(column))[0]
+
+
+def dense_transposition(columns):
+    """The matrix whose j-th column is the dict vector columns[j], as
+    dense rows over the sorted keys."""
+    keys = sorted({k for v in columns for k in v})
+    return [[v.get(k, 0) for v in columns] for k in keys]
+
+
+def reference_solve_in_span(vectors, target):
+    """The coefficients c with sum c_i vectors_i = target read from the
+    reduced row echelon form of the dense transposition of the vectors
+    with the target as last column (free coefficients 0), or None."""
+    n = len(vectors)
+    _, pivots, rref, _ = reference_reduce(
+        dense_transposition(list(vectors) + [target]), n + 1)
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        sol[pc] = rref[r][n]
+    return sol

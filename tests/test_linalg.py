@@ -11,7 +11,8 @@ from supercapelli.superlie import Ambient
 from supercapelli.weyl import (capelli_operator, invariant_kernel,
                                invariant_spanning_set, invariant_symbol_space)
 
-from linalg_reference import (reference_rank, reference_reduce,
+from linalg_reference import (dense_transposition, reference_rank,
+                              reference_reduce, reference_solve_in_span,
                               sparse_reference_reduce)
 
 
@@ -131,28 +132,6 @@ def test_dict_columns_kernel_equals_reference_kernel():
     assert dict_columns_kernel([]) == []
 
 
-def dense_transposition(columns):
-    """The matrix whose j-th column is the dict vector columns[j], as
-    dense rows over the sorted keys (the route dict_columns_kernel and
-    solve_in_span took before)."""
-    keys = sorted({k for v in columns for k in v})
-    return [[v.get(k, 0) for v in columns] for k in keys]
-
-
-def reference_solve_in_span(vectors, target):
-    """solve_in_span as it read before: the dense transposition of the
-    vectors with the target as last column, reduced over Fractions."""
-    n = len(vectors)
-    _, pivots, rref, _ = reference_reduce(
-        dense_transposition(list(vectors) + [target]), n + 1)
-    if n in pivots:
-        return None
-    sol = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        sol[pc] = rref[r][n]
-    return sol
-
-
 def assert_solves_as_reference(vectors, target):
     got = solve_in_span(vectors, target)
     assert got == reference_solve_in_span(vectors, target)
@@ -189,6 +168,31 @@ def test_solve_in_span_equals_reference():
         else:
             inside += 1
     assert inside > 100 and outside > 100
+
+
+def test_solve_in_span_edge_cases_equal_reference():
+    v = {'a': Fraction(1, 2), 'b': 3}
+    w = {'b': Fraction(2, 3), 'c': -1}
+    targets = ({'a': 1, 'b': 6}, {'a': 2, 'b': Fraction(20, 3), 'c': -1},
+               {'a': 0}, {}, {'d': 1})
+    # a repeated and a zero column are free: coefficient 0
+    for vectors in ([v, v], [{}, v], [v, {}, w], [v, w, v], [w, {}, v, w]):
+        for target in targets:
+            assert_solves_as_reference(vectors, target)
+    assert solve_in_span([v, v], v) == [1, 0]
+    assert solve_in_span([{}, v, w, v], w) == [0, 0, 1, 0]
+    # no vectors: only the zero target is in their span
+    assert solve_in_span([], {}) == []
+    assert solve_in_span([], {'a': 0}) == []
+    assert solve_in_span([], {'a': 1}) is None
+    for target in targets:
+        assert_solves_as_reference([], target)
+    # int-valued vectors and target
+    ints = [{0: 2, 1: 4}, {1: 3, 2: 6}, {0: 4, 1: 11, 2: 6}]
+    assert assert_solves_as_reference(ints[:2], ints[2]) == [2, 1]
+    assert assert_solves_as_reference(ints[:2], {0: 1}) is None
+    big = {0: 2 * 3 ** 40, 1: 4 * 3 ** 40 + 3 * 5 ** 30, 2: 6 * 5 ** 30}
+    assert assert_solves_as_reference(ints, big) == [3 ** 40, 5 ** 30, 0]
 
 
 def test_solve_in_span_equals_reference_on_preimage_systems(monkeypatch):

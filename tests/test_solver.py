@@ -8,21 +8,24 @@ import pytest
 from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
                                 gamma_star_map, dual_weight, hook_product_H,
                                 xy_context)
-from supercapelli.linalg import lin_solve, solve_in_span
+from supercapelli.linalg import lin_solve
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
     gelfand_product, q_projection, gd_element, hc_project
+from supercapelli import weyl
 from supercapelli.weyl import (WeylElement, t_sigma, rho_check, symbol,
                                capelli_operator, y_gen,
                                consecutive_cycles_perm, gelfand_product_image,
                                invariant_symbol_space, spherical_poly,
-                               _partitions_of)
+                               weyl_mul, _partitions_of)
 from supercapelli.solver import (coset_type, symbol_preimage, full_preimage,
                                  central_preimage, c_poly_hc, c_poly_interp,
                                  c_star_poly, ia_star_basis,
                                  deformed_power_sum, sp_basis, sp_star,
                                  frobenius_transform, natural_algebra_check,
                                  theta_one_family, verify_sv, verify_main)
+
+from linalg_reference import reference_solve_in_span
 
 P11 = HookParams(1, 1, 'half')
 
@@ -156,10 +159,9 @@ def round_trips_21():
 def test_gelfand_product_image_symbols_are_t_sigma():
     # the span full_preimage peels with equals the literal t_sigma span
     for amb in (Ambient(1, 2), Ambient(2, 2), Ambient(1, 4)):
-        memo = {}
         for d in (1, 2, 3):
             for part in _partitions_of(d):
-                img = gelfand_product_image(amb, part, memo)
+                img = gelfand_product_image(amb, part)
                 assert symbol(img, d) == \
                     t_sigma(amb, consecutive_cycles_perm(part)), (amb, part)
 
@@ -170,6 +172,26 @@ def test_gelfand_product_image_is_rho_check_of_product():
         * gelfand_element(amb, 1).scale(Fraction(-1, 2))
     assert gelfand_product_image(amb, (2, 1)) == rho_check(z)
     assert gelfand_product_image(amb, ()) == rho_check(UEAElement.one(amb))
+
+
+def test_gelfand_product_image_hands_out_fresh_elements(monkeypatch):
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    params = HookParams(1, 1, 'half')
+    amb = Ambient(1, 2)
+    D = capelli_operator(params, parse_partition('2,1', params))
+    z = full_preimage(D, check_invariant=False)
+    want = {part: gelfand_product_image(amb, part)
+            for d in range(4) for part in _partitions_of(d)}
+    for part in want:
+        img = gelfand_product_image(amb, part)
+        assert img is not want[part] and img.terms is not want[part].terms
+        for k in img.terms:
+            img.terms[k] += 1
+        img.terms[((), (0,))] = Fraction(5)
+    for part, img in want.items():
+        assert gelfand_product_image(amb, part) == img, part
+    assert set(weyl.weyl_context(amb).gelfand_images) == set(want)
+    assert full_preimage(D, check_invariant=False) == z
 
 
 def test_full_preimage_round_trip(round_trips_21):
@@ -205,10 +227,26 @@ def reference_gelfand_loop(ambient, part):
     return z
 
 
+def reference_gelfand_image(ambient, part, memo):
+    """rho_check(gelfand_product(ambient, part)) as a weyl_mul product of
+    single-block images, kept in memo, a dict local to one caller."""
+    img = memo.get(part)
+    if img is None:
+        if len(part) <= 1:
+            img = rho_check(gelfand_product(ambient, part))
+        else:
+            img = weyl_mul(reference_gelfand_image(ambient, part[:-1], memo),
+                           reference_gelfand_image(ambient, part[-1:], memo))
+        memo[part] = img
+    return img
+
+
 def reference_full_preimage(D):
-    """full_preimage(D, check_invariant=False) as it was: each order's
-    products multiplied out per nonzero coefficient and added to z, and
-    a scalar order-zero remainder added directly."""
+    """full_preimage(D, check_invariant=False) as it was: the images
+    rebuilt in a memo local to the call, each order's coefficients from
+    a Fraction elimination, the remainder reduced in Fractions, each
+    order's products multiplied out per nonzero coefficient and added to
+    z, and a scalar order-zero remainder added directly."""
     amb = D.ambient
     z = UEAElement.zero(amb)
     R = D
@@ -223,9 +261,9 @@ def reference_full_preimage(D):
             break
         s = symbol(R, d)
         parts = _partitions_of(d)
-        span = [gelfand_product_image(amb, part, images) for part in parts]
-        coeffs = solve_in_span([symbol(img, d).terms for img in span],
-                               s.terms)
+        span = [reference_gelfand_image(amb, part, images) for part in parts]
+        coeffs = reference_solve_in_span(
+            [symbol(img, d).terms for img in span], s.terms)
         assert coeffs is not None
         zd = UEAElement.zero(amb)
         rest = dict(R.terms)
@@ -272,16 +310,26 @@ def test_symbol_preimage_equals_the_loop_over_the_coset_type():
             reference_gelfand_loop(amb, coset_type(sig)), sig
 
 
-@pytest.mark.parametrize('m, n, dmax', [(1, 1, 4), (2, 1, 3), (1, 2, 3)])
-def test_full_preimage_equals_reference(m, n, dmax):
+@pytest.mark.parametrize('m, n, dmax', [(1, 1, 5), (2, 1, 4), (1, 2, 3),
+                                         (2, 2, 3), (3, 0, 4), (0, 1, 3)])
+def test_full_preimage_equals_reference(m, n, dmax, monkeypatch):
+    """Every hook of size <= dmax, peeled in ascending and in descending
+    size, each time on fresh Weyl contexts, so the images are kept in
+    both orders.  The Gelfand symbols are dependent at (1,1) d>=4,
+    (3,0) d=4 and (0,1) d>=2, where solve_in_span leaves a coefficient
+    free."""
     params = HookParams(m, n, 'half')
+    ops = []
     for d in range(dmax + 1):
         inv = invariant_symbol_space(Ambient(m, 2 * n), d, verify=False)
-        for b in enumerate_hooks(params, d):
-            D = capelli_operator(params, b, inv_basis=inv)
-            z = full_preimage(D, check_invariant=False)
-            ref = reference_full_preimage(D)
-            assert z == ref and str(z) == str(ref), b
+        ops += [(b, capelli_operator(params, b, inv_basis=inv))
+                for b in enumerate_hooks(params, d)]
+    refs = [reference_full_preimage(D) for _, D in ops]
+    for order in (ops, ops[::-1]):
+        monkeypatch.setattr(weyl, '_ctx_cache', {})
+        got = {b: full_preimage(D, check_invariant=False) for b, D in order}
+        for (b, _), ref in zip(ops, refs):
+            assert got[b] == ref and str(got[b]) == str(ref), b
 
 
 def test_full_preimage_rejects_a_nonscalar_order_zero_remainder():
