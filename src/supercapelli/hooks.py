@@ -110,31 +110,34 @@ def parse_partition(text, params):
     return HookPartition(parts, params)
 
 
+def partitions(d):
+    """All partitions of d as tuples, largest part first, in
+    reverse-lexicographic order; the empty partition for d = 0."""
+    out = []
+
+    def rec(left, maxp, prefix):
+        if left == 0:
+            out.append(tuple(prefix))
+            return
+        for p in range(min(left, maxp), 0, -1):
+            prefix.append(p)
+            rec(left - p, p, prefix)
+            prefix.pop()
+
+    rec(d, d, [])
+    return out
+
+
 def enumerate_hooks(params, d, upto=False):
     """All (m|n)-hook partitions of size d (or of size <= d when upto),
-    graded then reverse-lexicographic within each size."""
+    graded then reverse-lexicographic within each size: the partitions
+    whose part m + 1, if any, is at most n."""
     if d < 0:
         raise ValueError('size must be nonnegative, got %d' % d)
-    sizes = range(d + 1) if upto else (d,)
-    out = []
-    for size in sizes:
-        batch = []
-
-        def rec(remaining, maxpart, prefix):
-            if remaining == 0:
-                batch.append(tuple(prefix))
-                return
-            for p in range(min(remaining, maxpart), 0, -1):
-                if len(prefix) >= params.m and p > params.n:
-                    continue
-                prefix.append(p)
-                rec(remaining - p, p, prefix)
-                prefix.pop()
-
-        rec(size, size if size else 1, [])
-        batch.sort(reverse=True)
-        out.extend(HookPartition(b, params) for b in batch)
-    return out
+    m, n = params.m, params.n
+    return [HookPartition(p, params)
+            for size in (range(d + 1) if upto else (d,))
+            for p in partitions(size) if len(p) <= m or p[m] <= n]
 
 
 class Weight:

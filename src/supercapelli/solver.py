@@ -14,12 +14,11 @@ from .multipoly import MultiPoly, AffineSubstitution
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
 from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     classical_hook_product, frobenius_point,
-                    frobenius_affine_map, a_context, xy_context)
+                    frobenius_affine_map, a_context, xy_context, partitions)
 from .superlie import (Ambient, UEAElement, gelfand_product, hc_project,
                        q_projection, gd_element, omega_cartan)
-from .weyl import (rho_check_gen, weyl_context, _gelfand_image,
-                   _partitions_of, _commutator, capelli_operator,
-                   spherical_poly)
+from .weyl import (rho_check_gen, weyl_context, _entry, _commutator,
+                   capelli_operator, spherical_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +75,14 @@ def full_preimage(D, check_invariant=True):
 
     At order d the symbols of the polarized Gelfand products, one per
     partition of d, span the invariant symbols (at order 0 the empty
-    partition's image is 1).  The images are the cleared ones kept on the
-    ambient's Weyl context (_gelfand_image), shared by every call on that
-    ambient; they also give the term subtracted from the remainder, which
-    is kept as Python ints over one common denominator, so rho_check is
-    never applied to z.  Each order's nonzero (coefficient, partition)
-    pairs are kept, and z = sum c * gelfand_product(part) is accumulated
-    into one dict of Python ints over one common denominator at the end,
-    each product extending its longest prefix already built in this
-    call."""
+    partition's image is 1).  The images are the cleared ones in the
+    images table of the ambient's Weyl context (_entry), shared by every
+    call on that ambient; they also give the term subtracted from the
+    remainder, which is kept as Python ints over one common denominator,
+    so rho_check is never applied to z.  Each nonzero coefficient is kept
+    with the cleared gelfand_product(part) from the context's products
+    table, and z = sum c * gelfand_product(part) is accumulated into one
+    dict of Python ints over one common denominator at the end."""
     amb = D.ambient
     if check_invariant:
         for i in range(amb.dim):
@@ -98,8 +96,8 @@ def full_preimage(D, check_invariant=True):
     den, rest = D.cleared()      # the remainder is rest / den
     while rest:
         d = max(len(dm) for _, dm in rest)
-        parts = _partitions_of(d)
-        span = [_gelfand_image(ctx, part) for part in parts]
+        parts = partitions(d)
+        span = [_entry(ctx, 'images', part) for part in parts]
         # sum c_i ints_i = rest in degree d, with image_i = ints_i / den_i
         coeffs = solve_in_span([_ddeg_part(ints, d) for _, ints in span],
                                _ddeg_part(rest, d))
@@ -110,7 +108,8 @@ def full_preimage(D, check_invariant=True):
         rest = {k: scale * c for k, c in rest.items()}
         for c, part, (den_i, ints) in zip(coeffs, parts, span):
             if c:
-                peeled.append((c * den_i / den, part))
+                peeled.append((c * den_i / den,
+                               _entry(ctx, 'products', part)))
                 c = c.numerator * (scale // c.denominator)
                 for k, v in ints.items():
                     rest[k] = rest.get(k, 0) - c * v
@@ -122,9 +121,6 @@ def full_preimage(D, check_invariant=True):
             rest = {k: v // g for k, v in rest.items()}
         if any(len(dm) >= d for _, dm in rest):
             raise AssertionError('order did not drop during recursion')
-    products = {}
-    peeled = [(c, gelfand_product(amb, part, products).cleared())
-              for c, part in peeled]
     den = lcm(*(c.denominator * pden for c, (pden, _) in peeled))
     terms = {}
     for c, (pden, ints) in peeled:
@@ -282,7 +278,7 @@ def _filtered_products(gens_by_degree, d, context):
     records = [()]
     vecs = [polys[0].terms]
     for size in range(1, d + 1):
-        for part in _partitions_of(size):
+        for part in partitions(size):
             prod = MultiPoly.const(context, 1)
             for k in part:
                 prod = prod * gens_by_degree[k]
@@ -386,17 +382,6 @@ def _swap_vars(p, i, j):
     return MultiPoly(p.vars, terms)
 
 
-def _shift_vars(p, shifts):
-    """Substitute each variable v_i -> v_i + shifts[i]."""
-    ctx = p.vars
-    images = {}
-    for i, name in enumerate(ctx):
-        lin = [Fraction(0)] * len(ctx)
-        lin[i] = Fraction(1)
-        images[name] = (lin, shifts[i])
-    return AffineSubstitution(ctx, ctx, images).apply(p)
-
-
 def natural_algebra_check(params, p):
     """Membership test for the natural interpolation algebra: separate
     symmetry plus the shift relation on the coupling hyperplanes."""
@@ -411,25 +396,24 @@ def natural_algebra_check(params, p):
             return False
     theta = Fraction(1, 2) if params.theta == 'half' else Fraction(1)
     half = Fraction(1, 2)
+    ctx = p.vars
     for k in range(m):
         for l in range(n):
-            shifts_plus = [Fraction(0)] * (m + n)
-            shifts_plus[k] = half
-            shifts_plus[m + l] = -half
-            shifts_minus = [-s for s in shifts_plus]
-            g = _shift_vars(p, shifts_plus) - _shift_vars(p, shifts_minus)
-            # restrict to the hyperplane x_k = -theta * y_l
-            ctx = p.vars
-            images = {}
-            for i, name in enumerate(ctx):
-                lin = [Fraction(0)] * (m + n)
-                if i == k:
-                    lin[m + l] = -theta
-                else:
-                    lin[i] = Fraction(1)
-                images[name] = (lin, Fraction(0))
-            restricted = AffineSubstitution(ctx, ctx, images).apply(g)
-            if not restricted.is_zero():
+            # the shifts x_k -> x_k +- 1/2, y_l -> y_l -+ 1/2 composed with
+            # the restriction to the hyperplane x_k = -theta * y_l
+            sides = []
+            for s in (half, -half):
+                images = {}
+                for i, name in enumerate(ctx):
+                    lin = [Fraction(0)] * (m + n)
+                    if i == k:
+                        lin[m + l] = -theta
+                        images[name] = (lin, s)
+                    else:
+                        lin[i] = Fraction(1)
+                        images[name] = (lin, -s if i == m + l else 0)
+                sides.append(AffineSubstitution(ctx, ctx, images).apply(p))
+            if sides[0] != sides[1]:
                 return False
     return True
 

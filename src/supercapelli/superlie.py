@@ -269,24 +269,14 @@ def gelfand_element(ambient, d):
 _gelfand_cache = {}
 
 
-def gelfand_product(ambient, part, memo=None):
+def gelfand_product(ambient, part):
     """The product over the blocks b of part, in order, of the scaled
     Gelfand elements (-1/2)^b C_b; the unit for the empty partition.
     Its polarized image has top symbol the invariant t_sigma of every
-    sigma of coset type part.  memo, a dict keyed by partition, keeps
-    the products of the leading parts: the product is built from its
-    longest prefix found there, and each longer prefix is added."""
-    part = tuple(part)
-    if memo is None:
-        memo = {}
-    k = len(part)
-    while k and part[:k] not in memo:
-        k -= 1
-    z = memo[part[:k]] if k else UEAElement.one(ambient)
-    for t in range(k, len(part)):
-        b = part[t]
+    sigma of coset type part."""
+    z = UEAElement.one(ambient)
+    for b in part:
         z = z * gelfand_element(ambient, b).scale(Fraction(-1, 2) ** b)
-        memo[part[:t + 1]] = z
     return z
 
 

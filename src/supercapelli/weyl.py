@@ -21,7 +21,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .hooks import a_context, enumerate_hooks, eps_extension, gamma_star_map
+from .hooks import (a_context, enumerate_hooks, eps_extension,
+                    gamma_star_map, partitions)
 from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
 from .multipoly import Combination, MultiPoly
 from .superlie import Ambient, UEAElement, gelfand_product
@@ -30,8 +31,9 @@ _ctx_cache = {}
 
 
 class WeylContext:
-    """Per-(m,N) tables: canonical pairs, their indices and parities, and
-    the canonical (pair index, sign) of every ordered index pair."""
+    """Per-(m,N) tables: canonical pairs, their indices and parities, the
+    canonical (pair index, sign) of every ordered index pair, and the
+    per-partition tables filled by _entry."""
 
     def __init__(self, ambient):
         self.ambient = ambient
@@ -45,10 +47,12 @@ class WeylContext:
         self.rho_gen = {(i, j): self._rho_gen(i, j)
                         for i in range(dim) for j in range(dim)}
         self._push_cache = {}
-        # block size b -> cleared t_sigma of the b-cycle (_cycle_symbol)
-        self.cycle_symbols = {}
-        # partition -> cleared rho_check(gelfand_product) (_gelfand_image)
-        self.gelfand_images = {}
+        # partition -> cleared (den, ints) of its cycle-product symbol, of
+        # rho_check of its Gelfand product and of that product (_entry)
+        unit = (1, {((), ()): 1})
+        self.symbols = {(): unit}
+        self.images = {(): unit}
+        self.products = {(): (1, {(): 1})}
 
     def _canon(self, i, j):
         if i == j and self.ambient.parity(i):
@@ -535,39 +539,6 @@ def _rho_eval(ctx, nodes, root_id):
     return imgs[root_id]
 
 
-def _gelfand_image(ctx, part):
-    """(den, ints) of rho_check(gelfand_product(ctx.ambient, part)),
-    cleared once and kept on the context: one entry per partition
-    requested.  Since rho_check is multiplicative, a partition of two or
-    more parts is the weyl_mul product of the entries of its leading
-    parts and of its last part.  The entry is shared: callers read it
-    and never change it."""
-    entry = ctx.gelfand_images.get(part)
-    if entry is None:
-        if len(part) <= 1:
-            img = rho_check(gelfand_product(ctx.ambient, part))
-        else:
-            img = weyl_mul(_gelfand_element(ctx, part[:-1]),
-                           _gelfand_element(ctx, part[-1:]))
-        entry = ctx.gelfand_images[part] = img.cleared()
-    return entry
-
-
-def _gelfand_element(ctx, part):
-    """A fresh WeylElement of the entry _gelfand_image(ctx, part)."""
-    den, ints = _gelfand_image(ctx, part)
-    return WeylElement(ctx.ambient, {k: Fraction(v, den)
-                                     for k, v in ints.items()})
-
-
-def gelfand_product_image(ambient, part):
-    """rho_check of gelfand_product(ambient, part), as a fresh element
-    built from the image kept on the ambient's context (_gelfand_image),
-    so every call on one ambient shares the images of the blocks and of
-    the leading sub-products."""
-    return _gelfand_element(weyl_context(ambient), tuple(part))
-
-
 # ---------------------------------------------------------------------------
 # Invariant symbols.
 
@@ -685,31 +656,58 @@ def consecutive_cycles_perm(blocks):
     return tuple(img)
 
 
-def _partitions_of(d):
-    out = []
-
-    def rec(left, maxp, prefix):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(left, maxp), 0, -1):
-            prefix.append(p)
-            rec(left - p, p, prefix)
-            prefix.pop()
-
-    rec(d, d, [])
-    return out
+def _concat_ints(ctx, a, b):
+    """The product of two cleared enveloping algebra entries: the words
+    concatenated."""
+    terms = {}
+    for w1, c1 in a[1].items():
+        for w2, c2 in b[1].items():
+            w = w1 + w2
+            terms[w] = terms.get(w, 0) + c1 * c2
+    return a[0] * b[0], terms
 
 
-def _cycle_symbol(ctx, b):
-    """(den, ints) of the single-cycle symbol t_sigma of the b-cycle
-    (consecutive_cycles_perm((b,))), cleared once and kept on the
-    context: one entry per block size."""
-    entry = ctx.cycle_symbols.get(b)
+# table -> (the entry of a one-part partition (b,), the product of two
+# entries); the products hold because t_sigma of consecutive cycles
+# factorises block by block and rho_check is an algebra homomorphism
+_TABLE_RULES = {
+    'symbols': (
+        lambda amb, b: t_sigma(amb, consecutive_cycles_perm((b,))).cleared(),
+        lambda ctx, a, b: (a[0] * b[0], _symbol_mul_ints(ctx, a[1], b[1]))),
+    'images': (
+        lambda amb, b: rho_check(gelfand_product(amb, (b,))).cleared(),
+        lambda ctx, a, b: weyl_mul(_element(ctx, a),
+                                   _element(ctx, b)).cleared()),
+    'products': (
+        lambda amb, b: gelfand_product(amb, (b,)).cleared(), _concat_ints),
+}
+
+
+def _entry(ctx, table, part):
+    """The cleared (den, ints) entry of a partition in the context table
+    'symbols', 'images' or 'products', filled on first request: a
+    one-part entry from the table's base function, a longer one as the
+    table's product of the entries of its leading parts and of its last
+    part, so a request also fills those.  The entry is shared: callers
+    read it and never change it."""
+    entries = getattr(ctx, table)
+    entry = entries.get(part)
     if entry is None:
-        entry = ctx.cycle_symbols[b] = t_sigma(
-            ctx.ambient, consecutive_cycles_perm((b,))).cleared()
+        base, mul = _TABLE_RULES[table]
+        if len(part) == 1:
+            entry = base(ctx.ambient, part[0])
+        else:
+            entry = mul(ctx, _entry(ctx, table, part[:-1]),
+                        _entry(ctx, table, part[-1:]))
+        entries[part] = entry
     return entry
+
+
+def _element(ctx, entry):
+    """A fresh WeylElement of a symbols or images entry."""
+    den, ints = entry
+    return WeylElement(ctx.ambient, {k: Fraction(v, den)
+                                     for k, v in ints.items()})
 
 
 def invariant_spanning_set(ambient, d):
@@ -717,20 +715,11 @@ def invariant_spanning_set(ambient, d):
     t_sigma of the product of consecutive cycles of the part sizes.  That
     sigma maps each block of positions onto itself, so the literal sum
     factorises block by block, and its t_sigma is the symbol product of
-    the single-cycle symbols of the parts.  Every t_sigma lies in their
-    span."""
+    the single-cycle symbols of the parts (the context's symbols table).
+    Every t_sigma lies in their span."""
     ctx = weyl_context(ambient)
-    out = []
-    for part in _partitions_of(d):
-        den, ints = 1, {((), ()): 1}
-        for b in part:
-            den_b, ints_b = _cycle_symbol(ctx, b)
-            den *= den_b
-            ints = _symbol_mul_ints(ctx, ints, ints_b)
-        out.append((part, WeylElement(ambient, {k: Fraction(v, den)
-                                                for k, v in ints.items()
-                                                if v})))
-    return out
+    return [(part, _element(ctx, _entry(ctx, 'symbols', part)))
+            for part in partitions(d)]
 
 
 def _commutator(a, b):

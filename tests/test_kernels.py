@@ -11,7 +11,8 @@ from itertools import permutations, product
 import pytest
 
 from supercapelli.cli import _CONFIGS
-from supercapelli.hooks import HookParams, a_context, enumerate_hooks
+from supercapelli.hooks import (HookParams, a_context, enumerate_hooks,
+                                partitions)
 from supercapelli.multipoly import MultiPoly
 from supercapelli.solver import full_preimage, symbol_preimage
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
@@ -24,7 +25,7 @@ from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                osp_spanning_set, rho_check, rho_check_gen,
                                spherical_poly, spherical_vector, t_sigma,
                                weyl_context, weyl_mul, _cartan_generators,
-                               _mul_ints, _partitions_of)
+                               _mul_ints)
 
 from linalg_reference import reference_rank
 
@@ -382,7 +383,7 @@ def test_t_sigma_matches_reference_on_s4(mn):
 def test_t_sigma_matches_reference_on_cycles(mn):
     amb = Ambient(*mn)
     for d in range(1, 4):
-        for part in _partitions_of(d):
+        for part in partitions(d):
             sig = consecutive_cycles_perm(part)
             assert_same(t_sigma(amb, sig), reference_t_sigma(amb, sig))
 
@@ -403,7 +404,7 @@ def test_centrality_normalise_once_matches_literal_route(mn):
 @pytest.mark.parametrize('mn', [(1, 2), (2, 2)])
 def test_t_sigma_matches_reference_on_partitions_of_4(mn):
     amb = Ambient(*mn)
-    for part in _partitions_of(4):
+    for part in partitions(4):
         sig = consecutive_cycles_perm(part)
         assert_same(t_sigma(amb, sig), reference_t_sigma(amb, sig))
 

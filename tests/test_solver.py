@@ -7,17 +7,17 @@ import pytest
 
 from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
                                 gamma_star_map, dual_weight, hook_product_H,
-                                xy_context)
+                                xy_context, partitions)
 from supercapelli.linalg import lin_solve
-from supercapelli.multipoly import MultiPoly
+from supercapelli.multipoly import AffineSubstitution, MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
     gelfand_product, q_projection, gd_element, hc_project
 from supercapelli import weyl
 from supercapelli.weyl import (WeylElement, t_sigma, rho_check, symbol,
                                capelli_operator, y_gen,
-                               consecutive_cycles_perm, gelfand_product_image,
+                               consecutive_cycles_perm, invariant_spanning_set,
                                invariant_symbol_space, spherical_poly,
-                               weyl_mul, _partitions_of)
+                               weyl_context, weyl_mul, _element, _entry)
 from supercapelli.solver import (coset_type, symbol_preimage, full_preimage,
                                  central_preimage, c_poly_hc, c_poly_interp,
                                  c_star_poly, ia_star_basis,
@@ -156,13 +156,19 @@ def round_trips_21():
     return _round_trips(2, 1, 3)
 
 
+def gelfand_product_image(amb, part):
+    """rho_check(gelfand_product(amb, part)), a fresh element of the
+    entry in the images table of the ambient's Weyl context."""
+    ctx = weyl_context(amb)
+    return _element(ctx, _entry(ctx, 'images', part))
+
+
 def test_gelfand_product_image_symbols_are_t_sigma():
     # the span full_preimage peels with equals the literal t_sigma span
     for amb in (Ambient(1, 2), Ambient(2, 2), Ambient(1, 4)):
         for d in (1, 2, 3):
-            for part in _partitions_of(d):
-                img = gelfand_product_image(amb, part)
-                assert symbol(img, d) == \
+            for part in partitions(d):
+                assert symbol(gelfand_product_image(amb, part), d) == \
                     t_sigma(amb, consecutive_cycles_perm(part)), (amb, part)
 
 
@@ -175,22 +181,30 @@ def test_gelfand_product_image_is_rho_check_of_product():
 
 
 def test_gelfand_product_image_hands_out_fresh_elements(monkeypatch):
+    """Changing an element built from the symbols or the images table
+    changes neither the table nor a later preimage."""
     monkeypatch.setattr(weyl, '_ctx_cache', {})
     params = HookParams(1, 1, 'half')
     amb = Ambient(1, 2)
     D = capelli_operator(params, parse_partition('2,1', params))
     z = full_preimage(D, check_invariant=False)
-    want = {part: gelfand_product_image(amb, part)
-            for d in range(4) for part in _partitions_of(d)}
-    for part in want:
-        img = gelfand_product_image(amb, part)
-        assert img is not want[part] and img.terms is not want[part].terms
-        for k in img.terms:
-            img.terms[k] += 1
-        img.terms[((), (0,))] = Fraction(5)
-    for part, img in want.items():
-        assert gelfand_product_image(amb, part) == img, part
-    assert set(weyl.weyl_context(amb).gelfand_images) == set(want)
+    parts = [part for d in range(4) for part in partitions(d)]
+
+    def handed_out():
+        return ([gelfand_product_image(amb, part) for part in parts]
+                + [t for d in range(4)
+                   for _, t in invariant_spanning_set(amb, d)])
+
+    want = handed_out()
+    got = handed_out()
+    for old, new in zip(want, got):
+        assert new is not old and new.terms is not old.terms
+        for k in new.terms:
+            new.terms[k] += 1
+        new.terms[((), (0,))] = Fraction(5)
+    assert handed_out() == want
+    ctx = weyl_context(amb)
+    assert set(ctx.images) == set(ctx.symbols) == set(parts)
     assert full_preimage(D, check_invariant=False) == z
 
 
@@ -260,7 +274,7 @@ def reference_full_preimage(D):
             z = z + UEAElement.one(amb).scale(c)
             break
         s = symbol(R, d)
-        parts = _partitions_of(d)
+        parts = partitions(d)
         span = [reference_gelfand_image(amb, part, images) for part in parts]
         coeffs = reference_solve_in_span(
             [symbol(img, d).terms for img in span], s.terms)
@@ -284,22 +298,24 @@ def test_gelfand_product_equals_the_loop(mn):
     amb = Ambient(*mn)
     assert gelfand_product(amb, ()) == UEAElement.one(amb)
     for d in range(1, 5):
-        for part in _partitions_of(d):
+        for part in partitions(d):
             assert gelfand_product(amb, part) == \
                 reference_gelfand_loop(amb, part), part
 
 
-def test_gelfand_product_memo_extends_the_longest_prefix():
+def test_products_table_equals_the_loop(monkeypatch):
+    # filled largest degree first, so each longer entry is requested
+    # before the leading parts it is built from
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
     amb = Ambient(2, 1)
-    memo = {}
-    for d in range(4, 0, -1):
-        for part in _partitions_of(d):
-            assert gelfand_product(amb, part, memo) == \
+    ctx = weyl_context(amb)
+    for d in range(4, -1, -1):
+        for part in partitions(d):
+            den, ints = _entry(ctx, 'products', part)
+            assert UEAElement(amb, {w: Fraction(v, den)
+                                    for w, v in ints.items()}) == \
                 reference_gelfand_loop(amb, part), part
-    # every nonempty prefix of every partition of d <= 4, and no other key
-    assert set(memo) == {p for d in range(1, 5) for p in _partitions_of(d)}
-    # a product found in the memo is returned as it is
-    assert gelfand_product(amb, (2, 1), memo) is memo[(2, 1)]
+    assert set(ctx.products) == {p for d in range(5) for p in partitions(d)}
 
 
 def test_symbol_preimage_equals_the_loop_over_the_coset_type():
@@ -571,6 +587,59 @@ def test_natural_algebra_check():
         fam = theta_one_family(params, b)
         assert natural_algebra_check(params, fam['s_star'])
         assert natural_algebra_check(params, fam['s_top'])
+
+
+def reference_natural_algebra_check(params, p):
+    """The hyperplane half of natural_algebra_check as it was: shift all
+    variables by +s and by -s, subtract, then restrict the difference to
+    x_k = -theta * y_l, four substitutions per (k, l)."""
+    m, n = params.m, params.n
+    ctx = p.vars
+    theta = Fraction(1, 2) if params.theta == 'half' else Fraction(1)
+
+    def substitute(lin_of, shift):
+        images = {}
+        for i, name in enumerate(ctx):
+            images[name] = (lin_of(i), shift[i])
+        return AffineSubstitution(ctx, ctx, images)
+
+    def unit(i):
+        return [Fraction(int(j == i)) for j in range(m + n)]
+
+    for k in range(m):
+        for l in range(n):
+            plus = [Fraction(0)] * (m + n)
+            plus[k], plus[m + l] = Fraction(1, 2), Fraction(-1, 2)
+            g = substitute(unit, plus).apply(p) \
+                - substitute(unit, [-s for s in plus]).apply(p)
+
+            def restrict(i):
+                return [-theta * int(j == m + l) for j in range(m + n)] \
+                    if i == k else unit(i)
+
+            if not substitute(restrict, [0] * (m + n)).apply(g).is_zero():
+                return False
+    return True
+
+
+def test_natural_algebra_check_matches_the_four_substitution_route():
+    # separately symmetric inputs, so each verdict is the hyperplane one
+    verdicts = []
+    for m, n in [(1, 1), (2, 1), (1, 2)]:
+        for theta in ('half', 'one'):
+            params = HookParams(m, n, theta)
+            ctx = xy_context(m, n)
+            sx = sum((MultiPoly.variable(ctx, v) for v in ctx[:m]),
+                     MultiPoly.zero(ctx))
+            sy = sum((MultiPoly.variable(ctx, v) for v in ctx[m:]),
+                     MultiPoly.zero(ctx))
+            for b in enumerate_hooks(params, 3, upto=True):
+                p = sp_star(params, b)
+                for q in (p, p + sx * sy, p + sy):
+                    want = reference_natural_algebra_check(params, q)
+                    assert natural_algebra_check(params, q) == want, (b, q)
+                    verdicts.append(want)
+    assert verdicts.count(True) and verdicts.count(False), verdicts
 
 
 def test_verify_reports():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from supercapelli.hooks import (HookParams, enumerate_hooks, gamma_star_map,
-                                eps_extension, a_context)
+                                eps_extension, a_context, partitions)
 from supercapelli.linalg import dict_columns_kernel
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, bracket, gelfand_element
@@ -195,12 +195,49 @@ def test_cycle_symbols_are_walked_once_per_block_size(monkeypatch):
     assert basis == first and calls == []
 
 
-def test_context_table_holds_one_symbol_per_degree(monkeypatch):
+TABLES = ('symbols', 'images', 'products')
+
+
+def _filled_context(monkeypatch, amb, parts):
+    """A fresh Weyl context with every table asked for each of parts."""
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    ctx = weyl_context(amb)
+    for part in parts:
+        for table in TABLES:
+            weyl._entry(ctx, table, part)
+    return ctx
+
+
+def test_tables_hold_the_requests_their_leading_parts_and_parts(monkeypatch):
+    parts = [(3, 2, 1), (2, 2), (1, 1, 1, 1)]
+    ctx = _filled_context(monkeypatch, Ambient(1, 2), parts)
+    want = {(), (3, 2, 1), (3, 2), (3,), (2,), (1,), (2, 2), (1, 1, 1, 1),
+            (1, 1, 1), (1, 1)}
+    for table in TABLES:
+        assert set(getattr(ctx, table)) == want, table
+    assert ctx.symbols[()] == ctx.images[()] == (1, {((), ()): 1})
+    assert ctx.products[()] == (1, {(): 1})
+
+
+def test_tables_do_not_depend_on_the_fill_order(monkeypatch):
+    amb = Ambient(2, 1)
+    parts = [part for d in range(5) for part in partitions(d)]
+    up = _filled_context(monkeypatch, amb, parts)
+    down = _filled_context(monkeypatch, amb, parts[::-1])
+    assert up is not down
+    for table in TABLES:
+        assert getattr(up, table) == getattr(down, table), table
+
+
+def test_symbols_table_entries_are_the_spanning_set(monkeypatch):
     monkeypatch.setattr(weyl, '_ctx_cache', {})
     amb = Ambient(1, 2)
     for d in range(6):
-        invariant_symbol_space(amb, d, verify=False)
-        assert len(weyl_context(amb).cycle_symbols) == d
+        for part, t in invariant_spanning_set(amb, d):
+            assert weyl._element(weyl_context(amb),
+                                 weyl_context(amb).symbols[part]) == t
+    assert set(weyl_context(amb).symbols) == \
+        {p for d in range(6) for p in partitions(d)}
 
 
 def test_verify_compares_each_product_with_the_literal_t_sigma(monkeypatch):
