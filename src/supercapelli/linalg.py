@@ -13,7 +13,9 @@ mat_reduce and dict_columns_kernel add the rows of a matrix to a Span as
 dicts of their nonzero entries and read rank, pivots, RREF and kernel
 from the back-reduced rows.  The RREF is unique, so these equal
 Gauss-Jordan elimination over Fractions whatever the order of the rows.
-lin_solve reduces [m | b] the same way (through mat_reduce).
+lin_solve reduces [m | b] the same way (through mat_reduce), or
+[m | b_1 ... b_k] for several right-hand sides at once, and reads one
+solution per column from the one RREF.
 solve_in_span reduces its few vectors as rows instead, each marked by a
 unit tag key that sorts after every real key, so the tags of a reduced
 row record its combination; its answer is the RREF solution with free
@@ -195,37 +197,66 @@ class SolveResult:
         return self.solution is not None and not self.kernel
 
 
-def _solution(red, rows, ncols):
-    """The x with m x = b read from the ReducedMatrix red of [m | b], or
-    None; checked by back-substitution on rows, the rows of [m | b] as
-    dicts with b at the column ncols, cleared of denominators."""
-    if ncols in red.pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(red.pivots):
-        sol[pc] = red.rref[r][ncols]
-    # On ints: row . sol == b  iff  (rden row) . (sden sol, -sden) == 0.
-    sden, snum = _cleared(sol)
-    snum.append(-sden)
+def _solutions(red, rows, ncols, nrhs):
+    """The x_j with m x_j = b_j read from the ReducedMatrix red of
+    [m | b_1 ... b_k], or None for each b_j outside the column span of m.
+
+    Row operations keep the relations between columns, so b_j is the sum
+    over the RREF rows of its entry times the row's pivot column: it lies
+    in the span of m exactly when it is zero in every row pivoted at a
+    column of b, and then x_j holds its entries at the pivots of m.  Each
+    x_j is checked by back-substitution on rows, the rows of
+    [m | b_1 ... b_k] as dicts, cleared of denominators."""
+    inner = [(p, row) for p, row in zip(red.pivots, red.rref) if p < ncols]
+    outer = [row for p, row in zip(red.pivots, red.rref) if p >= ncols]
+    cleared = []
     for row in rows:
-        if sum(a * snum[k] for k, a in zip(row, _cleared(row.values())[1])):
-            raise AssertionError('back-substitution check failed')
-    return sol
+        ints = dict(zip(row, _cleared(row.values())[1]))
+        cleared.append(([(k, a) for k, a in ints.items() if k < ncols],
+                        ints))
+    out = []
+    for c in range(ncols, ncols + nrhs):
+        if any(row[c] for row in outer):
+            out.append(None)
+            continue
+        sol = [Fraction(0)] * ncols
+        for p, row in inner:
+            sol[p] = row[c]
+        # On ints: row . sol == b_j  iff  (rden row) . (sden sol)
+        # == sden (rden b_j).
+        sden, snum = _cleared(sol)
+        for mpart, ints in cleared:
+            if sum(a * snum[k] for k, a in mpart) != sden * ints.get(c, 0):
+                raise AssertionError('back-substitution check failed')
+        out.append(sol)
+    return out
 
 
 def lin_solve(rows, rhs, ncols=None):
-    """Solve m x = rhs exactly: a SolveResult with one solution (None if
-    inconsistent), checked by back-substitution, and a kernel basis."""
+    """Solve m x = b exactly, for one right-hand side b or for each of a
+    list of columns b_1 ... b_k at once, from one reduction of
+    [m | b_1 ... b_k].
+
+    rhs is one column (a list of len(rows) values) or a list of such
+    columns.  For one column the answer is a SolveResult with one
+    solution (None if inconsistent) and a kernel basis of m; for a list
+    of columns it is a list of SolveResults, one per column, sharing that
+    kernel.  Every solution is checked by back-substitution."""
     rows, rhs = list(rows), list(rhs)
-    if len(rhs) != len(rows):
+    single = not (rhs and isinstance(rhs[0], (list, tuple)))
+    columns = [rhs] if single else [list(b) for b in rhs]
+    if any(len(b) != len(rows) for b in columns):
         raise ValueError('rhs length does not match row count')
     ncols = _width(rows, ncols)
-    aug = [[*row, b] for row, b in zip(rows, rhs)]
-    red = mat_reduce(aug, ncols + 1)
-    sol = _solution(red, map(_row_dict, aug), ncols)
-    # The kernel of m: column ncols is never free when it is a pivot.
-    return SolveResult(sol, [vec[:ncols] for vec in red.kernel
-                             if vec[ncols] == 0])
+    aug = [[*row, *bs] for row, bs in zip(rows, zip(*columns))]
+    red = mat_reduce(aug, ncols + len(columns))
+    sols = _solutions(red, map(_row_dict, aug), ncols, len(columns))
+    # The kernel of m: the vectors of the free columns of m, which are
+    # zero on every column of b.
+    kernel = [vec[:ncols] for vec in red.kernel if not any(vec[ncols:])]
+    if single:
+        return SolveResult(sols[0], kernel)
+    return [SolveResult(sol, kernel) for sol in sols]
 
 
 # ---------------------------------------------------------------------------

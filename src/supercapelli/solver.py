@@ -183,11 +183,18 @@ def c_star_poly(params, b, preimage=None):
 class InterpolationBasis:
     """A filtered basis of degree d of the algebra generated by `gens`,
     with its nodes (the hook partitions of size <= d), the map sending a
-    node to its evaluation point, and the value row of each node,
-    computed once when the basis is built."""
+    node to its evaluation point, the value row of each node, and the
+    coefficient column of the interpolation polynomial of each node of
+    size d, all computed once when the basis is built.
+
+    The element of the span that is 1 at a node and 0 at every other node
+    has coefficients the solution of the node system for that node's
+    unit right-hand side, so one solve with the unit column of every node
+    of size d (the nodes check() admits) serves every interpolation at
+    that degree."""
 
     __slots__ = ('params', 'd', 'context', 'gens', 'polys', 'records',
-                 'point', 'nodes', '_rows', '_den', '_ints')
+                 'point', 'nodes', '_rows', '_columns', '_den', '_ints')
 
     def __init__(self, params, d, context, gens, point):
         self.params = params
@@ -205,6 +212,12 @@ class InterpolationBasis:
                                  % (len(polys), len(self.nodes), d))
         self._rows = tuple(tuple(self.values_at(point(b)))
                            for b in self.nodes)
+        top = [b for b in self.nodes if b.size == d]
+        units = [[int(bp == b) for bp in self.nodes] for b in top]
+        results = lin_solve(self._rows, units, len(self))
+        if not all(res.unique for res in results):
+            raise AssertionError('interpolation system is singular')
+        self._columns = {b: res.solution for b, res in zip(top, results)}
         # The basis over one common denominator, for combine().
         cleared = [p.cleared() for p in polys]
         self._den = lcm(*(den for den, _ in cleared))
@@ -239,14 +252,10 @@ class InterpolationBasis:
 
     def interpolate(self, params, b, point, value):
         """The element of the basis span taking `value` at the node b and
-        0 at every other node, from one exact solve of the node system;
-        check() runs first."""
+        0 at every other node: `value` times the coefficient column of b
+        solved when the basis was built, combined; check() runs first."""
         self.check(params, b, point)
-        rhs = [value if bp == b else Fraction(0) for bp in self.nodes]
-        res = lin_solve(self.node_rows(), rhs, len(self))
-        if not res.unique:
-            raise AssertionError('interpolation system is singular')
-        return self.combine(res.solution)
+        return self.combine([value * c for c in self._columns[b]])
 
     def combine(self, coeffs):
         """The polynomial sum c_j p_j, accumulated on ints in one dict and
@@ -273,19 +282,23 @@ def _frobenius_point(b):
 
 def _filtered_products(gens_by_degree, d, context):
     """Products of generators over all partitions of sizes <= d, greedily
-    filtered to a linearly independent family (constant included)."""
-    polys = [MultiPoly.const(context, 1)]
+    filtered to a linearly independent family (constant included).  Each
+    partition's product is its leading parts' product times the generator
+    of its last part; every product is formed, kept or not, since a
+    longer partition may extend it.  The rank test runs on the products
+    cleared of denominators, which span the same lines."""
+    made = {(): MultiPoly.const(context, 1)}
+    polys = [made[()]]
     records = [()]
-    vecs = [polys[0].terms]
+    vecs = [polys[0].cleared()[1]]
     for size in range(1, d + 1):
         for part in partitions(size):
-            prod = MultiPoly.const(context, 1)
-            for k in part:
-                prod = prod * gens_by_degree[k]
-            if dict_vectors_rank(vecs + [prod.terms]) > len(vecs):
+            prod = made[part] = made[part[:-1]] * gens_by_degree[part[-1]]
+            ints = prod.cleared()[1]
+            if dict_vectors_rank(vecs + [ints]) > len(vecs):
                 polys.append(prod)
                 records.append(part)
-                vecs.append(prod.terms)
+                vecs.append(ints)
     return polys, records
 
 

@@ -669,17 +669,21 @@ def _concat_ints(ctx, a, b):
 
 # table -> (the entry of a one-part partition (b,), the product of two
 # entries); the products hold because t_sigma of consecutive cycles
-# factorises block by block and rho_check is an algebra homomorphism
+# factorises block by block and rho_check is an algebra homomorphism.  A
+# one-part image is rho_check of the products entry of (b,).
 _TABLE_RULES = {
     'symbols': (
-        lambda amb, b: t_sigma(amb, consecutive_cycles_perm((b,))).cleared(),
+        lambda ctx, b: t_sigma(ctx.ambient,
+                               consecutive_cycles_perm((b,))).cleared(),
         lambda ctx, a, b: (a[0] * b[0], _symbol_mul_ints(ctx, a[1], b[1]))),
     'images': (
-        lambda amb, b: rho_check(gelfand_product(amb, (b,))).cleared(),
+        lambda ctx, b: rho_check(UEAElement(
+            ctx.ambient, _fractions(_entry(ctx, 'products', (b,))))).cleared(),
         lambda ctx, a, b: weyl_mul(_element(ctx, a),
                                    _element(ctx, b)).cleared()),
     'products': (
-        lambda amb, b: gelfand_product(amb, (b,)).cleared(), _concat_ints),
+        lambda ctx, b: gelfand_product(ctx.ambient, (b,)).cleared(),
+        _concat_ints),
 }
 
 
@@ -695,7 +699,7 @@ def _entry(ctx, table, part):
     if entry is None:
         base, mul = _TABLE_RULES[table]
         if len(part) == 1:
-            entry = base(ctx.ambient, part[0])
+            entry = base(ctx, part[0])
         else:
             entry = mul(ctx, _entry(ctx, table, part[:-1]),
                         _entry(ctx, table, part[-1:]))
@@ -703,11 +707,15 @@ def _entry(ctx, table, part):
     return entry
 
 
+def _fractions(entry):
+    """The terms of a cleared entry as Fractions."""
+    den, ints = entry
+    return {k: Fraction(v, den) for k, v in ints.items()}
+
+
 def _element(ctx, entry):
     """A fresh WeylElement of a symbols or images entry."""
-    den, ints = entry
-    return WeylElement(ctx.ambient, {k: Fraction(v, den)
-                                     for k, v in ints.items()})
+    return WeylElement(ctx.ambient, _fractions(entry))
 
 
 def invariant_spanning_set(ambient, d):

@@ -267,13 +267,16 @@ def test_dict_vectors_rank_on_filtered_product_families(monkeypatch):
 
 
 def test_mat_reduce_equals_reference_on_interpolation_systems(monkeypatch):
-    """The augmented systems c_poly_interp and sp_star solve at (2,1), d=6."""
+    """The augmented systems [m | B] the interpolation bases solve at
+    (2,1), d=6: the node rows m and the unit column of every node of size
+    6, one system per basis."""
     systems = []
     real_solve = solver.lin_solve
 
     def recording_solve(rows, rhs, ncols=None):
-        systems.append(([list(row) + [b] for row, b in zip(rows, rhs)],
-                        ncols + 1))
+        rows = [list(row) for row in rows]
+        systems.append(([row + list(bs) for row, bs in zip(rows, zip(*rhs))],
+                        ncols + len(rhs)))
         return real_solve(rows, rhs, ncols)
 
     monkeypatch.setattr(solver, 'lin_solve', recording_solve)
@@ -285,10 +288,120 @@ def test_mat_reduce_equals_reference_on_interpolation_systems(monkeypatch):
     solver.c_poly_interp(half, b)
     solver.sp_star(half, b)
     solver.sp_star(one, hooks.parse_partition(str(b), one))
+    assert len(top) == 10
     assert len(systems) == 3
     for rows, ncols in systems:
-        assert len(rows) == ncols - 1 == 29
+        assert len(rows) == 29 and ncols == 29 + 10
+        assert sorted(sum(row[29:]) for row in rows) == [0] * 19 + [1] * 10
         assert_matches_reference(rows, ncols)
+
+
+def reference_solution(rows, b, ncols):
+    """The RREF solution of m x = b (free coordinates 0) read from
+    reference_reduce of [m | b], or None when b is outside the column
+    span of m."""
+    _, pivots, rref, _ = reference_reduce(
+        [list(row) + [x] for row, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = rref[r][ncols]
+    return sol
+
+
+def random_multi_systems():
+    """Seeded (kind, rows, columns, ncols): square nonsingular systems,
+    rank-deficient square systems and systems with more rows than
+    columns, each with right-hand sides that are images m x
+    (consistent), random (mostly inconsistent where m is not onto),
+    repeats of an earlier column or sums of two earlier ones."""
+    rng = random.Random(4242)
+
+    def matrix(nr, nc):
+        return [[random_entry(rng) for _ in range(nc)] for _ in range(nr)]
+
+    def image(rows, nc):
+        x = [random_entry(rng) for _ in range(nc)]
+        return [sum(Fraction(a) * y for a, y in zip(row, x)) for row in rows]
+
+    for trial in range(300):
+        kind = ('square', 'deficient', 'tall')[trial % 3]
+        nc = rng.randrange(1, 7)
+        if kind == 'square':
+            rows = matrix(nc, nc)
+            if reference_reduce(rows, nc)[0] < nc:
+                continue
+        elif kind == 'deficient':
+            rows = matrix(nc, nc)
+            r = rng.randrange(0, nc)
+            # the last rows combine the first r, so the rank is at most r
+            for i in range(r, nc):
+                f = [random_entry(rng) for _ in range(r)]
+                rows[i] = [sum((a * rows[j][k] for j, a in enumerate(f)),
+                               Fraction(0)) for k in range(nc)]
+        else:
+            rows = matrix(nc + rng.randrange(1, 5), nc)
+        columns = []
+        for _ in range(rng.randrange(1, 6)):
+            pick = rng.random()
+            if pick < 0.4:
+                columns.append(image(rows, nc))
+            elif pick < 0.7 or not columns:
+                columns.append([random_entry(rng) for _ in rows])
+            elif pick < 0.85:
+                columns.append(list(rng.choice(columns)))
+            else:
+                a, b = rng.choice(columns), rng.choice(columns)
+                columns.append([x + y for x, y in zip(a, b)])
+        yield kind, rows, columns, nc
+
+
+def test_multi_column_lin_solve_equals_single_column_and_reference():
+    seen = {}
+    for kind, rows, columns, nc in random_multi_systems():
+        results = lin_solve(rows, columns, nc)
+        assert len(results) == len(columns)
+        kernel = reference_reduce(rows, nc)[3]
+        for res, b in zip(results, columns):
+            single = lin_solve(rows, b, nc)
+            want = reference_solution(rows, b, nc)
+            assert res.solution == single.solution == want
+            assert res.kernel == single.kernel == kernel
+            assert res.kernel is results[0].kernel
+            if want is not None:
+                assert all(type(x) is Fraction for x in res.solution)
+                assert matvec(rows, res.solution) == b
+            seen[kind, want is not None] = seen.get((kind, want is not None),
+                                                    0) + 1
+    # Every kind ran, with consistent columns, and with inconsistent ones
+    # wherever the column span is not everything.
+    assert seen.keys() == {('square', True), ('deficient', True),
+                           ('deficient', False), ('tall', True),
+                           ('tall', False)}
+    assert min(seen.values()) >= 20
+
+
+def test_multi_column_lin_solve_edge_cases():
+    rows = [[1, 1], [2, 2]]
+    # b_1 inconsistent; b_2 = b_1; b_3 consistent; b_4 = b_1 + b_3
+    results = lin_solve(rows, [[1, 3], [1, 3], [1, 2], [2, 5]])
+    assert [res.solution for res in results] == [None, None, [1, 0], None]
+    assert all(res.kernel == [[-1, 1]] for res in results)
+    # a zero matrix: only zero columns are consistent
+    results = lin_solve([[0, 0], [0, 0]], [[0, 0], [0, 1]])
+    assert [res.solution for res in results] == [[0, 0], None]
+    assert results[0].kernel == [[1, 0], [0, 1]]
+    # no rows: every column is empty and solved by 0
+    results = lin_solve([], [[], []], 2)
+    assert [res.solution for res in results] == [[0, 0], [0, 0]]
+    assert results[1].kernel == [[1, 0], [0, 1]]
+    # tuples are columns too; one column in a list is not one column
+    results = lin_solve(rows, ((1, 2),))
+    assert len(results) == 1 and results[0].solution == [1, 0]
+    assert lin_solve(rows, [1, 2]).solution == [1, 0]
+    with pytest.raises(ValueError, match='rhs length'):
+        lin_solve(rows, [[1, 2], [1]])
 
 
 def test_mat_reduce_known_matrix():

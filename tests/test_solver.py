@@ -8,7 +8,7 @@ import pytest
 from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
                                 gamma_star_map, dual_weight, hook_product_H,
                                 xy_context, partitions)
-from supercapelli.linalg import lin_solve
+from supercapelli.linalg import lin_solve, dict_vectors_rank
 from supercapelli.multipoly import AffineSubstitution, MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
     gelfand_product, q_projection, gd_element, hc_project
@@ -21,6 +21,7 @@ from supercapelli.weyl import (WeylElement, t_sigma, rho_check, symbol,
 from supercapelli.solver import (coset_type, symbol_preimage, full_preimage,
                                  central_preimage, c_poly_hc, c_poly_interp,
                                  c_star_poly, ia_star_basis,
+                                 InterpolationBasis,
                                  deformed_power_sum, sp_basis, sp_star,
                                  frobenius_transform, natural_algebra_check,
                                  theta_one_family, verify_sv, verify_main)
@@ -455,9 +456,12 @@ def reference_interp(basis, point, target_of, b):
 
 
 def test_interpolation_routes_equal_reference():
+    """Every hook up to the interp benchmark's (2,1), d=6, and up to
+    (1,2), d=3, with a fresh basis and with one basis shared by the
+    partitions of each size."""
     from supercapelli.hooks import frobenius_point, classical_hook_product
     count = 0
-    for (m, n), dmax in (((2, 1), 4), ((1, 2), 3)):
+    for (m, n), dmax in (((2, 1), 6), ((1, 2), 3)):
         half, one = HookParams(m, n, 'half'), HookParams(m, n, 'one')
         for d in range(1, dmax + 1):
             ia = ia_star_basis(half, d)
@@ -480,7 +484,7 @@ def test_interpolation_routes_equal_reference():
                                 sp_star(params, b, basis=sp)):
                         assert got == want and str(got) == str(want)
                     count += 1
-    assert count > 50
+    assert count == 3 * (28 + 6)
 
 
 def test_mismatched_basis_is_rejected():
@@ -514,14 +518,44 @@ def test_mismatched_basis_is_rejected():
 
 def test_singular_interpolation_system_is_rejected():
     half = HookParams(2, 1, 'half')
-    b = parse_partition('2', half)
-    for basis, solve in ((ia_star_basis(half, 2), c_poly_interp),
-                         (sp_basis(half, 2), sp_star)):
-        # every node row replaced by the first: a rank-one node system
-        basis._rows = (basis._rows[0],) * len(basis._rows)
+    for basis in (ia_star_basis(half, 2), sp_basis(half, 2)):
+        # every node sent to the first node's point: a rank-one node system
+        first = basis.point(basis.nodes[0])
         with pytest.raises(AssertionError,
                            match='interpolation system is singular'):
-            solve(half, b, basis=basis)
+            InterpolationBasis(half, 2, basis.context, basis.gens,
+                               lambda b: first)
+
+
+def reference_filtered_products(gens_by_degree, d, context):
+    """The product family _filtered_products kept before the prefix
+    rule: each partition's product multiplied out from 1, ranked on its
+    Fraction terms."""
+    polys = [MultiPoly.const(context, 1)]
+    records = [()]
+    vecs = [polys[0].terms]
+    for size in range(1, d + 1):
+        for part in partitions(size):
+            prod = MultiPoly.const(context, 1)
+            for k in part:
+                prod = prod * gens_by_degree[k]
+            if dict_vectors_rank(vecs + [prod.terms]) > len(vecs):
+                polys.append(prod)
+                records.append(part)
+                vecs.append(prod.terms)
+    return polys, records
+
+
+@pytest.mark.parametrize('m, n, d', [(2, 1, 6), (1, 2, 5)])
+def test_filtered_products_equal_the_loop_from_one(m, n, d):
+    half, one = HookParams(m, n, 'half'), HookParams(m, n, 'one')
+    for basis in (ia_star_basis(half, d), sp_basis(half, d),
+                  sp_basis(one, d)):
+        polys, records = reference_filtered_products(basis.gens, d,
+                                                     basis.context)
+        assert basis.records == records
+        assert basis.polys == polys
+        assert [str(p) for p in basis.polys] == [str(p) for p in polys]
 
 
 def test_deformed_power_sum_is_transformed_generator():

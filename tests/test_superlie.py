@@ -185,3 +185,52 @@ def test_gd_matches_projected_gelfand():
     z1 = q_projection(hc_project(gelfand_element(amb, 1), 'plus'), amb)
     p1 = q_projection(gd_element(amb, 1), amb)
     assert z1 == p1
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the super Perelomov-Popov generating function.
+
+def perelomov_popov_series(amb, sign, kmax):
+    """The coefficients of u^0, u^-1, ..., u^-(kmax+1) of
+    prod_i (u - l_i + 1)/(u - l_i) * prod_j (u - l'_j)/(u - l'_j + 1)
+    over the Cartan variables x_i = E(i,i) (i even) and y_j = E(jb,jb),
+    built from MultiPoly arithmetic alone: each factor is the series
+    1 + sum_k l^k u^(-k-1), or 1 - sum_k (l' - 1)^k u^(-k-1)."""
+    m, n = amb.m, amb.n
+    ctx = amb.cartan_context()
+    zero, one = MultiPoly.zero(ctx), MultiPoly.const(ctx, 1)
+    factors = []
+    for i in range(1, m + 1):
+        shift = 1 - i if sign == 'plus' else i - m + n
+        l = MultiPoly.variable(ctx, ctx[i - 1]) + MultiPoly.const(ctx, shift)
+        factors.append([one] + [l ** k for k in range(kmax + 1)])
+    for j in range(1, n + 1):
+        shift = j - m if sign == 'plus' else n + 1 - j
+        lp = MultiPoly.const(ctx, shift - 1) \
+            - MultiPoly.variable(ctx, ctx[m + j - 1])
+        factors.append([one] + [(lp ** k).scale(-1)
+                                for k in range(kmax + 1)])
+    series = [one] + [zero] * (kmax + 1)
+    for f in factors:
+        series = [sum((series[a] * f[t - a] for a in range(t + 1)), zero)
+                  for t in range(kmax + 2)]
+    return series
+
+
+@pytest.mark.parametrize('m, n, kmax', [
+    (1, 1, 5), (2, 1, 4), (1, 2, 4), (3, 0, 4), (0, 2, 4),
+    (2, 2, 3), (3, 1, 3), (1, 3, 3)])
+def test_hc_of_gelfand_elements_is_the_perelomov_popov_product(m, n, kmax):
+    """1 + sum_k HC(C_k) u^(-k-1) is the super Perelomov-Popov product,
+    with l_i = x_i - i + 1, l'_j = -y_j - m + j for the plus projection
+    and l_i = x_i + i - m + n, l'_j = -y_j + n + 1 - j for the minus
+    one.  The series shares only MultiPoly with pbw_normalize and
+    hc_project."""
+    amb = Ambient(m, n)
+    for sign in ('plus', 'minus'):
+        series = perelomov_popov_series(amb, sign, kmax)
+        # C_0 is the supertrace of the identity
+        assert series[1] == MultiPoly.const(amb.cartan_context(), m - n)
+        for k in range(1, kmax + 1):
+            assert hc_project(gelfand_element(amb, k), sign) \
+                == series[k + 1]
