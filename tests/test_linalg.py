@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercapelli import hooks, solver, weyl
+from supercapelli import hooks, linalg, solver, weyl
 from supercapelli.linalg import (Span, mat_reduce, lin_solve,
                                  dict_vectors_rank, dict_vectors_basis,
                                  dict_columns_kernel, solve_in_span)
@@ -402,6 +402,45 @@ def test_multi_column_lin_solve_edge_cases():
     assert lin_solve(rows, [1, 2]).solution == [1, 0]
     with pytest.raises(ValueError, match='rhs length'):
         lin_solve(rows, [[1, 2], [1]])
+
+
+def test_empty_rhs_is_an_empty_list_of_columns():
+    """With no node of size d, an interpolation basis solves for an empty
+    list of unit columns, which lin_solve must not read as one empty
+    column."""
+    for params, d in ((hooks.HookParams(0, 0, 'half'), 1),
+                      (hooks.HookParams(0, 0, 'one'), 2)):
+        bases = [solver.sp_basis(params, d)]
+        if params.theta == 'half':
+            bases.append(solver.ia_star_basis(params, d))
+        for basis in bases:
+            assert [b.size for b in basis.nodes] == [0]
+            assert len(basis) == 1 and basis._columns == {}
+    assert lin_solve([[1, 0], [0, 1]], []) == []
+    assert lin_solve([], [], 2) == []
+    with pytest.raises(ValueError, match='ragged'):
+        lin_solve([[1, 0], [0]], [])
+
+
+def test_back_substitution_check_catches_a_wrong_relation(monkeypatch):
+    """One coefficient of one column relation comes back off by one: the
+    solution read from it fails the shared check."""
+    real = linalg._relations
+
+    def perturbed(cleared):
+        relations = real(cleared)
+        rel = next(rel for rel in relations if rel)
+        rel[next(iter(rel))] += 1
+        return relations
+
+    monkeypatch.setattr(linalg, '_relations', perturbed)
+    rows = [[2, 1], [1, -1]]
+    with pytest.raises(AssertionError, match='back-substitution check'):
+        lin_solve(rows, [5, 1])
+    with pytest.raises(AssertionError, match='back-substitution check'):
+        lin_solve(rows, [[5, 1], [3, 0]])
+    with pytest.raises(AssertionError, match='back-substitution check'):
+        solve_in_span([{'a': 1}, {'a': 1, 'b': 1}], {'a': 3, 'b': 2})
 
 
 def test_mat_reduce_known_matrix():
