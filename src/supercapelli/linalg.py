@@ -21,11 +21,13 @@ Gauss-Jordan elimination over Fractions.  solve_in_span appends its
 target as a last column and reads the target's relation; lin_solve
 reads one solution per right-hand side from the RREF of
 [m | b_1 ... b_k] (through mat_reduce).  Both check every solution by
-one back-substitution on ints, _check.
+one back-substitution on ints, _check, a lincomb of the columns.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .multipoly import lincomb
 
 
 def _cleared(items):
@@ -160,20 +162,10 @@ def _kernel(relations):
 
 
 def _check(cleared, coeffs, target):
-    """Raise AssertionError unless sum_i coeffs_i v_i == t, for the
-    columns v_i and the target t given cleared as (den, ints).  On ints,
-    with coeffs = snum / sden and D the lcm of every den: sum_i snum_i
-    (D / den_i) ints_i == sden (D / tden) tints."""
-    tden, tints = target
-    sden, snum = _cleared(enumerate(coeffs))
-    dens = lcm(tden, *(den for den, _ in cleared))
-    total = {k: -sden * (dens // tden) * c for k, c in tints.items()}
-    for i, x in snum.items():
-        den, ints = cleared[i]
-        x *= dens // den
-        for k, c in ints.items():
-            total[k] = total.get(k, 0) + x * c
-    if any(total.values()):
+    """Raise AssertionError unless sum_i coeffs_i v_i - t, for the columns
+    v_i and the target t given cleared as (den, ints), is zero: one
+    lincomb on ints."""
+    if lincomb([*zip(coeffs, cleared), (-1, target)])[1]:
         raise AssertionError('back-substitution check failed')
 
 

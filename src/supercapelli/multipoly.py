@@ -13,7 +13,9 @@ Combination is the sparse-combination base shared with the enveloping
 algebra (superlie.UEAElement) and the Weyl algebra (weyl.WeylElement):
 canonical form, linear arithmetic, equality, hashing and printing live
 there, and each subclass adds its context, product, term order,
-monomial format and JSON form.
+monomial format and JSON form.  Exact linear combinations run on
+Python ints, as cleared (den, ints) pairs: Combination.cleared makes
+one, lincomb sums scaled ones and Combination.from_cleared reads one.
 """
 
 from fractions import Fraction
@@ -23,6 +25,21 @@ from math import lcm
 def grlex_key(exp):
     """Sort key for graded-lex order, largest term first when reversed."""
     return (sum(exp), exp)
+
+
+def lincomb(pairs):
+    """(D, ints) with ints / D = sum c * ints_c / den_c over the pairs
+    (c, (den_c, ints_c)) of rational c and cleared entries: D is the lcm
+    of every c.denominator * den_c, zero coefficients are skipped and
+    zero entries dropped."""
+    pairs = [(c, entry) for c, entry in pairs if c]
+    D = lcm(*(c.denominator * den for c, (den, _) in pairs))
+    out = {}
+    for c, (den, ints) in pairs:
+        a = c.numerator * (D // (c.denominator * den))
+        for k, v in ints.items():
+            out[k] = out.get(k, 0) + a * v
+    return D, {k: v for k, v in out.items() if v}
 
 
 class Combination:
@@ -43,6 +60,11 @@ class Combination:
     @classmethod
     def zero(cls, context):
         return cls(context)
+
+    @classmethod
+    def from_cleared(cls, context, den, ints):
+        """The element with terms ints / den, the inverse of cleared()."""
+        return cls(context, {k: Fraction(v, den) for k, v in ints.items()})
 
     def is_zero(self):
         return not self.terms

@@ -8,9 +8,9 @@ sums.  Their exact agreement is the flagship consistency check.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, prod
 
-from .multipoly import MultiPoly, AffineSubstitution
+from .multipoly import MultiPoly, AffineSubstitution, lincomb
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
 from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     classical_hook_product, frobenius_point,
@@ -78,57 +78,37 @@ def full_preimage(D, check_invariant=True):
     partition's image is 1).  The images are the cleared ones in the
     images table of the ambient's Weyl context (_entry), shared by every
     call on that ambient; they also give the term subtracted from the
-    remainder, which is kept as Python ints over one common denominator,
-    so rho_check is never applied to z.  Each nonzero coefficient is kept
+    remainder, which stays cleared (den, ints) through lincomb, so
+    rho_check is never applied to z.  Each nonzero coefficient is kept
     with the cleared gelfand_product(part) from the context's products
-    table, and z = sum c * gelfand_product(part) is accumulated into one
-    dict of Python ints over one common denominator at the end."""
+    table, and z = sum c * gelfand_product(part) is one lincomb of them
+    at the end."""
     amb = D.ambient
-    if check_invariant:
-        for i in range(amb.dim):
-            for j in range(amb.dim):
-                if i == j:
-                    continue
-                if not _commutator(rho_check_gen(amb, i, j), D).is_zero():
-                    raise ValueError('operator is not invariant')
+    if check_invariant and any(
+            not _commutator(rho_check_gen(amb, i, j), D).is_zero()
+            for i in range(amb.dim) for j in range(amb.dim) if i != j):
+        raise ValueError('operator is not invariant')
     ctx = weyl_context(amb)
     peeled = []
-    den, rest = D.cleared()      # the remainder is rest / den
-    while rest:
-        d = max(len(dm) for _, dm in rest)
-        parts = partitions(d)
-        span = [_entry(ctx, 'images', part) for part in parts]
-        # sum c_i ints_i = rest in degree d, with image_i = ints_i / den_i
-        coeffs = solve_in_span([_ddeg_part(ints, d) for _, ints in span],
-                               _ddeg_part(rest, d))
+    rest = D.cleared()
+    while rest[1]:
+        den, ints = rest
+        d = max(len(dm) for _, dm in ints)
+        span = [(part, _entry(ctx, 'images', part)) for part in partitions(d)]
+        # sum c_i ints_i = ints in degree d, with image_i = ints_i / den_i
+        coeffs = solve_in_span([_ddeg_part(v, d) for _, (_, v) in span],
+                               _ddeg_part(ints, d))
         if coeffs is None:
             raise AssertionError('symbol of order %d not in the invariant '
                                  'span' % d)
-        scale = lcm(*(c.denominator for c in coeffs))
-        rest = {k: scale * c for k, c in rest.items()}
-        for c, part, (den_i, ints) in zip(coeffs, parts, span):
-            if c:
-                peeled.append((c * den_i / den,
-                               _entry(ctx, 'products', part)))
-                c = c.numerator * (scale // c.denominator)
-                for k, v in ints.items():
-                    rest[k] = rest.get(k, 0) - c * v
-        rest = {k: v for k, v in rest.items() if v}
-        den *= scale
-        g = gcd(den, *rest.values())
-        if g > 1:
-            den //= g
-            rest = {k: v // g for k, v in rest.items()}
-        if any(len(dm) >= d for _, dm in rest):
+        step = [(c * image[0] / den, part, image)
+                for c, (part, image) in zip(coeffs, span) if c]
+        peeled += step
+        rest = lincomb([(1, rest)] + [(-c, image) for c, _, image in step])
+        if any(len(dm) >= d for _, dm in rest[1]):
             raise AssertionError('order did not drop during recursion')
-    den = lcm(*(c.denominator * pden for c, (pden, _) in peeled))
-    terms = {}
-    for c, (pden, ints) in peeled:
-        c = c.numerator * (den // (c.denominator * pden))
-        for w, v in ints.items():
-            terms[w] = terms.get(w, 0) + c * v
-    return UEAElement(amb, {w: Fraction(v, den)
-                            for w, v in terms.items() if v})
+    return UEAElement.from_cleared(amb, *lincomb(
+        (c, _entry(ctx, 'products', part)) for c, part, _ in peeled))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +171,10 @@ class InterpolationBasis:
     has coefficients the solution of the node system for that node's
     unit right-hand side, so one solve with the unit column of every node
     of size d (the nodes check() admits) serves every interpolation at
-    that degree."""
+    that degree, read back by combine() as one lincomb of the basis."""
 
     __slots__ = ('params', 'd', 'context', 'gens', 'polys', 'records',
-                 'point', 'nodes', '_rows', '_columns', '_den', '_ints')
+                 'point', 'nodes', '_rows', '_columns', '_cleared')
 
     def __init__(self, params, d, context, gens, point):
         self.params = params
@@ -218,11 +198,7 @@ class InterpolationBasis:
         if not all(res.unique for res in results):
             raise AssertionError('interpolation system is singular')
         self._columns = {b: res.solution for b, res in zip(top, results)}
-        # The basis over one common denominator, for combine().
-        cleared = [p.cleared() for p in polys]
-        self._den = lcm(*(den for den, _ in cleared))
-        self._ints = tuple({e: v * (self._den // den) for e, v in t.items()}
-                           for den, t in cleared)
+        self._cleared = tuple(p.cleared() for p in polys)   # for combine()
 
     def __len__(self):
         return len(self.polys)
@@ -246,9 +222,9 @@ class InterpolationBasis:
                 or self.point is not point or b not in self.nodes):
             raise ValueError(
                 'interpolation basis for %r at degree %d with %s nodes does '
-                'not match %r, partition %s and %s nodes'
+                'not match %r, partition %s of %r and %s nodes'
                 % (self.params, self.d, self.point.__name__.strip('_'),
-                   params, b, point.__name__.strip('_')))
+                   params, b, b.params, point.__name__.strip('_')))
 
     def interpolate(self, params, b, point, value):
         """The element of the basis span taking `value` at the node b and
@@ -258,18 +234,10 @@ class InterpolationBasis:
         return self.combine([value * c for c in self._columns[b]])
 
     def combine(self, coeffs):
-        """The polynomial sum c_j p_j, accumulated on ints in one dict and
-        divided by the common denominator once per term."""
-        cden = lcm(*(c.denominator for c in coeffs))
-        terms = {}
-        for c, p in zip(coeffs, self._ints):
-            if c:
-                a = c.numerator * (cden // c.denominator)
-                for e, v in p.items():
-                    terms[e] = terms.get(e, 0) + a * v
-        den = cden * self._den
-        return MultiPoly(self.context,
-                         {e: Fraction(v, den) for e, v in terms.items()})
+        """The polynomial sum c_j p_j, one lincomb of the basis
+        polynomials, cleared once when the basis is built."""
+        return MultiPoly.from_cleared(self.context, *lincomb(
+            zip(coeffs, self._cleared)))
 
 
 def _gamma_star_point(b):

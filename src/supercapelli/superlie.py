@@ -302,12 +302,13 @@ def hc_project(a, sign='plus'):
 
     Normal order (mirrored for the minus variant), keep the purely
     diagonal words, and read them as a commutative polynomial in the
-    diagonal generators.
+    diagonal generators.  A sign other than 'plus' or 'minus' raises.
     """
+    if sign not in ('plus', 'minus'):
+        raise ValueError("sign must be 'plus' or 'minus', got %r" % (sign,))
     amb = a.ambient
     normal = pbw_normalize(a, mirrored=(sign == 'minus'))
     ctx = amb.cartan_context()
-    poly = MultiPoly.zero(ctx)
     terms = {}
     for w, c in normal.terms.items():
         if any(i != j for i, j in w):
@@ -317,7 +318,7 @@ def hc_project(a, sign='plus'):
             exp[i] += 1
         exp = tuple(exp)
         terms[exp] = terms.get(exp, 0) + c
-    return poly + MultiPoly(ctx, terms)
+    return MultiPoly(ctx, terms)
 
 
 def omega_cartan(p):

@@ -24,7 +24,7 @@ from math import factorial, gcd, lcm
 from .hooks import (a_context, enumerate_hooks, eps_extension,
                     gamma_star_map, partitions)
 from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
-from .multipoly import Combination, MultiPoly
+from .multipoly import Combination, MultiPoly, lincomb
 from .superlie import Ambient, UEAElement, gelfand_product
 
 _ctx_cache = {}
@@ -368,9 +368,7 @@ def weyl_mul(a, b):
     den_b, ints_b = b.cleared()
     terms = _mul_ints(ctx, _canonical_ints(ctx, ints_a),
                       _canonical_ints(ctx, ints_b))
-    den = den_a * den_b
-    return WeylElement(a.ambient, {k: Fraction(v, den)
-                                   for k, v in terms.items() if v})
+    return WeylElement.from_cleared(a.ambient, den_a * den_b, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +595,7 @@ def t_sigma(ambient, sigma):
     env = (dim, bits, closing, two_d - 1, [0] * two_d, ys, xs, sign_of,
            ctx.sort_mono, {}, terms)
     _t_sigma_walk(env, 0, 0, 1)
-    den = 2 ** d
-    return WeylElement(ambient, {k: Fraction(v, den)
-                                 for k, v in terms.items() if v})
+    return WeylElement.from_cleared(ambient, 2 ** d, terms)
 
 
 def _t_sigma_walk(env, pos, mask, sign):
@@ -677,10 +673,10 @@ _TABLE_RULES = {
                                consecutive_cycles_perm((b,))).cleared(),
         lambda ctx, a, b: (a[0] * b[0], _symbol_mul_ints(ctx, a[1], b[1]))),
     'images': (
-        lambda ctx, b: rho_check(UEAElement(
-            ctx.ambient, _fractions(_entry(ctx, 'products', (b,))))).cleared(),
-        lambda ctx, a, b: weyl_mul(_element(ctx, a),
-                                   _element(ctx, b)).cleared()),
+        lambda ctx, b: rho_check(UEAElement.from_cleared(
+            ctx.ambient, *_entry(ctx, 'products', (b,)))).cleared(),
+        lambda ctx, a, b: weyl_mul(*(WeylElement.from_cleared(
+            ctx.ambient, *entry) for entry in (a, b))).cleared()),
     'products': (
         lambda ctx, b: gelfand_product(ctx.ambient, (b,)).cleared(),
         _concat_ints),
@@ -707,17 +703,6 @@ def _entry(ctx, table, part):
     return entry
 
 
-def _fractions(entry):
-    """The terms of a cleared entry as Fractions."""
-    den, ints = entry
-    return {k: Fraction(v, den) for k, v in ints.items()}
-
-
-def _element(ctx, entry):
-    """A fresh WeylElement of a symbols or images entry."""
-    return WeylElement(ctx.ambient, _fractions(entry))
-
-
 def invariant_spanning_set(ambient, d):
     """Representative invariant symbols, one per partition of d: the
     t_sigma of the product of consecutive cycles of the part sizes.  That
@@ -726,7 +711,8 @@ def invariant_spanning_set(ambient, d):
     the single-cycle symbols of the parts (the context's symbols table).
     Every t_sigma lies in their span."""
     ctx = weyl_context(ambient)
-    return [(part, _element(ctx, _entry(ctx, 'symbols', part)))
+    return [(part, WeylElement.from_cleared(ambient,
+                                            *_entry(ctx, 'symbols', part)))
             for part in partitions(d)]
 
 
@@ -886,16 +872,20 @@ def eigenvalue_on(op, vec):
 
 def capelli_operator(params, b, inv_basis=None):
     """The invariant operator of bidegree (d,d) acting as d! on the module
-    indexed by b and as zero on the other modules of the same degree."""
+    indexed by b and as zero on the other modules of the same degree, one
+    lincomb of the invariant basis; b must be a hook partition of params."""
     if params.theta != 'half':
         raise ValueError('capelli operators live in the half regime')
-    amb = Ambient(params.m, 2 * params.n)
     d = b.size
+    hooks = enumerate_hooks(params, d)
+    if b not in hooks:
+        raise ValueError('partition %s of %r is not a hook partition of %r'
+                         % (b, b.params, params))
+    amb = Ambient(params.m, 2 * params.n)
     if inv_basis is None:
         inv_basis = invariant_symbol_space(amb, d, verify=False)
     rows = []
-    rhs = []
-    for bp in enumerate_hooks(params, d):
+    for bp in hooks:
         mu = gamma_star_map(bp)
         hw = highest_weight_vectors(amb, d, eps_extension(mu))
         if len(hw) != 1:
@@ -903,14 +893,12 @@ def capelli_operator(params, b, inv_basis=None):
                                  % (mu, len(hw)))
         v = hw[0]
         rows.append([eigenvalue_on(t, v) for t in inv_basis])
-        rhs.append(Fraction(factorial(d)) if bp == b else Fraction(0))
+    rhs = [Fraction(factorial(d)) if bp == b else Fraction(0) for bp in hooks]
     res = lin_solve(rows, rhs, len(inv_basis))
     if not res.unique:
         raise AssertionError('capelli operator system is singular')
-    out = WeylElement.zero(amb)
-    for c, t in zip(res.solution, inv_basis):
-        out = out + t.scale(c)
-    return out
+    return WeylElement.from_cleared(amb, *lincomb(
+        (c, t.cleared()) for c, t in zip(res.solution, inv_basis) if c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The sparse-combination arithmetic shared by MultiPoly, UEAElement and
 WeylElement."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from supercapelli.multipoly import MultiPoly
+from supercapelli.multipoly import MultiPoly, lincomb
 from supercapelli.superlie import Ambient, UEAElement
 from supercapelli.weyl import WeylElement
 
@@ -90,6 +92,49 @@ def test_constructor_keeps_exact_fractions(name):
     assert cls(ctx, {k0: 0, k1: Fraction(0), k2: SubFraction(0),
                      k3: 0.0}).terms == {}
     assert cls(ctx, {k0: 0, k1: f}).terms == {k1: f}
+    # from_cleared inverts cleared(), with plain Fractions
+    x = sample(name)
+    den, ints = x.cleared()
+    assert den == 3 and all(type(v) is int for v in ints.values())
+    y = cls.from_cleared(ctx, den, ints)
+    assert y == x and type(y) is cls
+    assert all(type(c) is Fraction for c in y.terms.values())
+    assert cls.from_cleared(ctx, *cls.zero(ctx).cleared()) == cls.zero(ctx)
+
+
+def test_lincomb_matches_fraction_reference():
+    rng = random.Random(21)
+    for _ in range(300):
+        pairs, want = [], {}
+        for _ in range(rng.randrange(5)):
+            c = Fraction(rng.randrange(-6, 7), rng.randrange(1, 9))
+            den = rng.randrange(1, 13)
+            ints = {rng.randrange(6): rng.randrange(-20, 21)
+                    for _ in range(rng.randrange(5))}
+            pairs.append((c, (den, ints)))
+            for k, v in ints.items():
+                want[k] = want.get(k, 0) + c * Fraction(v, den)
+        D, got = lincomb(iter(pairs))
+        assert D == lcm(*(c.denominator * den for c, (den, _) in pairs if c))
+        assert all(type(v) is int and v for v in got.values())
+        assert {k: Fraction(v, D) for k, v in got.items()} == \
+            {k: v for k, v in want.items() if v}
+
+
+def test_lincomb_edge_cases():
+    assert lincomb([]) == (1, {})
+    # a zero coefficient is skipped, and its denominator left out of D
+    assert lincomb([(Fraction(0), (7, {'a': 1})),
+                    (Fraction(1, 2), (3, {'b': 1}))]) == (6, {'b': 1})
+    # a key that cancels is dropped; so are all of them
+    assert lincomb([(1, (2, {'a': 1, 'b': 1})),
+                    (Fraction(-1, 2), (1, {'a': 1}))]) == (2, {'b': 1})
+    assert lincomb([(Fraction(1, 3), (1, {'a': 2})),
+                    (Fraction(-2, 3), (1, {'a': 1}))]) == (3, {})
+    # negative coefficients
+    assert lincomb([(-3, (1, {'a': 2})),
+                    (Fraction(-1, 4), (1, {'a': 4, 'b': -1}))]) == \
+        (4, {'a': -28, 'b': 1})
 
 
 @pytest.mark.parametrize('name', sorted(CASES))

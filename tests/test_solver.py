@@ -17,7 +17,7 @@ from supercapelli.weyl import (WeylElement, t_sigma, rho_check, symbol,
                                capelli_operator, y_gen,
                                consecutive_cycles_perm, invariant_spanning_set,
                                invariant_symbol_space, spherical_poly,
-                               weyl_context, weyl_mul, _element, _entry)
+                               weyl_context, weyl_mul, _entry)
 from supercapelli.solver import (coset_type, symbol_preimage, full_preimage,
                                  central_preimage, c_poly_hc, c_poly_interp,
                                  c_star_poly, ia_star_basis,
@@ -160,8 +160,8 @@ def round_trips_21():
 def gelfand_product_image(amb, part):
     """rho_check(gelfand_product(amb, part)), a fresh element of the
     entry in the images table of the ambient's Weyl context."""
-    ctx = weyl_context(amb)
-    return _element(ctx, _entry(ctx, 'images', part))
+    return WeylElement.from_cleared(amb, *_entry(weyl_context(amb), 'images',
+                                                 part))
 
 
 def test_gelfand_product_image_symbols_are_t_sigma():
@@ -485,6 +485,22 @@ def test_interpolation_routes_equal_reference():
                         assert got == want and str(got) == str(want)
                     count += 1
     assert count == 3 * (28 + 6)
+
+
+def test_partition_of_other_ranks_is_rejected():
+    params, other = HookParams(2, 1, 'half'), P11
+    b = parse_partition('2', other)
+    # named with both parameter sets, not answered with the zero operator
+    for call in (capelli_operator, c_poly_hc, central_preimage,
+                 spherical_poly):
+        with pytest.raises(ValueError, match=r'partition 2 of '
+                           r"HookParams\(1, 1, 'half'\) is not a hook "
+                           r"partition of HookParams\(2, 1, 'half'\)"):
+            call(params, b)
+    # the interpolation route names the partition's own parameters too
+    with pytest.raises(ValueError, match=r"does not match HookParams\(2, 1, "
+                       r"'half'\), partition 2 of HookParams\(1, 1, 'half'\)"):
+        c_poly_interp(params, b)
 
 
 def test_mismatched_basis_is_rejected():

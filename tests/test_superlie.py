@@ -140,6 +140,14 @@ def test_hc_plus_oracle():
     assert got == want
 
 
+def test_hc_project_rejects_an_unknown_sign():
+    z = gelfand_element(Ambient(1, 1), 2)
+    for sign in ('mnus', 'Plus', None):
+        with pytest.raises(ValueError, match="'plus' or 'minus'"):
+            hc_project(z, sign)
+    assert hc_project(z) == hc_project(z, 'plus') != hc_project(z, 'minus')
+
+
 def test_hc_minus_vs_omega():
     amb = Ambient(1, 2)
     for d in (1, 2, 3):

@@ -234,8 +234,8 @@ def test_symbols_table_entries_are_the_spanning_set(monkeypatch):
     amb = Ambient(1, 2)
     for d in range(6):
         for part, t in invariant_spanning_set(amb, d):
-            assert weyl._element(weyl_context(amb),
-                                 weyl_context(amb).symbols[part]) == t
+            assert WeylElement.from_cleared(
+                amb, *weyl_context(amb).symbols[part]) == t
     assert set(weyl_context(amb).symbols) == \
         {p for d in range(6) for p in partitions(d)}
 
