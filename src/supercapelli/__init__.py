@@ -11,12 +11,12 @@ from .hooks import (HookParams, HookPartition, Weight, FrobeniusPoint,
                     classical_hook_product, frobenius_point,
                     frobenius_affine_map)
 from .superlie import (Ambient, UEAElement, bracket, pbw_normalize,
-                       gelfand_element, gelfand_product, omega, hc_project,
-                       q_projection, gd_element)
+                       gelfand_element, omega, hc_project, q_projection,
+                       gd_element)
 from .weyl import (WeylElement, weyl_mul, rho_check, rho_check_gen, t_sigma,
                    invariant_symbol_space, highest_weight_vectors,
                    capelli_operator, spherical_vector, spherical_poly,
-                   symbol)
+                   symbol, gelfand_product)
 from .solver import (coset_type, symbol_preimage, full_preimage,
                      central_preimage, c_poly_hc, c_poly_interp, c_star_poly,
                      ia_star_basis, deformed_power_sum, sp_basis, sp_star,

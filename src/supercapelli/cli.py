@@ -41,10 +41,9 @@ from .hooks import (HookParams, enumerate_hooks, parse_partition, gamma_map,
                     gamma_star_map, dual_weight, frobenius_point, a_context,
                     xy_context, eps_extension)
 from .multipoly import MultiPoly
-from .superlie import (Ambient, UEAElement, gelfand_element,
-                       gelfand_product, pbw_normalize, hc_project, omega,
-                       omega_cartan)
-from .weyl import (WeylElement, t_sigma, rho_check, symbol,
+from .superlie import (Ambient, UEAElement, gelfand_element, pbw_normalize,
+                       hc_project, omega, omega_cartan)
+from .weyl import (WeylElement, gelfand_product, t_sigma, rho_check, symbol,
                    consecutive_cycles_perm, capelli_operator,
                    highest_weight_vectors, all_highest_weight_vectors,
                    cyclic_span_dim, eigenvalue_on, monomial_basis,

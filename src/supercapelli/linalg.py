@@ -170,13 +170,15 @@ def _check(cleared, coeffs, target):
 
 
 class ReducedMatrix:
-    """Result bundle of mat_reduce: rank, pivot columns, RREF, kernel basis."""
+    """Result bundle of mat_reduce: rank, pivot columns, RREF, kernel
+    basis and the cleared (den, ints) columns it reduced."""
 
-    def __init__(self, rank, pivots, rref, kernel):
+    def __init__(self, rank, pivots, rref, kernel, columns):
         self.rank = rank
         self.pivots = pivots
         self.rref = rref
         self.kernel = kernel
+        self.columns = columns
 
 
 def _width(rows, ncols):
@@ -205,7 +207,8 @@ def mat_reduce(rows, ncols=None):
     """
     rows = list(rows)
     ncols = _width(rows, ncols)
-    relations = _relations(_columns(rows, ncols))
+    columns = _columns(rows, ncols)
+    relations = _relations(columns)
     pivots = [j for j, rel in enumerate(relations) if rel is None]
     at = {p: r for r, p in enumerate(pivots)}
     rref = [[Fraction(0)] * ncols for _ in pivots]
@@ -215,7 +218,8 @@ def mat_reduce(rows, ncols=None):
         else:
             for i, c in rel.items():
                 rref[at[i]][j] = c
-    return ReducedMatrix(len(pivots), pivots, rref, _kernel(relations))
+    return ReducedMatrix(len(pivots), pivots, rref, _kernel(relations),
+                         columns)
 
 
 class SolveResult:
@@ -247,7 +251,8 @@ def lin_solve(rows, rhs, ncols=None):
     Row operations keep the relations between columns, so b_j lies in the
     column span of m exactly when it is zero in every RREF row pivoted at
     a column of b, and then its solution holds its entries at the pivots
-    of m.  Every solution is checked by back-substitution."""
+    of m.  Every solution is checked by back-substitution on the cleared
+    columns that mat_reduce reduced."""
     rows, rhs = list(rows), list(rhs)
     single = bool(rhs) and not isinstance(rhs[0], (list, tuple))
     columns = [rhs] if single else [list(b) for b in rhs]
@@ -263,15 +268,15 @@ def lin_solve(rows, rhs, ncols=None):
     # The kernel of m: the vectors of the free columns of m, which are
     # zero on every column of b.
     kernel = [vec[:ncols] for vec in red.kernel if not any(vec[ncols:])]
-    cleared = _columns(rows, ncols)
+    cleared = red.columns[:ncols]
     results = []
-    for c, b in enumerate(columns, ncols):
+    for c in range(ncols, len(red.columns)):
         sol = None
         if not any(row[c] for row in outer):
             sol = [Fraction(0)] * ncols
             for p, row in inner:
                 sol[p] = row[c]
-            _check(cleared, sol, _cleared(enumerate(b)))
+            _check(cleared, sol, red.columns[c])
         results.append(SolveResult(sol, kernel))
     return results[0] if single else results
 

@@ -15,10 +15,10 @@ from .linalg import lin_solve, solve_in_span, dict_vectors_rank
 from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     classical_hook_product, frobenius_point,
                     frobenius_affine_map, a_context, xy_context, partitions)
-from .superlie import (Ambient, UEAElement, gelfand_product, hc_project,
-                       q_projection, gd_element, omega_cartan)
+from .superlie import (Ambient, UEAElement, hc_project, q_projection,
+                       gd_element, omega_cartan)
 from .weyl import (rho_check_gen, weyl_context, _entry, _commutator,
-                   capelli_operator, spherical_poly)
+                   capelli_operator, spherical_poly, gelfand_product)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ with the bracket understood as the supercommutator.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .multipoly import Combination, MultiPoly
 
@@ -133,11 +134,11 @@ def bracket_gen(ambient, g1, g2):
 def bracket(a, b):
     """Supercommutator of two degree-1 elements (extended bilinearly)."""
     a._check(b)
+    if any(len(w) != 1 for w in (*a.terms, *b.terms)):
+        raise ValueError('bracket expects degree-1 elements')
     out = UEAElement.zero(a.ambient)
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            if len(w1) != 1 or len(w2) != 1:
-                raise ValueError('bracket expects degree-1 elements')
             out = out + bracket_gen(a.ambient, w1[0], w2[0]).scale(c1 * c2)
     return out
 
@@ -231,53 +232,20 @@ def pbw_normalize(a, mirrored=False):
 
 
 def gelfand_element(ambient, d):
-    """Supertrace of the d-th power of the twisted generator matrix; a
-    central element of the enveloping algebra for every d >= 1."""
+    """Supertrace of the d-th power of the twisted generator matrix, whose
+    (a, b) entry is (-1)^{|a||b|} E_{ba}: a central element of the
+    enveloping algebra for every d >= 1, built afresh on every call.
+    Each closed index path i_1, ..., i_d, i_1 gives one word, with the
+    sign (-1)^|i_1| times the entry signs along the path."""
     if d < 1:
         raise ValueError('d must be >= 1')
-    key = (ambient.m, ambient.n, d)
-    cached = _gelfand_cache.get(key)
-    if cached is not None:
-        return cached
-    amb = ambient
+    parity = [ambient.parity(i) for i in range(ambient.dim)]
     terms = {}
-    idx = range(amb.dim)
-
-    def rec(cycle):
-        # cycle: index path i, r1, ..., rt
-        if len(cycle) == d:
-            path = cycle + (cycle[0],)
-            sgn = amb.parity(cycle[0])
-            word = []
-            for a, b in zip(path, path[1:]):
-                # twisted entry at (a, b) is (-1)^{|a||b|} E_{b,a}
-                sgn += amb.parity(a) * amb.parity(b)
-                word.append((b, a))
-            word = tuple(word)
-            terms[word] = terms.get(word, 0) + (-1) ** sgn
-            return
-        for r in idx:
-            rec(cycle + (r,))
-
-    for i in idx:
-        rec((i,))
-    out = UEAElement(amb, terms)
-    _gelfand_cache[key] = out
-    return out
-
-
-_gelfand_cache = {}
-
-
-def gelfand_product(ambient, part):
-    """The product over the blocks b of part, in order, of the scaled
-    Gelfand elements (-1/2)^b C_b; the unit for the empty partition.
-    Its polarized image has top symbol the invariant t_sigma of every
-    sigma of coset type part."""
-    z = UEAElement.one(ambient)
-    for b in part:
-        z = z * gelfand_element(ambient, b).scale(Fraction(-1, 2) ** b)
-    return z
+    for cycle in product(range(ambient.dim), repeat=d):
+        steps = tuple(zip(cycle, cycle[1:] + cycle[:1]))
+        sgn = parity[cycle[0]] + sum(parity[a] * parity[b] for a, b in steps)
+        terms[tuple((b, a) for a, b in steps)] = (-1) ** sgn
+    return UEAElement(ambient, terms)
 
 
 def omega(a):

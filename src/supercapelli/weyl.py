@@ -25,7 +25,7 @@ from .hooks import (a_context, enumerate_hooks, eps_extension,
                     gamma_star_map, partitions)
 from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
 from .multipoly import Combination, MultiPoly, lincomb
-from .superlie import Ambient, UEAElement, gelfand_product
+from .superlie import Ambient, UEAElement, gelfand_element
 
 _ctx_cache = {}
 
@@ -33,7 +33,9 @@ _ctx_cache = {}
 class WeylContext:
     """Per-(m,N) tables: canonical pairs, their indices and parities, the
     canonical (pair index, sign) of every ordered index pair, and the
-    per-partition tables filled by _entry."""
+    per-partition tables filled by _entry: the cycle-product symbols,
+    the Gelfand products (the only place they are built, read through
+    gelfand_product) and their images under rho_check."""
 
     def __init__(self, ambient):
         self.ambient = ambient
@@ -666,19 +668,20 @@ def _concat_ints(ctx, a, b):
 # table -> (the entry of a one-part partition (b,), the product of two
 # entries); the products hold because t_sigma of consecutive cycles
 # factorises block by block and rho_check is an algebra homomorphism.  A
-# one-part image is rho_check of the products entry of (b,).
+# one-part product is the scaled Gelfand element (-1/2)^b C_b, and a
+# one-part image is rho_check of it.
 _TABLE_RULES = {
     'symbols': (
         lambda ctx, b: t_sigma(ctx.ambient,
                                consecutive_cycles_perm((b,))).cleared(),
         lambda ctx, a, b: (a[0] * b[0], _symbol_mul_ints(ctx, a[1], b[1]))),
     'images': (
-        lambda ctx, b: rho_check(UEAElement.from_cleared(
-            ctx.ambient, *_entry(ctx, 'products', (b,)))).cleared(),
+        lambda ctx, b: rho_check(gelfand_product(ctx.ambient, (b,))).cleared(),
         lambda ctx, a, b: weyl_mul(*(WeylElement.from_cleared(
             ctx.ambient, *entry) for entry in (a, b))).cleared()),
     'products': (
-        lambda ctx, b: gelfand_product(ctx.ambient, (b,)).cleared(),
+        lambda ctx, b: gelfand_element(ctx.ambient, b).scale(
+            Fraction(-1, 2) ** b).cleared(),
         _concat_ints),
 }
 
@@ -701,6 +704,16 @@ def _entry(ctx, table, part):
                         _entry(ctx, table, part[-1:]))
         entries[part] = entry
     return entry
+
+
+def gelfand_product(ambient, part):
+    """The product over the blocks b of part, in order, of the scaled
+    Gelfand elements (-1/2)^b C_b; the unit for the empty partition.
+    Its polarized image has top symbol the invariant t_sigma of every
+    sigma of coset type part.  A fresh element of the entry in the
+    products table of the ambient's Weyl context."""
+    return UEAElement.from_cleared(
+        ambient, *_entry(weyl_context(ambient), 'products', tuple(part)))
 
 
 def invariant_spanning_set(ambient, d):

@@ -11,10 +11,10 @@ from supercapelli.hooks import (HookParams, enumerate_hooks, parse_partition,
 from supercapelli.linalg import lin_solve, dict_vectors_rank
 from supercapelli.multipoly import AffineSubstitution, MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, gelfand_element, \
-    gelfand_product, q_projection, gd_element, hc_project
+    q_projection, gd_element, hc_project
 from supercapelli import weyl
-from supercapelli.weyl import (WeylElement, t_sigma, rho_check, symbol,
-                               capelli_operator, y_gen,
+from supercapelli.weyl import (WeylElement, gelfand_product, t_sigma,
+                               rho_check, symbol, capelli_operator, y_gen,
                                consecutive_cycles_perm, invariant_spanning_set,
                                invariant_symbol_space, spherical_poly,
                                weyl_context, weyl_mul, _entry)
@@ -294,14 +294,40 @@ def reference_full_preimage(D):
     return z
 
 
-@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (3, 0),
+                                (0, 2)])
 def test_gelfand_product_equals_the_loop(mn):
     amb = Ambient(*mn)
     assert gelfand_product(amb, ()) == UEAElement.one(amb)
-    for d in range(1, 5):
-        for part in partitions(d):
-            assert gelfand_product(amb, part) == \
-                reference_gelfand_loop(amb, part), part
+    unsorted = [(1, 2), (1, 3), (1, 1, 2), (1, 3, 2)]
+    for part in [p for d in range(1, 5) for p in partitions(d)] + unsorted:
+        assert gelfand_product(amb, part) == \
+            reference_gelfand_loop(amb, part), part
+    assert gelfand_product(amb, [2, 1]) == reference_gelfand_loop(amb, (2, 1))
+
+
+def test_gelfand_elements_and_products_are_fresh(monkeypatch):
+    """Changing a returned Gelfand element or product changes neither a
+    later call nor a preimage built after it on a fresh Weyl context."""
+    params = HookParams(1, 1, 'half')
+    amb = Ambient(1, 2)
+    D = capelli_operator(params, parse_partition('2,1', params))
+    z = full_preimage(D, check_invariant=False)
+    parts = [part for d in range(4) for part in partitions(d)]
+
+    def handed_out():
+        return ([gelfand_element(amb, d) for d in range(1, 4)]
+                + [gelfand_product(amb, part) for part in parts])
+
+    want = [dict(x.terms) for x in handed_out()]
+    for x in handed_out():
+        x.terms.clear()
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    assert [x.terms for x in handed_out()] == want
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    for x in handed_out():
+        x.terms[()] = Fraction(7)
+    assert full_preimage(D, check_invariant=False) == z
 
 
 def test_products_table_equals_the_loop(monkeypatch):

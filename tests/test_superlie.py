@@ -48,6 +48,15 @@ def test_bracket_odd_anticommutator():
         bracket(x * y, x)
 
 
+def test_bracket_rejects_a_degree_two_operand_beside_zero():
+    amb = Ambient(1, 1)
+    x, y = E(amb, 0, 1), E(amb, 1, 0)
+    zero = UEAElement.zero(amb)
+    for a, b in ((zero, x * y), (x * y, zero)):
+        with pytest.raises(ValueError, match='degree-1'):
+            bracket(a, b)
+
+
 def test_super_jacobi_random():
     amb = Ambient(1, 2)
     rng = random.Random(23)
@@ -108,6 +117,53 @@ def test_gelfand_degree_one():
     amb = Ambient(2, 1)
     z = gelfand_element(amb, 1)
     assert z == E(amb, 0, 0) + E(amb, 1, 1) + E(amb, 2, 2)
+
+
+def reference_gelfand_element(ambient, d):
+    """gelfand_element as the recursion over index paths that built it
+    before, kept as an independent reference."""
+    terms = {}
+    idx = range(ambient.dim)
+
+    def rec(cycle):
+        # cycle: index path i, r1, ..., rt
+        if len(cycle) == d:
+            path = cycle + (cycle[0],)
+            sgn = ambient.parity(cycle[0])
+            word = []
+            for a, b in zip(path, path[1:]):
+                # twisted entry at (a, b) is (-1)^{|a||b|} E_{b,a}
+                sgn += ambient.parity(a) * ambient.parity(b)
+                word.append((b, a))
+            word = tuple(word)
+            terms[word] = terms.get(word, 0) + (-1) ** sgn
+            return
+        for r in idx:
+            rec(cycle + (r,))
+
+    for i in idx:
+        rec((i,))
+    return UEAElement(ambient, terms)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (3, 0),
+                                (0, 2)])
+def test_gelfand_element_equals_the_cycle_recursion(mn):
+    amb = Ambient(*mn)
+    for d in range(1, 5):
+        got, want = gelfand_element(amb, d), reference_gelfand_element(amb, d)
+        assert got == want, d
+        assert list(got.terms) == list(want.terms), d
+
+
+def test_gelfand_element_is_fresh_on_every_call():
+    amb = Ambient(1, 1)
+    z = gelfand_element(amb, 2)
+    want = dict(z.terms)
+    assert want
+    z.terms.clear()
+    again = gelfand_element(amb, 2)
+    assert again is not z and again.terms == want
 
 
 def test_gelfand_centrality_small():
