@@ -270,6 +270,16 @@ def _filtered_products(gens_by_degree, d, context):
     return polys, records
 
 
+def _basis(params, d, build):
+    """build(params, d), built once per (family, params, d) in the bases
+    table of the ambient's Weyl context; interpolate returns fresh
+    polynomials, so a shared basis is never changed."""
+    bases = weyl_context(Ambient(params.m, params.odd_dim)).bases
+    key = (build.__name__, params, d)
+    return bases[key] if key in bases else bases.setdefault(
+        key, build(params, d))
+
+
 def ia_star_basis(params, d):
     """Filtered basis of the interpolation algebra on the weight context:
     span of products of projected center generators."""
@@ -288,7 +298,7 @@ def c_poly_interp(params, b, basis=None):
     vanishing on the other weights of size up to |b|."""
     d = b.size
     if basis is None:
-        basis = ia_star_basis(params, d)
+        basis = _basis(params, d, ia_star_basis)
     return EigenPoly(b, basis.interpolate(params, b, _gamma_star_point,
                                           Fraction(factorial(d))))
 
@@ -334,7 +344,7 @@ def sp_star(params, b, basis=None):
     takes the hook-product value at its own point."""
     d = b.size
     if basis is None:
-        basis = sp_basis(params, d)
+        basis = _basis(params, d, sp_basis)
     target = hook_product_H(b) if params.theta == 'half' \
         else Fraction(classical_hook_product(b))
     return basis.interpolate(params, b, _frobenius_point, target)

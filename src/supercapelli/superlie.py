@@ -270,12 +270,20 @@ def hc_project(a, sign='plus'):
 
     Normal order (mirrored for the minus variant), keep the purely
     diagonal words, and read them as a commutative polynomial in the
-    diagonal generators.  A sign other than 'plus' or 'minus' raises.
+    diagonal generators.  The projection is along n-U + Un+ (n- and n+
+    the blocks 0 and 2 of the sign's order, _gen_key), so words that
+    start in block 0 or end in block 2 are dropped first.  A sign other
+    than 'plus' or 'minus' raises.
     """
     if sign not in ('plus', 'minus'):
         raise ValueError("sign must be 'plus' or 'minus', got %r" % (sign,))
     amb = a.ambient
-    normal = pbw_normalize(a, mirrored=(sign == 'minus'))
+    mir = sign == 'minus'
+    block = {g: _gen_key(amb, g, mir)[0]
+             for g in product(range(amb.dim), repeat=2)}
+    normal = pbw_normalize(UEAElement(amb, {
+        w: c for w, c in a.terms.items()
+        if not w or (block[w[0]] != 0 and block[w[-1]] != 2)}), mirrored=mir)
     ctx = amb.cartan_context()
     terms = {}
     for w, c in normal.terms.items():

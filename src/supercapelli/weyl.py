@@ -15,9 +15,14 @@ Monomials are tuples of canonical pair indices in nondecreasing order;
 odd pairs are squarefree; swapping two odd generators costs a sign.
 Elements of the polynomial algebra P(W) are plain dicts
 {y-monomial: Fraction}.
+
+Inside the kernels (weyl_mul, rho_check, t_sigma, the symbol product) a
+monomial is one packed int, a (y, d) key too (see WeylContext): a merge
+is an add, an odd pair on both sides an AND, a super sign the parity of
+a popcount.  Keys are packed on entry, which sorts an out-of-order key
+with its sign, and unpacked on exit: every WeylElement key is a tuple.
 """
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -30,12 +35,28 @@ from .superlie import Ambient, UEAElement, gelfand_element
 _ctx_cache = {}
 
 
+class _Suffix(dict):
+    """Odd bitset x -> the bits h with an odd number of bits of x above h,
+    so (suffix[x] & z).bit_count() has the parity of the swaps that sort
+    the odd pairs of x followed by those of z."""
+
+    def __missing__(self, x):
+        s = self[x] = x and x >> 1 ^ self[x >> 1]
+        return s
+
+
 class WeylContext:
     """Per-(m,N) tables: canonical pairs, their indices and parities, the
     canonical (pair index, sign) of every ordered index pair, and the
     per-partition tables filled by _entry: the cycle-product symbols,
     the Gelfand products (the only place they are built, read through
-    gelfand_product) and their images under rho_check."""
+    gelfand_product) and their images under rho_check.
+
+    The packed layout (fit): pair g has an exponent field of `width` bits
+    at bit width * g, unit[g] = 1 << width * g, odd_unit[g] is unit[g]
+    for an odd g, odd_mask their sum, and above[g] / below[g] the odd
+    units after / before an odd g (0 for an even g); y | d << span packs
+    a key.  Odd fields hold 0 or 1, so odd_mask reads the odd pairs."""
 
     def __init__(self, ambient):
         self.ambient = ambient
@@ -48,13 +69,51 @@ class WeylContext:
                             for i in range(dim)]
         self.rho_gen = {(i, j): self._rho_gen(i, j)
                         for i in range(dim) for j in range(dim)}
-        self._push_cache = {}
+        self.suffix = _Suffix()
+        self.width = 0
+        self.fit(15)            # 4-bit fields until a kernel needs more
         # partition -> cleared (den, ints) of its cycle-product symbol, of
         # rho_check of its Gelfand product and of that product (_entry)
         unit = (1, {((), ()): 1})
         self.symbols = {(): unit}
         self.images = {(): unit}
         self.products = {(): (1, {(): 1})}
+        # (family, HookParams, d) -> interpolation basis (solver._basis)
+        self.bases = {}
+
+    def fit(self, degree):
+        """Widen the exponent fields to hold `degree`, clearing the memos
+        keyed by packed ints."""
+        if degree >> self.width:
+            width = self.width = degree.bit_length()
+            self.field = (1 << width) - 1
+            self.span = width * len(self.parity)
+            self.ymask = (1 << self.span) - 1
+            self.unit = [1 << width * g for g in range(len(self.parity))]
+            self.odd_unit = [u * p for u, p in zip(self.unit, self.parity)]
+            odd = self.odd_mask = sum(self.odd_unit)
+            self.above = [odd & -(u << 1) for u in self.odd_unit]
+            self.below = [odd & max(u - 1, 0) for u in self.odd_unit]
+            self._push_cache, self._tuples = {}, {}
+
+    def pack(self, mono):
+        """(packed int, sign) of a sequence of pair indices in any order: the
+        sign of sorting it, 0 when an odd pair repeats."""
+        p, sign = 0, 1
+        for g in mono:      # g passes the odd pairs after it
+            sign *= 0 if p & self.odd_unit[g] else \
+                -1 if (p & self.above[g]).bit_count() & 1 else 1
+            p += self.unit[g]
+        return p, sign
+
+    def unpack(self, p):
+        """The sorted tuple of pair indices of a packed monomial."""
+        mono = self._tuples.get(p)
+        if mono is None:
+            mono = self._tuples[p] = tuple(
+                g for g in range(len(self.parity))
+                for _ in range(p >> self.width * g & self.field))
+        return mono
 
     def _canon(self, i, j):
         if i == j and self.ambient.parity(i):
@@ -95,52 +154,9 @@ class WeylContext:
         """Sort generator indices into canonical order with the super sign:
         the parity of the inversions among the odd entries.  Returns
         (tuple, sign) or (None, 0) when an odd generator repeats."""
-        parity = self.parity
-        odd = [g for g in items if parity[g]]
-        if len(odd) < 2:
-            return tuple(sorted(items)), 1
-        sign = 1
-        for t in range(1, len(odd)):
-            g = odd[t]
-            for h in odd[:t]:
-                if h > g:
-                    sign = -sign
-                elif h == g:
-                    return None, 0
-        return tuple(sorted(items)), sign
-
-    def merge_mono(self, a, b):
-        """sort_mono(a + b) for canonical monomials a and b.  A
-        one-generator side is inserted by bisection, with the sign of the
-        odd entries it passes, and an empty side returns the other; only
-        two longer sides go through sort_mono.  (None, 0) when an odd
-        generator occurs on both sides."""
-        if not (a and b):
-            return a or b, 1
-        parity = self.parity
-        if len(b) == 1:
-            g = b[0]
-            t = bisect_right(a, g)
-            if not parity[g]:
-                return a[:t] + b + a[t:], 1
-            if t and a[t - 1] == g:
-                return None, 0
-            passed = a[t:]          # g moves left past these
-            out = a[:t] + b + passed
-        elif len(a) == 1:
-            g = a[0]
-            t = bisect_left(b, g)
-            if not parity[g]:
-                return b[:t] + a + b[t:], 1
-            if t < len(b) and b[t] == g:
-                return None, 0
-            passed = b[:t]          # g moves right past these
-            out = passed + a + b[t:]
-        else:
-            return self.sort_mono(a + b)
-        if sum(map(parity.__getitem__, passed)) % 2:
-            return out, -1
-        return out, 1
+        self.fit(len(items))
+        p, sign = self.pack(items)
+        return self.unpack(p) if sign else None, sign
 
     def mono_parity(self, mono):
         return sum(self.parity[g] for g in mono) % 2
@@ -262,115 +278,129 @@ def d_gen(ambient, i, j):
 
 
 def _push(ctx, dmono, ymono):
-    """Normal order the product (d-monomial) * (y-monomial).
-
-    Returns {(y', d'): int coeff}.  Recursive on the last derivative with
-    memoization; contraction terms come from the defining pairing.
-    """
+    """Normal order d^dmono y^ymono (packed): {packed key: int coeff}.
+    Memoized recursion on the top pair delta of dmono: it moves right past
+    y^ymono (signed by its odd y's for an odd delta) and contracts with
+    y_delta (the pairing times the exponent, or the sign of the odd y's
+    before an odd delta)."""
+    span = ctx.span
     if not dmono or not ymono:
-        return {(ymono, dmono): 1}
-    key = (dmono, ymono)
+        return {ymono | dmono << span: 1}
+    key = ymono | dmono << span
     cached = ctx._push_cache.get(key)
     if cached is not None:
         return cached
-    delta = dmono[-1]
-    rest = dmono[:-1]
-    parity = ctx.parity
-    pd = parity[delta]
+    delta = (dmono.bit_length() - 1) // ctx.width
+    unit = ctx.unit[delta]
+    rest = dmono - unit
+    step = unit << span
+    sign = -1 if (ymono & ctx.odd_mask).bit_count() & ctx.parity[delta] else 1
     out = {}
-    # the derivative passes through the whole y-monomial
-    sign_full = -1 if pd and sum(parity[g] for g in ymono) % 2 else 1
-    last = (delta,)
-    for (y1, d1), c in _push(ctx, rest, ymono).items():
-        nd, s = ctx.merge_mono(d1, last)
-        if nd is None:
-            continue
-        k = (y1, nd)
-        out[k] = out.get(k, 0) + c * s * sign_full
-    # contraction at each matching generator
-    pref = 0
-    for t, g in enumerate(ymono):
-        if g == delta:
-            c0 = ctx.pairing(delta, g)
-            if pd and pref % 2:
-                c0 = -c0
-            reduced = ymono[:t] + ymono[t + 1:]
-            for k, c in _push(ctx, rest, reduced).items():
-                out[k] = out.get(k, 0) + c * c0
-        pref += parity[g]
+    for k, c in _push(ctx, rest, ymono).items():
+        out[k + step] = out.get(k + step, 0) + sign * c
+    e = ymono >> ctx.width * delta & ctx.field
+    if e:
+        c0 = ctx.pairing(delta, delta) * e
+        if (ymono & ctx.below[delta]).bit_count() & 1:
+            c0 = -c0
+        for k, c in _push(ctx, rest, ymono - unit).items():
+            out[k] = out.get(k, 0) + c * c0
     out = {k: v for k, v in out.items() if v}
     ctx._push_cache[key] = out
     return out
 
 
 def _mul_ints(ctx, a, b):
-    """The normal-ordered product of two {(y-mono, d-mono): int} maps with
-    canonical keys."""
-    merge = ctx.merge_mono
+    """The normal-ordered product of two {packed key: int} maps: d1 y2 is
+    normal ordered once per d1 of a and y2 of b (_push), and each of its
+    terms joins the y's of a with that d1 and the d's of b with that y2."""
+    span, ymask, odd, suffix = ctx.span, ctx.ymask, ctx.odd_mask, ctx.suffix
+    left, right = {}, {}
+    for k, c in a.items():
+        y = k & ymask
+        left.setdefault(k >> span, []).append((y, y & odd, c))
+    for k, c in b.items():
+        d = k >> span
+        right.setdefault(k & ymask, []).append((d << span, d & odd, c))
     terms = {}
-    for (y1, d1), c1 in a.items():
-        for (y2, d2), c2 in b.items():
-            c12 = c1 * c2
-            for (ym, dm), c in _push(ctx, d1, y2).items():
-                ny, s1 = merge(y1, ym)
-                if ny is None:
-                    continue
-                nd, s2 = merge(dm, d2)
-                if nd is None:
-                    continue
-                k = (ny, nd)
-                terms[k] = terms.get(k, 0) + c12 * c * s1 * s2
+    for d1, ys in left.items():
+        for y2, ds in right.items():
+            for k, c in _push(ctx, d1, y2).items():
+                ym, dm = k & ymask, k >> span
+                dmo, ymo = dm & odd, ym & odd
+                tail = suffix[dmo]
+                ends = [(k - ym + d2, -c2 if (tail & d2o).bit_count() & 1
+                         else c2) for d2, d2o, c2 in ds if not dmo & d2o]
+                for y1, y1o, c1 in ys:
+                    if y1o & ymo:
+                        continue
+                    cy = -c * c1 if (suffix[y1o] & ymo).bit_count() & 1 \
+                        else c * c1
+                    for nd, cd in ends:
+                        nk = y1 + ym + nd
+                        terms[nk] = terms.get(nk, 0) + cy * cd
     return terms
 
 
 def _symbol_mul_ints(ctx, a, b):
     """The supercommutative symbol product of two {(y-mono, x-mono): int}
-    maps with canonical keys: symbol(weyl_mul(a, b), |a| + |b|) with no
-    contraction terms.  The y-monomials are merged second factor first
-    and the x-monomials first factor first; moving the x-monomial of a
-    past the y-monomial of b would cost the same sign, since every term
-    of an invariant symbol has weight zero, so its y- and x-monomials
-    have the same parity."""
-    merge = ctx.merge_mono
+    maps: symbol(weyl_mul(a, b), |a| + |b|), the product with no
+    contraction terms, y1 x1 y2 x2 = +-y1 y2 x1 x2 on packed keys, a
+    merge of two keys being their sum.  The sign of the odd pairs that
+    pass is one popcount: the suffix parities of y1 and x1, and the
+    parity of x1 at a spare bit, against the odd pairs of y2 and x2 and
+    the parity of y2 there."""
+    a, b = _pack_ints(ctx, a, b)
+    span, odd, suffix = ctx.span, ctx.odd_mask, ctx.suffix
+    both, spare = odd | odd << span, 1 << 2 * span
+    left = [(k, k & both, suffix[k & odd] | suffix[k >> span & odd] << span
+             | spare * ((k >> span & odd).bit_count() & 1), c)
+            for k, c in a.items()]
     terms = {}
-    for (y1, x1), c1 in a.items():
-        for (y2, x2), c2 in b.items():
-            ny, s1 = merge(y2, y1)
-            if ny is None:
-                continue
-            nx, s2 = merge(x1, x2)
-            if nx is None:
-                continue
-            k = (ny, nx)
-            terms[k] = terms.get(k, 0) + c1 * c2 * s1 * s2
-    return terms
+    for k2, c2 in b.items():
+        o2 = k2 & both
+        s2 = o2 | spare * ((k2 & odd).bit_count() & 1)
+        for k1, o1, s1, c1 in left:
+            if not o1 & o2:
+                c = -c1 * c2 if (s1 & s2).bit_count() & 1 else c1 * c2
+                terms[k1 + k2] = terms.get(k1 + k2, 0) + c
+    return _unpack_ints(ctx, terms)
 
 
-def _canonical_ints(ctx, ints):
-    """An {(y-mono, d-mono): int} map with each monomial sorted by
-    sort_mono, its sign applied and the vanishing ones dropped."""
-    out = {}
-    for (y, d), c in ints.items():
-        ny, sy = ctx.sort_mono(y)
-        nd, sd = ctx.sort_mono(d)
-        if sy and sd:
-            k = (ny, nd)
-            out[k] = out.get(k, 0) + sy * sd * c
+def _pack_ints(ctx, *maps):
+    """The {(y-mono, d-mono): int} maps on packed keys, each monomial
+    sorted with its sign (WeylContext.pack) and the vanishing ones
+    dropped, once the fields hold the degree of the maps' product."""
+    ctx.fit(sum(max((len(y) + len(d) for y, d in ints), default=0)
+                for ints in maps))
+    out = [{} for _ in maps]
+    for ints, terms in zip(maps, out):
+        for (y, d), c in ints.items():
+            (py, sy), (pd, sd) = ctx.pack(y), ctx.pack(d)
+            if sy and sd:
+                k = py | pd << ctx.span
+                terms[k] = terms.get(k, 0) + sy * sd * c
     return out
+
+
+def _unpack_ints(ctx, terms):
+    """The nonzero terms of a {packed key: int} map on sorted tuples."""
+    span, ymask, mono = ctx.span, ctx.ymask, ctx.unpack
+    return {(mono(k & ymask), mono(k >> span)): c
+            for k, c in terms.items() if c}
 
 
 def weyl_mul(a, b):
     """The normal-ordered product, on the operands' terms cleared to
-    Python ints; divided back once per output term.  The operand keys are
-    sorted once on entry (an element read from JSON may list a monomial
-    in any order), so the product merges sorted monomials."""
+    Python ints and packed (an element read from JSON may list a monomial
+    in any order; packing sorts it); divided back once per output term."""
     a._check(b)
     ctx = weyl_context(a.ambient)
     den_a, ints_a = a.cleared()
     den_b, ints_b = b.cleared()
-    terms = _mul_ints(ctx, _canonical_ints(ctx, ints_a),
-                      _canonical_ints(ctx, ints_b))
-    return WeylElement.from_cleared(a.ambient, den_a * den_b, terms)
+    terms = _mul_ints(ctx, *_pack_ints(ctx, ints_a, ints_b))
+    return WeylElement.from_cleared(a.ambient, den_a * den_b,
+                                    _unpack_ints(ctx, terms))
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +509,15 @@ def rho_check(x):
     out once, children first (_rho_eval): a Gelfand element C_d has
     dim^d words but only about d * dim^2 distinct subtrees, the entries
     of the powers of the generator matrix T, so its image costs about as
-    much as the supertrace of rho_check(T)^d.  Divided back once per
-    output term."""
+    much as the supertrace of rho_check(T)^d.  The images are kept on
+    packed keys, with fields that hold the longest word's degree, and
+    divided back once per output term."""
     amb = x.ambient
     ctx = weyl_context(amb)
     den, words = x.cleared()
     if not words:
         return WeylElement.zero(amb)
+    ctx.fit(max(map(len, words)))
     root = [0, {}]
     for w, c in words.items():
         node = root
@@ -497,7 +529,7 @@ def rho_check(x):
         node[0] += c
     nodes = []
     root_id, content = _rho_intern(root, {}, nodes)
-    img = _rho_eval(ctx, nodes, root_id)
+    img = _unpack_ints(ctx, _rho_eval(ctx, nodes, root_id))
     return WeylElement(amb, {k: Fraction(content * v, den)
                              for k, v in img.items()})
 
@@ -525,18 +557,51 @@ def _rho_intern(node, table, nodes):
 
 
 def _rho_eval(ctx, nodes, root_id):
-    """The int image of every canonical node, children first (a child's
-    id is smaller than its parent's): end + sum scale * img(child) *
-    rho_check(E_letter)."""
-    gens = ctx.rho_gen
-    imgs = []
+    """The packed int image of every canonical node, children first (a
+    child's id is smaller than its parent's): end + sum scale *
+    img(child) * rho_check(E_letter), with the letter's terms from
+    _first_order."""
+    gens, imgs = {}, []
     for end, edges in nodes:
-        img = {((), ()): end} if end else {}
-        for g, cid, s in edges:
-            for k, v in _mul_ints(ctx, imgs[cid], gens[g]).items():
-                img[k] = img.get(k, 0) + s * v
-        imgs.append({k: v for k, v in img.items() if v})
+        out = {0: end} if end else {}
+        for g, cid, scale in edges:
+            if g not in gens:
+                gens[g] = _first_order(ctx, ctx.rho_gen[g])
+            for k, c in imgs[cid].items():
+                c *= scale
+                for zero, sign, step, at, field, drop, zero2, sign2, step2, \
+                        coef, pair in gens[g]:
+                    if not k & zero:
+                        v = -c * coef if (k & sign).bit_count() & 1 \
+                            else c * coef
+                        out[k + step] = out.get(k + step, 0) + v
+                    e = k >> at & field
+                    if e and not (k - drop) & zero2:
+                        k2 = k - drop
+                        v = -c * pair * e if (k2 & sign2).bit_count() & 1 \
+                            else c * pair * e
+                        out[k2 + step2] = out.get(k2 + step2, 0) + v
+        imgs.append({k: v for k, v in out.items() if v})
     return imgs[root_id]
+
+
+def _first_order(ctx, gen):
+    """The terms coef y_a d_b of a first-order operator as packed masks
+    and steps that multiply a key y^Y d^D on the right: d^D y_a is y_a d^D
+    (signed by the odd d's for an odd a) plus the pairing times the
+    exponent of a in D (signed by the odd d's after an odd a) times d^D
+    less a; y_a and d_b join signed by the odd pairs after them."""
+    span, above, odd_unit, unit = ctx.span, ctx.above, ctx.odd_unit, ctx.unit
+    out = []
+    for ((a,), (b,)), coef in gen.items():
+        odd_d = ctx.odd_mask if odd_unit[a] else 0
+        out.append((odd_unit[a] | odd_unit[b] << span,
+                    above[a] | (odd_d ^ above[b]) << span,
+                    unit[a] + (unit[b] << span), span + ctx.width * a,
+                    ctx.field, unit[a] << span, odd_unit[b] << span,
+                    (above[a] ^ above[b]) << span, unit[b] << span,
+                    coef, coef * ctx.pairing(a, a)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -548,13 +613,15 @@ def t_sigma(ambient, sigma):
     1/2^d prefactor), presented in normal-ordered form.
 
     The sum runs over all index tuples, depth first on Python ints: the
-    tuple is fixed one position at a time with its odd-position mask
-    carried down, each pair's canonical generator and sign are read once
-    its second position is fixed, and a branch is cut at the first odd
-    diagonal pair (sign 0).  A leaf reads the parity sign from a table
-    over the masks, sorts the y- and x-monomials through a per-call memo
-    of sort_mono and adds one term; the 1/2^d is applied once per output
-    term."""
+    tuple is fixed one position at a time with its odd-position mask and
+    its packed key (y low, x high) carried down.  Once a pair's second
+    position is fixed, its canonical generator joins the key with its
+    sign and that of the odd pairs it passes (as in WeylContext.pack),
+    and a branch is cut at an odd diagonal or repeated odd pair.  Pairs
+    join in the order their positions close; the sign from there to
+    factor order depends only on the mask, so the mask table holds it
+    with the parity sign, and a leaf adds one term.  The 1/2^d is applied
+    once per output term."""
     two_d = len(sigma)
     if two_d % 2:
         raise ValueError('permutation must have even size')
@@ -564,78 +631,67 @@ def t_sigma(ambient, sigma):
         return WeylElement.one(ambient)     # the empty tuple alone
     d = two_d // 2
     ctx = weyl_context(ambient)
+    ctx.fit(d)
     dim = ambient.dim
-    canon = ctx.canon_table
-    canon_t = [list(col) for col in zip(*canon)]
-    parity = [ambient.parity(i) for i in range(dim)]
-    # 0-based tuple positions of the inverted pairs of sigma
-    inv_pos = [(sigma[r] - 1, sigma[s] - 1) for r in range(two_d)
-               for s in range(r + 1, two_d) if sigma[r] > sigma[s]]
-    # (-1)^(sum_k p_k + sum_{inverted (r, s)} p_r p_s) for every mask of
-    # odd positions
-    sign_of = []
-    for mask in range(2 ** two_d):
-        odd = mask.bit_count() + sum((mask >> r) & (mask >> s) & 1
-                                     for r, s in inv_pos)
-        sign_of.append(-1 if odd % 2 else 1)
     # index pairs of the y-factors (last first), then of the x-factors
     pair_pos = ([(2 * t - 2, 2 * t - 1) for t in range(d, 0, -1)]
                 + [(sigma[2 * t - 2] - 1, sigma[2 * t - 1] - 1)
                    for t in range(1, d + 1)])
-    ys, xs = [None] * d, [None] * d
-    # the pairs closed by each position: (generator list, slot, the
-    # pair's other position, the canon table read with that index first)
+    # pairs of position sets whose parities multiply into the sign: the
+    # inverted pairs of sigma, and the factors of one side that join in
+    # the opposite order to their factor order
+    cross = [(1 << sigma[r] - 1, 1 << sigma[s] - 1) for r in range(two_d)
+             for s in range(r + 1, two_d) if sigma[r] > sigma[s]]
+    for side in (pair_pos[:d], pair_pos[d:]):
+        cross += [(1 << side[k][0] | 1 << side[k][1],
+                   1 << side[l][0] | 1 << side[l][1]) for k in range(d)
+                  for l in range(k) if max(side[k]) < max(side[l])]
+    sign_of = [-1 if (mask.bit_count() + sum(
+        (mask & a).bit_count() & (mask & b).bit_count() & 1
+        for a, b in cross)) % 2 else 1 for mask in range(2 ** two_d)]
+    # per shift (y, x) and index order, the packed step of every canonical
+    # pair: (unit, odd unit, odd pairs after it, sign), None if it vanishes
+    steps = [[[None if g is None else
+               (ctx.unit[g] << sh, ctx.odd_unit[g] << sh,
+                ctx.above[g] << sh, s) for g, s in row] for row in table]
+             for sh in (0, ctx.span)
+             for table in (ctx.canon_table, list(zip(*ctx.canon_table)))]
+    # the pairs closed by each position: (the pair's other position, the
+    # steps read with that index first)
     closing = [[] for _ in range(two_d)]
     for k, (r, s) in enumerate(pair_pos):
-        gens, slot = (ys, k) if k < d else (xs, k - d)
-        if r < s:
-            closing[s].append((gens, slot, r, canon))
-        else:
-            closing[r].append((gens, slot, s, canon_t))
-    bits = [[parity[i] << pos for i in range(dim)] for pos in range(two_d)]
+        half = 0 if k < d else 2
+        closing[max(r, s)].append((min(r, s), steps[half + (r > s)]))
+    bits = [[ambient.parity(i) << pos for i in range(dim)]
+            for pos in range(two_d)]
     terms = {}
-    env = (dim, bits, closing, two_d - 1, [0] * two_d, ys, xs, sign_of,
-           ctx.sort_mono, {}, terms)
-    _t_sigma_walk(env, 0, 0, 1)
-    return WeylElement.from_cleared(ambient, 2 ** d, terms)
+    _t_sigma_walk((dim, bits, closing, two_d - 1, [0] * two_d, sign_of,
+                   terms), 0, 0, 1, 0)
+    return WeylElement.from_cleared(ambient, 2 ** d, _unpack_ints(ctx, terms))
 
 
-def _t_sigma_walk(env, pos, mask, sign):
+def _t_sigma_walk(env, pos, mask, sign, key):
     """Fix position pos of the index tuple in every way and descend; at
     the last position add the leaf terms.  A plain function of its
     arguments, so a t_sigma call leaves no reference cycle behind."""
-    (dim, bits, closing, last, tup, ys, xs, sign_of, sort_mono, sorted_of,
-     terms) = env
-    rows = [(gens, slot, tab[tup[other]])
-            for gens, slot, other, tab in closing[pos]]
+    dim, bits, closing, last, tup, sign_of, terms = env
+    rows = [steps[tup[other]] for other, steps in closing[pos]]
     pos_bits = bits[pos]
     for i in range(dim):
-        sg = sign
-        for gens, slot, row in rows:
-            g, s = row[i]
-            if not s:
-                break               # an odd diagonal pair
-            sg *= s
-            gens[slot] = g
+        sg, k = sign, key
+        for row in rows:
+            step = row[i]
+            if step is None or k & step[1]:
+                break               # an odd diagonal or repeated odd pair
+            unit, _, above, s = step
+            sg = -s * sg if (k & above).bit_count() & 1 else s * sg
+            k += unit
         else:
             if pos < last:
                 tup[pos] = i
-                _t_sigma_walk(env, pos + 1, mask | pos_bits[i], sg)
-                continue
-            ky = tuple(ys)
-            sy = sorted_of.get(ky)
-            if sy is None:
-                sy = sorted_of[ky] = sort_mono(ky)
-            if not sy[1]:
-                continue
-            kx = tuple(xs)
-            sx = sorted_of.get(kx)
-            if sx is None:
-                sx = sorted_of[kx] = sort_mono(kx)
-            if sx[1]:
-                key = (sy[0], sx[0])
-                terms[key] = (terms.get(key, 0) + sign_of[mask | pos_bits[i]]
-                              * sg * sy[1] * sx[1])
+                _t_sigma_walk(env, pos + 1, mask | pos_bits[i], sg, k)
+            else:
+                terms[k] = terms.get(k, 0) + sign_of[mask | pos_bits[i]] * sg
 
 
 def consecutive_cycles_perm(blocks):
@@ -886,7 +942,8 @@ def eigenvalue_on(op, vec):
 def capelli_operator(params, b, inv_basis=None):
     """The invariant operator of bidegree (d,d) acting as d! on the module
     indexed by b and as zero on the other modules of the same degree, one
-    lincomb of the invariant basis; b must be a hook partition of params."""
+    lincomb of the invariant basis; b must be a hook partition of params.
+    An inv_basis of another ambient, bidegree or size raises ValueError."""
     if params.theta != 'half':
         raise ValueError('capelli operators live in the half regime')
     d = b.size
@@ -897,6 +954,14 @@ def capelli_operator(params, b, inv_basis=None):
     amb = Ambient(params.m, 2 * params.n)
     if inv_basis is None:
         inv_basis = invariant_symbol_space(amb, d, verify=False)
+    if any(t.ambient != amb for t in inv_basis):
+        raise ValueError('inv_basis has an element outside %r' % amb)
+    if any(len(y) != d or len(x) != d for t in inv_basis for y, x in t.terms):
+        raise ValueError('inv_basis has an element not of bidegree (%d,%d)'
+                         % (d, d))
+    if len(inv_basis) != len(hooks):
+        raise ValueError('inv_basis has %d elements, not %d'
+                         % (len(inv_basis), len(hooks)))
     rows = []
     for bp in hooks:
         mu = gamma_star_map(bp)

@@ -1,10 +1,12 @@
-"""The integer, table-driven normal-ordering kernels, the Horner
-rho_check, the integer apply_weyl and the closed-form spherical
-restriction against the routes they replaced, kept here as references:
-equal values and equal str() on random and exhaustive inputs."""
+"""The packed-int normal-ordering kernels, the Horner rho_check, the
+integer apply_weyl and the closed-form spherical restriction against the
+routes they replaced, kept here as references: equal values and equal
+str() on random and exhaustive inputs.  The references are the Fraction
+routes and the sorted-tuple int kernels that the packed ones replaced."""
 
 import gc
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -15,6 +17,7 @@ from supercapelli.hooks import (HookParams, a_context, enumerate_hooks,
                                 partitions)
 from supercapelli.multipoly import MultiPoly
 from supercapelli.solver import full_preimage, symbol_preimage
+from supercapelli import weyl
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
                                    gelfand_element, pbw_normalize,
                                    _gen_key)
@@ -23,9 +26,10 @@ from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                consecutive_cycles_perm, cyclic_span_dim,
                                invariant_symbol_space, monomial_basis,
                                osp_spanning_set, rho_check, rho_check_gen,
-                               spherical_poly, spherical_vector, t_sigma,
-                               weyl_context, weyl_mul, _cartan_generators,
-                               _mul_ints)
+                               spherical_poly, spherical_vector, symbol,
+                               t_sigma, weyl_context, weyl_mul,
+                               _cartan_generators, _rho_intern,
+                               _symbol_mul_ints)
 
 from linalg_reference import reference_rank
 
@@ -176,6 +180,224 @@ def reference_t_sigma(ambient, sigma):
     return WeylElement(ambient, terms)
 
 
+# ---------------------------------------------------------------------------
+# The sorted-tuple int kernels: merge by bisection, the memoized push, the
+# product, the symbol product and the literal t_sigma walk with a sorted
+# leaf, as they ran before monomials were packed.
+
+def tuple_merge_mono(ctx, a, b):
+    if not (a and b):
+        return a or b, 1
+    parity = ctx.parity
+    if len(b) == 1:
+        g = b[0]
+        t = bisect_right(a, g)
+        if not parity[g]:
+            return a[:t] + b + a[t:], 1
+        if t and a[t - 1] == g:
+            return None, 0
+        passed = a[t:]
+        out = a[:t] + b + passed
+    elif len(a) == 1:
+        g = a[0]
+        t = bisect_left(b, g)
+        if not parity[g]:
+            return b[:t] + a + b[t:], 1
+        if t < len(b) and b[t] == g:
+            return None, 0
+        passed = b[:t]
+        out = passed + a + b[t:]
+    else:
+        return ctx.sort_mono(a + b)
+    if sum(map(parity.__getitem__, passed)) % 2:
+        return out, -1
+    return out, 1
+
+
+def tuple_push(ctx, dmono, ymono, cache):
+    if not dmono or not ymono:
+        return {(ymono, dmono): 1}
+    key = (dmono, ymono)
+    if key in cache:
+        return cache[key]
+    delta = dmono[-1]
+    rest = dmono[:-1]
+    parity = ctx.parity
+    pd = parity[delta]
+    out = {}
+    sign_full = -1 if pd and sum(parity[g] for g in ymono) % 2 else 1
+    for (y1, d1), c in tuple_push(ctx, rest, ymono, cache).items():
+        nd, s = tuple_merge_mono(ctx, d1, (delta,))
+        if nd is None:
+            continue
+        k = (y1, nd)
+        out[k] = out.get(k, 0) + c * s * sign_full
+    pref = 0
+    for t, g in enumerate(ymono):
+        if g == delta:
+            c0 = ctx.pairing(delta, g)
+            if pd and pref % 2:
+                c0 = -c0
+            reduced = ymono[:t] + ymono[t + 1:]
+            for k, c in tuple_push(ctx, rest, reduced, cache).items():
+                out[k] = out.get(k, 0) + c * c0
+        pref += parity[g]
+    out = {k: v for k, v in out.items() if v}
+    cache[key] = out
+    return out
+
+
+def tuple_canonical_ints(ctx, ints):
+    out = {}
+    for (y, d), c in ints.items():
+        ny, sy = ctx.sort_mono(y)
+        nd, sd = ctx.sort_mono(d)
+        if sy and sd:
+            k = (ny, nd)
+            out[k] = out.get(k, 0) + sy * sd * c
+    return out
+
+
+def tuple_mul_ints(ctx, a, b, cache=None):
+    cache = {} if cache is None else cache
+    terms = {}
+    for (y1, d1), c1 in a.items():
+        for (y2, d2), c2 in b.items():
+            for (ym, dm), c in tuple_push(ctx, d1, y2, cache).items():
+                ny, s1 = tuple_merge_mono(ctx, y1, ym)
+                if ny is None:
+                    continue
+                nd, s2 = tuple_merge_mono(ctx, dm, d2)
+                if nd is None:
+                    continue
+                k = (ny, nd)
+                terms[k] = terms.get(k, 0) + c1 * c2 * c * s1 * s2
+    return terms
+
+
+def tuple_weyl_mul(a, b):
+    ctx = weyl_context(a.ambient)
+    den_a, ints_a = a.cleared()
+    den_b, ints_b = b.cleared()
+    terms = tuple_mul_ints(ctx, tuple_canonical_ints(ctx, ints_a),
+                           tuple_canonical_ints(ctx, ints_b))
+    return WeylElement.from_cleared(a.ambient, den_a * den_b, terms)
+
+
+def tuple_symbol_mul_ints(ctx, a, b):
+    terms = {}
+    for (y1, x1), c1 in a.items():
+        for (y2, x2), c2 in b.items():
+            ny, s1 = tuple_merge_mono(ctx, y2, y1)
+            if ny is None:
+                continue
+            nx, s2 = tuple_merge_mono(ctx, x1, x2)
+            if nx is None:
+                continue
+            k = (ny, nx)
+            terms[k] = terms.get(k, 0) + c1 * c2 * s1 * s2
+    return terms
+
+
+def tuple_t_sigma(ambient, sigma):
+    two_d = len(sigma)
+    if not two_d:
+        return WeylElement.one(ambient)
+    d = two_d // 2
+    ctx = weyl_context(ambient)
+    dim = ambient.dim
+    canon = ctx.canon_table
+    canon_t = [list(col) for col in zip(*canon)]
+    parity = [ambient.parity(i) for i in range(dim)]
+    inv_pos = [(sigma[r] - 1, sigma[s] - 1) for r in range(two_d)
+               for s in range(r + 1, two_d) if sigma[r] > sigma[s]]
+    sign_of = []
+    for mask in range(2 ** two_d):
+        odd = mask.bit_count() + sum((mask >> r) & (mask >> s) & 1
+                                     for r, s in inv_pos)
+        sign_of.append(-1 if odd % 2 else 1)
+    pair_pos = ([(2 * t - 2, 2 * t - 1) for t in range(d, 0, -1)]
+                + [(sigma[2 * t - 2] - 1, sigma[2 * t - 1] - 1)
+                   for t in range(1, d + 1)])
+    ys, xs = [None] * d, [None] * d
+    closing = [[] for _ in range(two_d)]
+    for k, (r, s) in enumerate(pair_pos):
+        gens, slot = (ys, k) if k < d else (xs, k - d)
+        if r < s:
+            closing[s].append((gens, slot, r, canon))
+        else:
+            closing[r].append((gens, slot, s, canon_t))
+    bits = [[parity[i] << pos for i in range(dim)] for pos in range(two_d)]
+    terms = {}
+    env = (dim, bits, closing, two_d - 1, [0] * two_d, ys, xs, sign_of,
+           ctx.sort_mono, {}, terms)
+    tuple_t_sigma_walk(env, 0, 0, 1)
+    return WeylElement.from_cleared(ambient, 2 ** d, terms)
+
+
+def tuple_t_sigma_walk(env, pos, mask, sign):
+    (dim, bits, closing, last, tup, ys, xs, sign_of, sort_mono, sorted_of,
+     terms) = env
+    rows = [(gens, slot, tab[tup[other]])
+            for gens, slot, other, tab in closing[pos]]
+    pos_bits = bits[pos]
+    for i in range(dim):
+        sg = sign
+        for gens, slot, row in rows:
+            g, s = row[i]
+            if not s:
+                break
+            sg *= s
+            gens[slot] = g
+        else:
+            if pos < last:
+                tup[pos] = i
+                tuple_t_sigma_walk(env, pos + 1, mask | pos_bits[i], sg)
+                continue
+            ky = tuple(ys)
+            sy = sorted_of.get(ky)
+            if sy is None:
+                sy = sorted_of[ky] = sort_mono(ky)
+            if not sy[1]:
+                continue
+            kx = tuple(xs)
+            sx = sorted_of.get(kx)
+            if sx is None:
+                sx = sorted_of[kx] = sort_mono(kx)
+            if sx[1]:
+                key = (sy[0], sx[0])
+                terms[key] = (terms.get(key, 0) + sign_of[mask | pos_bits[i]]
+                              * sg * sy[1] * sx[1])
+
+
+def tuple_rho_check(x):
+    """Horner over the hash-consed trie as rho_check, with each child
+    image times a generator image on the tuple product."""
+    amb = x.ambient
+    ctx = weyl_context(amb)
+    den, words = x.cleared()
+    if not words:
+        return WeylElement.zero(amb)
+    root = [0, {}]
+    for w, c in words.items():
+        node = root
+        for g in reversed(w):
+            node = node[1].setdefault(g, [0, {}])
+        node[0] += c
+    nodes = []
+    root_id, content = _rho_intern(root, {}, nodes)
+    cache, imgs = {}, []
+    for end, edges in nodes:
+        img = {((), ()): end} if end else {}
+        for g, cid, s in edges:
+            for k, v in tuple_mul_ints(ctx, imgs[cid], ctx.rho_gen[g],
+                                       cache).items():
+                img[k] = img.get(k, 0) + s * v
+        imgs.append({k: v for k, v in img.items() if v})
+    return WeylElement(amb, {k: Fraction(content * v, den)
+                             for k, v in imgs[root_id].items()})
+
+
 def reference_rho_check(x):
     """Word by word: each word multiplied out letter by letter on ints,
     nothing shared between words."""
@@ -189,7 +411,7 @@ def reference_rho_check(x):
         for g in w:
             if g not in gen_img:
                 gen_img[g] = rho_check_gen(amb, *g).cleared()[1]
-            acc = _mul_ints(ctx, acc, gen_img[g])
+            acc = tuple_mul_ints(ctx, acc, gen_img[g])
         for t, v in acc.items():
             terms[t] = terms.get(t, 0) + v
     return WeylElement(amb, {k: Fraction(v, den)
@@ -327,12 +549,24 @@ def merge_pairs(ctx, rng):
 @pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
                                 (3, 0)])
 def test_merge_mono_matches_reference_sort(mn):
+    # the merge of the packed kernels: the sum of the packed ints, zero
+    # when an odd pair is on both sides (an AND), and the sign of the
+    # suffix parities of a against the odd pairs of b (a popcount)
     ctx = weyl_context(Ambient(*mn))
+    odd = ctx.odd_mask
     rng = random.Random('merge %s %s' % mn)
     seen = set()
     for a, b in merge_pairs(ctx, rng):
-        got = ctx.merge_mono(a, b)
+        (pa, sa), (pb, sb) = ctx.pack(a), ctx.pack(b)
+        assert sa == sb == 1
+        if pa & pb & odd:
+            got = None, 0
+        else:
+            sign = (ctx.suffix[pa & odd] & pb & odd).bit_count() & 1
+            got = ctx.unpack(pa + pb), -1 if sign else 1
+            assert ctx.pack(a + b) == (pa + pb, got[1])
         assert got == reference_sort_mono(ctx, a + b)
+        assert tuple_merge_mono(ctx, a, b) == got
         assert got[0] is None or type(got[0]) is tuple
         seen.add((min(len(a), 2), min(len(b), 2), got[1]))
     # every insertion and merge shape; the zero for an odd generator on
@@ -422,6 +656,8 @@ def test_kernels_leave_no_reference_cycle():
     op = t_sigma(amb, consecutive_cycles_perm((2,)))
     vec = {mm: Fraction(1, 3) for mm in monomial_basis(amb, 2)}
     z = symbol_preimage(amb, (2, 3, 1, 4))
+    ctx = weyl_context(amb)
+    ints = op.cleared()[1]
     gc.collect()
     gc.disable()
     try:
@@ -429,9 +665,157 @@ def test_kernels_leave_no_reference_cycle():
         weyl_mul(op, op)
         apply_weyl(op, vec)
         rho_check(z)
+        _symbol_mul_ints(ctx, ints, ints)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The packed kernels against the tuple kernels they replaced, on every
+# ambient with m + n <= 4 (and gl(1|4)); gl(0|1) has no canonical pair.
+
+PACKED_AMBIENTS = [(1, 0), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2),
+                   (0, 3), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4), (1, 4)]
+
+
+def nonzero(ints):
+    return {k: v for k, v in ints.items() if v}
+
+
+@pytest.mark.parametrize('mn', PACKED_AMBIENTS)
+def test_packed_weyl_mul_matches_the_tuple_kernels(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('packed mul %s %s' % mn)
+    for _ in range(12):
+        for a, b in ((random_weyl(amb, rng), random_weyl(amb, rng)),
+                     (shuffled_weyl(amb, rng), shuffled_weyl(amb, rng))):
+            got = weyl_mul(a, b)
+            assert_same(got, tuple_weyl_mul(a, b))
+            assert_same(got, reference_weyl_mul(a, b))
+
+
+@pytest.mark.parametrize('mn', PACKED_AMBIENTS)
+def test_packed_rho_check_matches_the_tuple_kernels(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('packed rho %s %s' % mn)
+    elements = [gelfand_element(amb, d) for d in (1, 2, 3)]
+    if amb.dim > 1:     # random_uea samples two distinct letters
+        elements += [random_uea(amb, rng) for _ in range(8)]
+    for x in elements:
+        got = rho_check(x)
+        assert_same(got, tuple_rho_check(x))
+        assert_same(got, reference_rho_check(x))
+
+
+@pytest.mark.parametrize('mn', PACKED_AMBIENTS)
+def test_packed_symbol_product_matches_the_tuple_kernels(mn):
+    amb = Ambient(*mn)
+    ctx = weyl_context(amb)
+    symbols = [t_sigma(amb, consecutive_cycles_perm(part)).cleared()[1]
+               for part in ((1,), (2,), (1, 1), (3,))]
+    for a in symbols:
+        for b in symbols[:3]:
+            assert _symbol_mul_ints(ctx, a, b) == \
+                nonzero(tuple_symbol_mul_ints(ctx, a, b))
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (0, 3),
+                                (1, 4)])
+def test_symbol_product_is_the_top_part_of_the_weyl_product(mn):
+    """On terms of any weight, where the sign of the d's of the first
+    factor passing the y's of the second one matters."""
+    amb = Ambient(*mn)
+    ctx = weyl_context(amb)
+    npairs = len(ctx.pairs)
+    rng = random.Random('symbol %s %s' % mn)
+
+    def homogeneous(ddeg):
+        terms = {}
+        for _ in range(rng.randrange(1, 5)):
+            y, _ = ctx.sort_mono([rng.randrange(npairs)
+                                  for _ in range(rng.randrange(3))])
+            d, _ = ctx.sort_mono([rng.randrange(npairs)
+                                  for _ in range(ddeg)])
+            if y is not None and d is not None:
+                terms[(y, d)] = random_coeff(rng)
+        return WeylElement(amb, terms)
+
+    for _ in range(25):
+        p, q = rng.randrange(3), rng.randrange(3)
+        a, b = homogeneous(p), homogeneous(q)
+        (den_a, ints_a), (den_b, ints_b) = a.cleared(), b.cleared()
+        got = WeylElement.from_cleared(amb, den_a * den_b,
+                                       _symbol_mul_ints(ctx, ints_a, ints_b))
+        assert got == symbol(weyl_mul(a, b), p + q)
+
+
+@pytest.mark.parametrize('mn', PACKED_AMBIENTS)
+def test_packed_t_sigma_matches_the_tuple_kernels(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('packed t_sigma %s %s' % mn)
+    sigmas = list(permutations(range(1, 5)))
+    sigmas += [tuple(rng.sample(range(1, 7), 6)) for _ in range(4)]
+    for sig in sigmas:
+        assert_same(t_sigma(amb, sig), tuple_t_sigma(amb, sig))
+
+
+def test_packed_kernels_widen_their_fields(monkeypatch):
+    """Exponents of 16 and more, beyond the fields a context starts with:
+    the fields widen, the push memo starts afresh, and products of low
+    degree come out the same before and after."""
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    amb = Ambient(1, 1)                 # y_0 even, y_1 odd
+    ctx = weyl_context(amb)
+    small = random_weyl(amb, random.Random(16)), \
+        random_weyl(amb, random.Random(17))
+    before = weyl_mul(*small)
+    width = ctx.width
+    assert 2 ** width <= 16
+    a = WeylElement(amb, {((0,) * 8, (0,) * 8): Fraction(1),
+                          ((0,) * 7 + (1,), (0,) * 8): Fraction(-2, 3)})
+    got = weyl_mul(a, a)
+    assert ctx.width > width
+    assert ((0,) * 16, (0,) * 16) in got.terms
+    assert_same(got, tuple_weyl_mul(a, a))
+    assert_same(weyl_mul(*small), before)
+    x = UEAElement(amb, {((0, 0),) * 17: Fraction(1, 2),
+                         ((0, 1), (1, 0)) * 9: Fraction(3)})
+    got = rho_check(x)
+    assert any(len(y) == 17 for y, _ in got.terms)
+    assert_same(got, tuple_rho_check(x))
+    sym = {((0,) * 9, (0,) * 9): 1, ((0,) * 8 + (1,), (0,) * 8 + (1,)): -2}
+    got = _symbol_mul_ints(ctx, sym, sym)
+    assert ((0,) * 18, (0,) * 18) in got
+    assert got == nonzero(tuple_symbol_mul_ints(ctx, sym, sym))
+    assert ctx.sort_mono((0,) * 40) == ((0,) * 40, 1)
+    assert_same(weyl_mul(*small), before)
+
+
+def test_packing_sorts_out_of_order_keys():
+    amb = Ambient(1, 2)     # pairs (1,1) (1,1b) (1,2b) (1b,2b); 1 and 2 odd
+    ctx = weyl_context(amb)
+    assert [ctx.parity[g] for g in range(4)] == [0, 1, 1, 0]
+    assert ctx.pack((2, 1)) == (ctx.pack((1, 2))[0], -1)
+    assert ctx.pack((3, 0, 3, 2, 0)) == (ctx.pack((0, 0, 2, 3, 3))[0], 1)
+    assert ctx.pack((2, 3, 1)) == (ctx.pack((1, 2, 3))[0], -1)
+    assert ctx.pack((1, 0, 1))[1] == 0 and ctx.pack((2, 2))[1] == 0
+    one = WeylElement.one(amb)
+
+    def element(y, d):
+        return WeylElement(amb, {(y, d): Fraction(1)})
+
+    assert weyl_mul(element((2, 1), ()), one) == -element((1, 2), ())
+    assert weyl_mul(one, element((), (2, 0, 1))) == -element((), (0, 1, 2))
+    assert weyl_mul(element((2, 1), (2, 1)), one) == element((1, 2), (1, 2))
+    assert weyl_mul(element((1, 0, 1), ()), one).is_zero()
+    assert weyl_mul(one, element((0,), (2, 3, 2))).is_zero()
+    # a JSON key with its labels out of order reads back the same way
+    data = {'m': 1, 'n': 2, 'terms': [
+        {'y': ['1,2b', '1,1b'], 'd': ['1b,2b', '1,1'], 'coef': '2/3'},
+        {'y': ['1,1b', '1,1', '1,1b'], 'd': [], 'coef': '5'}]}
+    x = WeylElement.from_json(data)
+    assert weyl_mul(x, one) == element((1, 2), (0, 3)).scale(Fraction(-2, 3))
 
 
 # ---------------------------------------------------------------------------

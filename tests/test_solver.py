@@ -569,6 +569,81 @@ def test_singular_interpolation_system_is_rejected():
                                lambda b: first)
 
 
+def test_callers_without_a_basis_share_one_node_solve(monkeypatch):
+    """c_poly_interp, sp_star, verify_sv and theta_one_family build one
+    interpolation basis per (family, params, d), kept on the ambient's
+    Weyl context: the partitions of one degree share one node solve."""
+    from supercapelli import solver
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return lin_solve(*args)
+
+    monkeypatch.setattr(solver, 'lin_solve', counted)
+    half, one = HookParams(2, 1, 'half'), HookParams(2, 1, 'one')
+    hooks = list(enumerate_hooks(half, 3))
+    assert len(hooks) > 1
+    for b in hooks:
+        c_poly_interp(half, b)
+        sp_star(half, b)
+        verify_sv(half, b)
+    assert len(solves) == 2         # one ia*_basis, one sp_basis
+    for b in enumerate_hooks(one, 3):
+        theta_one_family(one, b)
+        sp_star(one, b)
+    assert len(solves) == 3
+    ctx = weyl_context(Ambient(2, 2))
+    assert sorted((name, p.theta, d) for name, p, d in ctx.bases) == [
+        ('ia_star_basis', 'half', 3), ('sp_basis', 'half', 3)]
+    assert list(weyl_context(Ambient(2, 1)).bases) == [('sp_basis', one, 3)]
+    # callers get fresh polynomials: changing one changes no later call
+    b = hooks[0]
+    want = c_poly_interp(half, b).poly
+    got = c_poly_interp(half, b).poly
+    assert got == want and got is not want and got.terms is not want.terms
+    for k in got.terms:
+        got.terms[k] += 1
+    sp = sp_star(half, b)
+    sp.terms.clear()
+    assert c_poly_interp(half, b).poly == want
+    assert sp_star(half, b) == sp_star(half, b, basis=sp_basis(half, 3))
+    assert len(solves) == 4         # the explicit sp_basis above
+
+
+def test_hc_project_of_preimages_equals_the_full_normal_form_route(
+        round_trips_21):
+    from test_superlie import full_normal_form_hc
+    for b, D, z in _round_trips(1, 1, 3) + round_trips_21:
+        for sign in ('plus', 'minus'):
+            assert hc_project(z, sign) == full_normal_form_hc(z, sign), b
+
+
+def test_capelli_operator_rejects_a_wrong_invariant_basis():
+    params = HookParams(2, 1, 'half')
+    b = parse_partition('2,1', params)
+    amb = Ambient(2, 2)
+    basis = invariant_symbol_space(amb, 3, verify=False)
+    want = capelli_operator(params, b)
+    assert capelli_operator(params, b, inv_basis=basis) == want
+    cases = [
+        (invariant_symbol_space(Ambient(1, 2), 3, verify=False),
+         r'inv_basis has an element outside Ambient\(2\|2\)'),
+        (invariant_symbol_space(amb, 2, verify=False),
+         r'inv_basis has an element not of bidegree \(3,3\)'),
+        (basis + [t_sigma(amb, (1, 2, 3, 4))],
+         r'inv_basis has an element not of bidegree \(3,3\)'),
+        (basis[:-1], r'inv_basis has %d elements, not %d'
+         % (len(basis) - 1, len(basis))),
+        (basis + basis[:1], r'inv_basis has %d elements, not %d'
+         % (len(basis) + 1, len(basis))),
+    ]
+    for inv, match in cases:
+        with pytest.raises(ValueError, match=match):
+            capelli_operator(params, b, inv_basis=inv)
+
+
 def reference_filtered_products(gens_by_degree, d, context):
     """The product family _filtered_products kept before the prefix
     rule: each partition's product multiplied out from 1, ranked on its

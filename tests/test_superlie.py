@@ -204,6 +204,42 @@ def test_hc_project_rejects_an_unknown_sign():
     assert hc_project(z) == hc_project(z, 'plus') != hc_project(z, 'minus')
 
 
+def full_normal_form_hc(a, sign):
+    """hc_project before it dropped the words of n-U + Un+: normal order
+    every word, then keep the purely diagonal ones."""
+    amb = a.ambient
+    terms = {}
+    for w, c in pbw_normalize(a, mirrored=(sign == 'minus')).terms.items():
+        if all(i == j for i, j in w):
+            exp = tuple(sum(1 for i, _ in w if i == k)
+                        for k in range(amb.dim))
+            terms[exp] = terms.get(exp, 0) + c
+    return MultiPoly(amb.cartan_context(), terms)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
+                                (3, 0)])
+def test_hc_project_equals_the_full_normal_form_route(mn):
+    """Gelfand elements, Gelfand products (the preimages are sums of
+    them) and random elements with odd letters, both signs."""
+    from supercapelli.weyl import gelfand_product
+    amb = Ambient(*mn)
+    rng = random.Random('hc %s %s' % mn)
+    elements = [gelfand_element(amb, d) for d in (1, 2, 3)]
+    elements += [gelfand_product(amb, part)
+                 for part in ((2, 1), (1, 1, 1), (2, 2))]
+    elements += [random_element(amb, rng, nwords=6, maxlen=4)
+                 for _ in range(15)]
+    dropped = 0
+    for z in elements:
+        for sign in ('plus', 'minus'):
+            got = hc_project(z, sign)
+            assert got == full_normal_form_hc(z, sign)
+            assert str(got) == str(full_normal_form_hc(z, sign))
+        dropped += any(w and w[0][0] > w[0][1] for w in z.terms)
+    assert dropped
+
+
 def test_hc_minus_vs_omega():
     amb = Ambient(1, 2)
     for d in (1, 2, 3):
