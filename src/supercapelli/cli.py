@@ -554,7 +554,7 @@ def build_parser():
                            default='hc')
         if flags.get('suite'):
             p.add_argument('--suite', default='all')
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn.__name__)
         return p
 
     add('hooks', cmd_hooks, mn='req', theta=True, size=True)
@@ -575,11 +575,17 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        payload, text, code = args.fn(args)
+        # the handler is read by name, so a rebound cmd_* is the one run
+        payload, text, code = globals()[args.fn](args)
         out = json.dumps(payload, sort_keys=True) if args.format == 'json' \
             else text
         if args.output:

@@ -16,10 +16,12 @@ there, and each subclass adds its context, product, term order,
 monomial format and JSON form.  Exact linear combinations run on
 Python ints, as cleared (den, ints) pairs: Combination.cleared makes
 one, lincomb sums scaled ones and Combination.from_cleared reads one.
+MultiPoly products run on the cleared ints of both factors too.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 
 
 def grlex_key(exp):
@@ -183,15 +185,18 @@ class MultiPoly(Combination):
         return super().__sub__(other)
 
     def __mul__(self, other):
+        """Product on the cleared ints, divided back once per term."""
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
+        den1, ints1 = self.cleared()
+        den2, ints2 = other.cleared()
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in ints1.items():
+            for e2, c2 in ints2.items():
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(self.vars, terms)
+        return MultiPoly.from_cleared(self.vars, den1 * den2, terms)
 
     def __pow__(self, k):
         if not (isinstance(k, int) and k >= 0):

@@ -171,7 +171,11 @@ class InterpolationBasis:
     has coefficients the solution of the node system for that node's
     unit right-hand side, so one solve with the unit column of every node
     of size d (the nodes check() admits) serves every interpolation at
-    that degree, read back by combine() as one lincomb of the basis."""
+    that degree, read back by combine() as one lincomb of the basis.
+
+    The check that the family has one element per node is what proves
+    the top-part filter of _filtered_products exact: the span of the
+    products has at most that dimension."""
 
     __slots__ = ('params', 'd', 'context', 'gens', 'polys', 'records',
                  'point', 'nodes', '_rows', '_columns', '_cleared')
@@ -206,9 +210,14 @@ class InterpolationBasis:
     def values_at(self, point):
         """[p.evaluate(point) for p in self.polys], from one evaluation
         of each generator: evaluation is a ring homomorphism and each
-        basis element is the product of the generators its record names."""
+        basis element is the product of the generators its record names,
+        so each entry is one Fraction of the products of their numerators
+        and of their denominators."""
         vals = {k: g.evaluate(point) for k, g in self.gens.items()}
-        return [prod((vals[k] for k in rec), start=Fraction(1))
+        num = {k: v.numerator for k, v in vals.items()}
+        den = {k: v.denominator for k, v in vals.items()}
+        return [Fraction(prod(map(num.__getitem__, rec)),
+                         prod(map(den.__getitem__, rec)))
                 for rec in self.records]
 
     def node_rows(self):
@@ -253,20 +262,31 @@ def _filtered_products(gens_by_degree, d, context):
     filtered to a linearly independent family (constant included).  Each
     partition's product is its leading parts' product times the generator
     of its last part; every product is formed, kept or not, since a
-    longer partition may extend it.  The rank test runs on the products
-    cleared of denominators, which span the same lines."""
+    longer partition may extend it.
+
+    A product of size s has degree <= s; its degree-s part is the
+    product of the generators' top parts.  Where the products kept below
+    size s span the filtered piece F_(s-1) of all products of sizes < s,
+    a product of size s lies in the span of the family exactly when its
+    degree-s part lies in the span of the degree-s parts kept before it
+    at size s.  So each size ranks a fresh family of degree-s parts,
+    cleared of denominators, which span the same lines.  The products
+    lie in the shifted supersymmetric polynomials of degree <= d, of
+    dimension the number of hook partitions of size <= d, so the check
+    in InterpolationBasis that the family has that many elements proves
+    that each F_(s-1) was spanned."""
     made = {(): MultiPoly.const(context, 1)}
     polys = [made[()]]
     records = [()]
-    vecs = [polys[0].cleared()[1]]
     for size in range(1, d + 1):
+        tops = []
         for part in partitions(size):
             prod = made[part] = made[part[:-1]] * gens_by_degree[part[-1]]
-            ints = prod.cleared()[1]
-            if dict_vectors_rank(vecs + [ints]) > len(vecs):
+            top = prod.homogeneous_part(size).cleared()[1]
+            if dict_vectors_rank(tops + [top]) > len(tops):
                 polys.append(prod)
                 records.append(part)
-                vecs.append(ints)
+                tops.append(top)
     return polys, records
 
 

@@ -336,3 +336,30 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert out == ''
     assert err == 'internal error: capelli operator system is singular\n'
     assert 'Traceback' not in err
+
+
+def test_main_builds_one_parser_and_runs_a_rebound_handler(capsys,
+                                                           monkeypatch):
+    built = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        built.append(real_build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, '_parser', None)
+    monkeypatch.setattr(cli, 'build_parser', counting_build)
+    argv = ('hooks', '--m', '1', '--n', '1', '--size', '2')
+    assert run(capsys, *argv)[:2] == (0, '2\n1,1\n')
+    assert run(capsys, *argv)[:2] == (0, '2\n1,1\n')
+    assert len(built) == 1 and cli._parser is built[0]
+    real_hooks = cli.cmd_hooks
+    seen = []
+
+    def cmd_hooks(args):
+        seen.append(args.size)
+        return real_hooks(args)
+
+    monkeypatch.setattr(cli, 'cmd_hooks', cmd_hooks)
+    assert run(capsys, *argv)[:2] == (0, '2\n1,1\n')
+    assert seen == [2] and len(built) == 1

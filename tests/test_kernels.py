@@ -1,5 +1,6 @@
 """The packed-int normal-ordering kernels, the Horner rho_check, the
-integer apply_weyl and the closed-form spherical restriction against the
+integer apply_weyl, the closed-form spherical restriction, the integer
+polynomial product and the integer interpolation node rows against the
 routes they replaced, kept here as references: equal values and equal
 str() on random and exhaustive inputs.  The references are the Fraction
 routes and the sorted-tuple int kernels that the packed ones replaced."""
@@ -9,6 +10,7 @@ import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -1221,3 +1223,78 @@ def test_cyclic_span_dim_matches_reference(mn, kmax):
                 total += dim
         assert total == len(monomial_basis(amb, k))
     assert cyclic_span_dim(amb, {}) == reference_cyclic_span_dim(amb, {}) == 0
+
+
+# ---------------------------------------------------------------------------
+# The integer polynomial product and node rows, against the Fraction loops
+# they replaced.
+
+def reference_mul(p, q):
+    """MultiPoly product as the Fraction loop over term pairs."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return MultiPoly(p.vars, terms)
+
+
+def reference_values_at(basis, point):
+    """Each basis product at point, as a Fraction product from 1."""
+    vals = {k: g.evaluate(point) for k, g in basis.gens.items()}
+    return [prod((vals[k] for k in rec), start=Fraction(1))
+            for rec in basis.records]
+
+
+def random_multipoly(ctx, rng):
+    """Zero to five terms of degree <= 3, integer and fractional, of both
+    signs; a repeated exponent sums its coefficients, sometimes to 0."""
+    terms = {}
+    for _ in range(rng.randrange(6)):
+        e = tuple(rng.randrange(4) for _ in ctx)
+        c = rng.choice([Fraction(rng.randrange(-4, 5)), random_coeff(rng)])
+        terms[e] = terms.get(e, 0) + c
+    return MultiPoly(ctx, terms)
+
+
+@pytest.mark.parametrize('nvars', range(5))
+def test_multipoly_mul_matches_reference(nvars):
+    rng = random.Random(100 + nvars)
+    ctx = tuple('x%d' % i for i in range(nvars))
+    fixed = [MultiPoly.zero(ctx), MultiPoly.const(ctx, 1),
+             MultiPoly.const(ctx, Fraction(-3, 4)),
+             MultiPoly.const(ctx, 7)]
+    polys = fixed + [random_multipoly(ctx, rng) for _ in range(40)]
+    for p in polys:
+        for q in polys[:4] + rng.sample(polys, 8):
+            got, want = p * q, reference_mul(p, q)
+            assert got == want
+            assert str(got) == str(want)
+            assert all(type(c) is Fraction for c in got.terms.values())
+        assert p ** 0 == MultiPoly.const(ctx, 1)
+        assert p ** 3 == reference_mul(reference_mul(p, p), p)
+        assert 3 * p == p * 3 == reference_mul(p, MultiPoly.const(ctx, 3))
+        c = Fraction(-5, 6)
+        assert p * c == reference_mul(p, MultiPoly.const(ctx, c))
+
+
+def test_multipoly_mul_rejects_a_context_mismatch():
+    p = MultiPoly.variable(('x', 'y'), 'x')
+    for q in (MultiPoly.variable(('y', 'x'), 'x'),
+              MultiPoly.const(('x',), 2)):
+        with pytest.raises(ValueError, match='context mismatch'):
+            p * q
+
+
+def test_values_at_matches_reference_at_every_node():
+    from supercapelli.solver import ia_star_basis, sp_basis
+    half, one = HookParams(2, 1, 'half'), HookParams(2, 1, 'one')
+    for basis in (ia_star_basis(half, 6), sp_basis(half, 6),
+                  sp_basis(one, 6)):
+        assert len(basis.nodes) == 29
+        for b in basis.nodes:
+            got = basis.values_at(basis.point(b))
+            want = reference_values_at(basis, basis.point(b))
+            assert got == want
+            assert [str(x) for x in got] == [str(x) for x in want]
+            assert all(type(x) is Fraction for x in got)

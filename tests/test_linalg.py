@@ -247,7 +247,9 @@ def test_dict_columns_kernel_equals_reference_on_invariant_kernel(
 
 def test_dict_vectors_rank_on_filtered_product_families(monkeypatch):
     """The families _filtered_products ranks at (2,1), d=6, for the
-    interpolation basis and both shifted super Jack bases."""
+    interpolation basis and both shifted super Jack bases: at each size s,
+    the cleared degree-s parts of the products of size s kept so far,
+    with one candidate's appended."""
     families = []
     real_rank = solver.dict_vectors_rank
 

@@ -646,8 +646,9 @@ def test_capelli_operator_rejects_a_wrong_invariant_basis():
 
 def reference_filtered_products(gens_by_degree, d, context):
     """The product family _filtered_products kept before the prefix
-    rule: each partition's product multiplied out from 1, ranked on its
-    Fraction terms."""
+    rule and the per-size top parts: each partition's product multiplied
+    out from 1, ranked on its Fraction terms against the whole family
+    kept so far."""
     polys = [MultiPoly.const(context, 1)]
     records = [()]
     vecs = [polys[0].terms]
@@ -663,7 +664,10 @@ def reference_filtered_products(gens_by_degree, d, context):
     return polys, records
 
 
-@pytest.mark.parametrize('m, n, d', [(2, 1, 6), (1, 2, 5)])
+@pytest.mark.parametrize('m, n, d', [
+    (2, 1, 6), (1, 2, 5), (1, 1, 7), (3, 1, 5), (2, 2, 5), (1, 3, 4),
+    # ranks whose power sums satisfy relations in low degree
+    (3, 0, 5), (0, 2, 4), (1, 0, 5), (0, 1, 5)])
 def test_filtered_products_equal_the_loop_from_one(m, n, d):
     half, one = HookParams(m, n, 'half'), HookParams(m, n, 'one')
     for basis in (ia_star_basis(half, d), sp_basis(half, d),
