@@ -232,23 +232,23 @@ def dual_weight(mu, params):
     return gamma_map(b)
 
 
-def hook_product_H(b):
-    """Theta-deformed hook product, one factor per box."""
-    t = b.transpose()
-    total = Fraction(1)
-    for k, row in enumerate(b.parts, start=1):
-        for l in range(1, row + 1):
-            total *= row - l + 1 + Fraction(t[l - 1] - k, 2)
-    return total
-
-
-def classical_hook_product(b):
+def _hook_product(b, leg_weight):
+    """The product over the boxes of b of arm + 1 + leg_weight * leg."""
     t = b.transpose()
     total = 1
     for k, row in enumerate(b.parts, start=1):
         for l in range(1, row + 1):
-            total *= row - l + t[l - 1] - k + 1
+            total *= row - l + 1 + leg_weight * (t[l - 1] - k)
     return total
+
+
+def hook_product_H(b):
+    """Theta-deformed hook product, one factor per box."""
+    return Fraction(_hook_product(b, Fraction(1, 2)))
+
+
+def classical_hook_product(b):
+    return _hook_product(b, 1)
 
 
 class FrobeniusPoint:
@@ -273,19 +273,27 @@ class FrobeniusPoint:
         return 'FrobeniusPoint(%s, %s)' % (self.x, self.y)
 
 
-def frobenius_point(b):
-    params = b.params
+def _frobenius_shifts(params):
+    """(scale, shifts): the Frobenius point of a hook b is its parts
+    b_1..b_m and its star parts plus the shifts, and gamma_map(b) is
+    scale * (frobenius_point(b) - shifts), the scale being the factor
+    2 (theta = 1/2) or 1 (theta = 1) that gamma_map puts on the parts."""
     m, n = params.m, params.n
-    star = b.star_parts()
     if params.theta == 'half':
-        x = [b.part(k) - Fraction(2 * k - 1, 4) - Fraction(4 * n - m, 4)
-             for k in range(1, m + 1)]
-        y = [star[l - 1] - (2 * l - 1) + Fraction(4 * n + m, 2)
-             for l in range(1, n + 1)]
-    else:
-        x = [b.part(k) - k + Fraction(1 - n + m, 2) for k in range(1, m + 1)]
-        y = [star[l - 1] - l + Fraction(m + n + 1, 2) for l in range(1, n + 1)]
-    return FrobeniusPoint(x, y)
+        return 2, ([Fraction(m - 4 * n + 1 - 2 * k, 4)
+                    for k in range(1, m + 1)]
+                   + [Fraction(4 * n + m + 2 - 4 * l, 2)
+                      for l in range(1, n + 1)])
+    return 1, ([Fraction(m - n + 1 - 2 * k, 2) for k in range(1, m + 1)]
+               + [Fraction(m + n + 1 - 2 * l, 2) for l in range(1, n + 1)])
+
+
+def frobenius_point(b):
+    m = b.params.m
+    _, shifts = _frobenius_shifts(b.params)
+    parts = [b.part(k) for k in range(1, m + 1)] + list(b.star_parts())
+    v = [p + s for p, s in zip(parts, shifts)]
+    return FrobeniusPoint(v[:m], v[m:])
 
 
 def a_context(m, n):
@@ -309,30 +317,14 @@ def frobenius_affine_map(params):
     every hook partition b; source is the weight context, target the
     Frobenius (x, y) context."""
     m, n = params.m, params.n
-    target = xy_context(m, n)
+    scale, shifts = _frobenius_shifts(params)
+    source = (a_context if params.theta == 'half' else eps_context)(m, n)
     images = {}
-    if params.theta == 'half':
-        source = a_context(m, n)
-        for k in range(1, m + 1):
-            lin = [Fraction(0)] * (m + n)
-            lin[k - 1] = Fraction(2)
-            images[source[k - 1]] = (lin, Fraction(2 * k - 1, 2)
-                                     + 2 * n - Fraction(m, 2))
-        for l in range(1, n + 1):
-            lin = [Fraction(0)] * (m + n)
-            lin[m + l - 1] = Fraction(2)
-            images[source[m + l - 1]] = (lin, 4 * l - 2 - (4 * n + m))
-    else:
-        source = eps_context(m, n)
-        for k in range(1, m + 1):
-            lin = [Fraction(0)] * (m + n)
-            lin[k - 1] = Fraction(1)
-            images[source[k - 1]] = (lin, k - Fraction(1 - n + m, 2))
-        for l in range(1, n + 1):
-            lin = [Fraction(0)] * (m + n)
-            lin[m + l - 1] = Fraction(1)
-            images[source[m + l - 1]] = (lin, l - Fraction(m + n + 1, 2))
-    return AffineSubstitution(source, target, images)
+    for i, shift in enumerate(shifts):
+        lin = [0] * (m + n)
+        lin[i] = scale
+        images[source[i]] = (lin, -scale * shift)
+    return AffineSubstitution(source, xy_context(m, n), images)
 
 
 def eps_extension(w):

@@ -116,11 +116,10 @@ def full_preimage(D, check_invariant=True):
 
 class EigenPoly:
 
-    __slots__ = ('b', 'd', 'poly')
+    __slots__ = ('b', 'poly')
 
     def __init__(self, b, poly):
         self.b = b
-        self.d = b.size
         self.poly = poly
 
     def value(self, weight):

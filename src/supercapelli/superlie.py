@@ -94,12 +94,8 @@ class UEAElement(Combination):
         if not isinstance(other, UEAElement):
             return self.scale(other)
         self._check(other)
-        terms = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                terms[w] = terms.get(w, 0) + c1 * c2
-        return UEAElement(self.ambient, terms)
+        return UEAElement.from_cleared(
+            self.ambient, *_concat(self.cleared(), other.cleared()))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
@@ -116,6 +112,17 @@ class UEAElement(Combination):
                        'coef': str(c)}
                       for w, c in self.sorted_terms()],
         }
+
+
+def _concat(a, b):
+    """The product of two cleared (den, ints) enveloping algebra entries:
+    the words concatenated, the coefficients multiplied on ints."""
+    terms = {}
+    for w1, c1 in a[1].items():
+        for w2, c2 in b[1].items():
+            w = w1 + w2
+            terms[w] = terms.get(w, 0) + c1 * c2
+    return a[0] * b[0], terms
 
 
 def bracket_gen(ambient, g1, g2):
@@ -250,16 +257,13 @@ def gelfand_element(ambient, d):
 
 def omega(a):
     """The antiautomorphism with omega(x) = -x on the superalgebra and
-    omega(xy) = (-1)^{|x||y|} omega(y) omega(x)."""
+    omega(xy) = (-1)^{|x||y|} omega(y) omega(x): a word of length l with
+    o odd letters reverses with the sign (-1)^(l + C(o, 2))."""
     amb = a.ambient
     terms = {}
     for w, c in a.terms.items():
-        ps = [amb.gen_parity(g) for g in w]
-        cross = 0
-        for r in range(len(ps)):
-            for s in range(r + 1, len(ps)):
-                cross += ps[r] * ps[s]
-        sgn = (-1) ** (len(w) + cross)
+        o = sum(amb.gen_parity(g) for g in w)
+        sgn = (-1) ** (len(w) + o * (o - 1) // 2)
         nw = tuple(reversed(w))
         terms[nw] = terms.get(nw, 0) + sgn * c
     return UEAElement(amb, terms)

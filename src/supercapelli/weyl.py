@@ -24,13 +24,15 @@ with its sign, and unpacked on exit: every WeylElement key is a tuple.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from itertools import combinations_with_replacement
+from math import factorial, gcd
 
 from .hooks import (a_context, enumerate_hooks, eps_extension,
                     gamma_star_map, partitions)
-from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
+from .linalg import (Span, dict_columns_kernel, dict_vectors_basis, lin_solve,
+                     _cleared)
 from .multipoly import Combination, MultiPoly, lincomb
-from .superlie import Ambient, UEAElement, gelfand_element
+from .superlie import Ambient, UEAElement, gelfand_element, _concat
 
 _ctx_cache = {}
 
@@ -408,22 +410,21 @@ def weyl_mul(a, b):
 
 def monomial_basis(ambient, k):
     """All degree-k monomials (odd generators squarefree), sorted."""
+    parity = weyl_context(ambient).parity
+    squares = {(g, g) for g, odd in enumerate(parity) if odd}
+    return [mono
+            for mono in combinations_with_replacement(range(len(parity)), k)
+            if squares.isdisjoint(zip(mono, mono[1:]))]
+
+
+def _weight_spaces(ambient, k):
+    """The weight spaces of P^k(W): {epsilon-frame weight: its monomials,
+    in monomial_basis order}."""
     ctx = weyl_context(ambient)
-    out = []
-
-    def rec(start, left, prefix):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for g in range(start, len(ctx.pairs)):
-            if ctx.parity[g] and prefix and prefix[-1] == g:
-                continue
-            prefix.append(g)
-            rec(g + (1 if ctx.parity[g] else 0), left - 1, prefix)
-            prefix.pop()
-
-    rec(0, k, [])
-    return out
+    spaces = {}
+    for mm in monomial_basis(ambient, k):
+        spaces.setdefault(mono_weight(ctx, mm), []).append(mm)
+    return spaces
 
 
 def _contract(ctx, dop, mono):
@@ -456,24 +457,23 @@ def _contract(ctx, dop, mono):
 def apply_weyl(op, poly):
     """Apply a WeylElement to an element of P(W) (dict {y-mono: coeff}).
 
-    Runs on Python ints: the operator is cleared with Combination.cleared()
-    and the polynomial by the lcm of its denominators.  The operator terms
-    are grouped by d-monomial, and d^dop(y^mono) is computed once per
-    (dop, mono) pair, only when dop is contained in mono (see _contract);
-    for a bidegree-(d,d) operator on a degree-d vector only dop == mono
-    survives.  Each output term is divided back into a Fraction once."""
+    Runs on Python ints: the operator and the polynomial are cleared of
+    their denominators (Combination.cleared, linalg._cleared).  The
+    operator terms are grouped by d-monomial, and d^dop(y^mono) is
+    computed once per (dop, mono) pair, only when dop is contained in
+    mono (see _contract); for a bidegree-(d,d) operator on a degree-d
+    vector only dop == mono survives.  Each output term is divided back
+    into a Fraction once."""
     ctx = weyl_context(op.ambient)
     sort_mono = ctx.sort_mono
     den_op, op_ints = op.cleared()
-    den_p = lcm(*(c.denominator for c in poly.values()))
-    poly_ints = [(mono, c.numerator * (den_p // c.denominator))
-                 for mono, c in poly.items()]
+    den_p, poly_ints = _cleared(poly.items())
     by_dop = {}
     for (yop, dop), c in op_ints.items():
         by_dop.setdefault(dop, []).append((yop, c))
     out = {}
     for dop, yterms in by_dop.items():
-        for mono, c in poly_ints:
+        for mono, c in poly_ints.items():
             rest, cc = _contract(ctx, dop, mono)
             if not cc:
                 continue
@@ -710,17 +710,6 @@ def consecutive_cycles_perm(blocks):
     return tuple(img)
 
 
-def _concat_ints(ctx, a, b):
-    """The product of two cleared enveloping algebra entries: the words
-    concatenated."""
-    terms = {}
-    for w1, c1 in a[1].items():
-        for w2, c2 in b[1].items():
-            w = w1 + w2
-            terms[w] = terms.get(w, 0) + c1 * c2
-    return a[0] * b[0], terms
-
-
 # table -> (the entry of a one-part partition (b,), the product of two
 # entries); the products hold because t_sigma of consecutive cycles
 # factorises block by block and rho_check is an algebra homomorphism.  A
@@ -738,7 +727,7 @@ _TABLE_RULES = {
     'products': (
         lambda ctx, b: gelfand_element(ctx.ambient, b).scale(
             Fraction(-1, 2) ** b).cleared(),
-        _concat_ints),
+        lambda ctx, a, b: _concat(a, b)),
 }
 
 
@@ -796,16 +785,9 @@ def invariant_kernel(ambient, d):
     with the whole polarized action, computed by direct linear algebra:
     weight-zero filtering by the diagonal action, then the kernel of the
     off-diagonal commutators."""
-    ctx = weyl_context(ambient)
-    monos = monomial_basis(ambient, d)
-    by_counts = {}
-    for mm in monos:
-        by_counts.setdefault(ctx.mono_counts(mm), []).append(mm)
-    cands = []
-    for counts, group in sorted(by_counts.items()):
-        for y in group:
-            for dd in group:
-                cands.append((y, dd))
+    spaces = _weight_spaces(ambient, d)
+    cands = [(y, dd) for w in sorted(spaces, reverse=True)
+             for y in spaces[w] for dd in spaces[w]]
     gens = [(i, j) for i in range(ambient.dim) for j in range(ambient.dim)
             if i != j]
     columns = []
@@ -862,11 +844,9 @@ def mono_weight(ctx, mono):
 def highest_weight_vectors(ambient, k, eps_coords):
     """Basis of the space of vectors in the degree-k piece of P(W) of the
     given epsilon-frame weight killed by the simple raising operators."""
-    ctx = weyl_context(ambient)
     eps = tuple(Fraction(c) for c in eps_coords)
-    # int weights compare equal to Fraction ones, so none is converted
-    return _highest_in(ambient, [mm for mm in monomial_basis(ambient, k)
-                                 if mono_weight(ctx, mm) == eps])
+    # int weights hash and compare equal to Fraction ones
+    return _highest_in(ambient, _weight_spaces(ambient, k).get(eps, []))
 
 
 def _highest_in(ambient, cands):
@@ -889,12 +869,9 @@ def _highest_in(ambient, cands):
 def all_highest_weight_vectors(ambient, k):
     """All (weight, basis) pairs with nonzero highest-weight space in the
     degree-k graded piece."""
-    ctx = weyl_context(ambient)
-    groups = {}
-    for mm in monomial_basis(ambient, k):
-        groups.setdefault(mono_weight(ctx, mm), []).append(mm)
-    return [(w, basis) for w in sorted(groups, reverse=True)
-            if (basis := _highest_in(ambient, groups[w]))]
+    spaces = _weight_spaces(ambient, k)
+    return [(w, basis) for w in sorted(spaces, reverse=True)
+            if (basis := _highest_in(ambient, spaces[w]))]
 
 
 def cyclic_span_dim(ambient, vec):

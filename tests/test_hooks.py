@@ -155,14 +155,16 @@ def test_frobenius_point_values():
 
 
 def test_frobenius_affine_map_property():
-    for params in (P11, P21, HookParams(1, 1, 'one'), HookParams(2, 1, 'one')):
-        sub = frobenius_affine_map(params)
-        for b in enumerate_hooks(params, 4, upto=True):
-            pt = frobenius_point(b).coords()
-            w = gamma_map(b)
-            images = [sub.image_poly(name).evaluate(pt)
-                      for name in sub.source]
-            assert tuple(images) == w.coords, b
+    for mn in ((1, 1), (2, 1), (1, 2), (3, 0), (0, 2), (2, 2)):
+        for theta in ('half', 'one'):
+            params = HookParams(*mn, theta)
+            sub = frobenius_affine_map(params)
+            for b in enumerate_hooks(params, 5, upto=True):
+                pt = frobenius_point(b).coords()
+                w = gamma_map(b)
+                images = [sub.image_poly(name).evaluate(pt)
+                          for name in sub.source]
+                assert tuple(images) == w.coords, b
 
 
 def test_contexts_and_extension():

@@ -1,9 +1,12 @@
 """The packed-int normal-ordering kernels, the Horner rho_check, the
 integer apply_weyl, the closed-form spherical restriction, the integer
-polynomial product and the integer interpolation node rows against the
-routes they replaced, kept here as references: equal values and equal
-str() on random and exhaustive inputs.  The references are the Fraction
-routes and the sorted-tuple int kernels that the packed ones replaced."""
+polynomial product, the integer interpolation node rows and the rules
+written once (the word product, the weight spaces of P^k(W), the
+Frobenius shifts, the hook-product box walk and omega's sign) against
+the routes they replaced, kept here as references: equal values and
+equal str() on random and exhaustive inputs.  The references are the
+Fraction routes, the sorted-tuple int kernels that the packed ones
+replaced and the second copies of each rule."""
 
 import gc
 import random
@@ -15,23 +18,28 @@ from math import prod
 import pytest
 
 from supercapelli.cli import _CONFIGS
-from supercapelli.hooks import (HookParams, a_context, enumerate_hooks,
-                                partitions)
-from supercapelli.multipoly import MultiPoly
+from supercapelli.hooks import (HookParams, a_context, classical_hook_product,
+                                enumerate_hooks, eps_context,
+                                frobenius_affine_map, frobenius_point,
+                                hook_product_H, partitions,
+                                xy_context, FrobeniusPoint)
+from supercapelli.linalg import dict_columns_kernel
+from supercapelli.multipoly import AffineSubstitution, MultiPoly
 from supercapelli.solver import full_preimage, symbol_preimage
 from supercapelli import weyl
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
-                                   gelfand_element, pbw_normalize,
+                                   gelfand_element, omega, pbw_normalize,
                                    _gen_key)
 from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                apply_weyl, capelli_operator,
                                consecutive_cycles_perm, cyclic_span_dim,
+                               gelfand_product, invariant_kernel,
                                invariant_symbol_space, monomial_basis,
                                osp_spanning_set, rho_check, rho_check_gen,
                                spherical_poly, spherical_vector, symbol,
                                t_sigma, weyl_context, weyl_mul,
-                               _cartan_generators, _rho_intern,
-                               _symbol_mul_ints)
+                               _cartan_generators, _commutator, _entry,
+                               _rho_intern, _symbol_mul_ints)
 
 from linalg_reference import reference_rank
 
@@ -1298,3 +1306,246 @@ def test_values_at_matches_reference_at_every_node():
             assert got == want
             assert [str(x) for x in got] == [str(x) for x in want]
             assert all(type(x) is Fraction for x in got)
+
+
+# ---------------------------------------------------------------------------
+# Rules written once, against the second copies they replaced: the word
+# product (UEAElement.__mul__ and the products table), the weight spaces
+# of P^k(W), the Frobenius shifts, the hook-product box walk and omega.
+
+def reference_uea_mul(a, b):
+    """UEAElement product as the Fraction loop over word pairs."""
+    terms = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            w = w1 + w2
+            terms[w] = terms.get(w, 0) + c1 * c2
+    return UEAElement(a.ambient, terms)
+
+
+def reference_concat_ints(a, b):
+    """The products-table rule: two cleared entries, words concatenated."""
+    terms = {}
+    for w1, c1 in a[1].items():
+        for w2, c2 in b[1].items():
+            w = w1 + w2
+            terms[w] = terms.get(w, 0) + c1 * c2
+    return a[0] * b[0], terms
+
+
+def reference_products_entry(ambient, part):
+    if len(part) == 1:
+        return gelfand_element(ambient, part[0]).scale(
+            Fraction(-1, 2) ** part[0]).cleared()
+    return reference_concat_ints(reference_products_entry(ambient, part[:-1]),
+                                 reference_products_entry(ambient, part[-1:]))
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (0, 2), (3, 0)])
+def test_uea_mul_matches_reference(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('mul %s %s' % mn)
+    odd = [UEAElement.gen(amb, i, j).scale(random_coeff(rng))
+           for i in range(amb.dim) for j in range(amb.dim)
+           if amb.gen_parity((i, j))]
+    fixed = [UEAElement.zero(amb), UEAElement.one(amb),
+             UEAElement.one(amb).scale(Fraction(-3, 4))] + odd[:3]
+    elems = fixed + [random_uea(amb, rng) for _ in range(24)]
+    for a in elems:
+        for b in fixed + rng.sample(elems, 6):
+            assert_same(a * b, reference_uea_mul(a, b))
+        c = Fraction(-5, 6)
+        assert_same(a * c, reference_uea_mul(a, UEAElement.one(amb).scale(c)))
+
+
+@pytest.mark.parametrize('mn,dmax', [((1, 1), 4), ((2, 1), 4), ((1, 2), 3),
+                                     ((0, 2), 4), ((2, 2), 3)])
+def test_products_table_matches_reference(monkeypatch, mn, dmax):
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
+    amb = Ambient(*mn)
+    ctx = weyl_context(amb)
+    for d in range(1, dmax + 1):
+        for part in partitions(d):
+            want = reference_products_entry(amb, part)
+            assert _entry(ctx, 'products', part) == want, part
+            fold = UEAElement.one(amb)
+            for b in part:
+                fold = reference_uea_mul(fold, gelfand_element(amb, b).scale(
+                    Fraction(-1, 2) ** b))
+            assert_same(gelfand_product(amb, part), fold)
+
+
+def reference_monomial_basis(ambient, k):
+    """monomial_basis as the recursion over the next generator."""
+    ctx = weyl_context(ambient)
+    out = []
+
+    def rec(start, left, prefix):
+        if left == 0:
+            out.append(tuple(prefix))
+            return
+        for g in range(start, len(ctx.pairs)):
+            if ctx.parity[g] and prefix and prefix[-1] == g:
+                continue
+            prefix.append(g)
+            rec(g + (1 if ctx.parity[g] else 0), left - 1, prefix)
+            prefix.pop()
+
+    rec(0, k, [])
+    return out
+
+
+def test_monomial_basis_matches_the_recursion():
+    ambients = [(m, n) for m in range(5) for n in range(5 - m)] + [(1, 4)]
+    for mn in ambients:
+        amb = Ambient(*mn)
+        for k in range(5):
+            assert monomial_basis(amb, k) == \
+                reference_monomial_basis(amb, k), (mn, k)
+
+
+def reference_invariant_kernel(ambient, d):
+    """invariant_kernel with its candidates grouped by mono_counts."""
+    ctx = weyl_context(ambient)
+    by_counts = {}
+    for mm in reference_monomial_basis(ambient, d):
+        by_counts.setdefault(ctx.mono_counts(mm), []).append(mm)
+    cands = []
+    for counts, group in sorted(by_counts.items()):
+        for y in group:
+            for dd in group:
+                cands.append((y, dd))
+    gens = [(i, j) for i in range(ambient.dim) for j in range(ambient.dim)
+            if i != j]
+    columns = []
+    for (y, dd) in cands:
+        elem = WeylElement(ambient, {(y, dd): Fraction(1)})
+        vec = {}
+        for gi, g in enumerate(gens):
+            com = _commutator(rho_check_gen(ambient, *g), elem)
+            for t, c in com.terms.items():
+                vec[(gi, t)] = c
+        columns.append(vec)
+    return [WeylElement(ambient, {yd: c for yd, c in zip(cands, vec) if c})
+            for vec in dict_columns_kernel(columns)]
+
+
+@pytest.mark.parametrize('mn', [(2, 1), (1, 2)])
+def test_invariant_kernel_matches_the_counts_grouping(mn):
+    amb = Ambient(*mn)
+    for d in range(3):
+        got, want = invariant_kernel(amb, d), reference_invariant_kernel(amb, d)
+        assert got == want
+        assert [str(x) for x in got] == [str(x) for x in want]
+
+
+def reference_frobenius_point(b):
+    params = b.params
+    m, n = params.m, params.n
+    star = b.star_parts()
+    if params.theta == 'half':
+        x = [b.part(k) - Fraction(2 * k - 1, 4) - Fraction(4 * n - m, 4)
+             for k in range(1, m + 1)]
+        y = [star[l - 1] - (2 * l - 1) + Fraction(4 * n + m, 2)
+             for l in range(1, n + 1)]
+    else:
+        x = [b.part(k) - k + Fraction(1 - n + m, 2) for k in range(1, m + 1)]
+        y = [star[l - 1] - l + Fraction(m + n + 1, 2) for l in range(1, n + 1)]
+    return FrobeniusPoint(x, y)
+
+
+def reference_frobenius_affine_map(params):
+    m, n = params.m, params.n
+    target = xy_context(m, n)
+    images = {}
+    if params.theta == 'half':
+        source = a_context(m, n)
+        for k in range(1, m + 1):
+            lin = [Fraction(0)] * (m + n)
+            lin[k - 1] = Fraction(2)
+            images[source[k - 1]] = (lin, Fraction(2 * k - 1, 2)
+                                     + 2 * n - Fraction(m, 2))
+        for l in range(1, n + 1):
+            lin = [Fraction(0)] * (m + n)
+            lin[m + l - 1] = Fraction(2)
+            images[source[m + l - 1]] = (lin, 4 * l - 2 - (4 * n + m))
+    else:
+        source = eps_context(m, n)
+        for k in range(1, m + 1):
+            lin = [Fraction(0)] * (m + n)
+            lin[k - 1] = Fraction(1)
+            images[source[k - 1]] = (lin, k - Fraction(1 - n + m, 2))
+        for l in range(1, n + 1):
+            lin = [Fraction(0)] * (m + n)
+            lin[m + l - 1] = Fraction(1)
+            images[source[m + l - 1]] = (lin, l - Fraction(m + n + 1, 2))
+    return AffineSubstitution(source, target, images)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (3, 0), (0, 2),
+                                (2, 2)])
+@pytest.mark.parametrize('theta', ['half', 'one'])
+def test_frobenius_shifts_match_reference(mn, theta):
+    params = HookParams(*mn, theta)
+    sub, want = frobenius_affine_map(params), reference_frobenius_affine_map(
+        params)
+    assert (sub.source, sub.target) == (want.source, want.target)
+    assert sub.images == want.images
+    for b in enumerate_hooks(params, 5, upto=True):
+        pt = frobenius_point(b)
+        assert pt == reference_frobenius_point(b), b
+        assert repr(pt) == repr(reference_frobenius_point(b))
+
+
+def reference_hook_product_H(b):
+    t = b.transpose()
+    total = Fraction(1)
+    for k, row in enumerate(b.parts, start=1):
+        for l in range(1, row + 1):
+            total *= row - l + 1 + Fraction(t[l - 1] - k, 2)
+    return total
+
+
+def reference_classical_hook_product(b):
+    t = b.transpose()
+    total = 1
+    for k, row in enumerate(b.parts, start=1):
+        for l in range(1, row + 1):
+            total *= row - l + t[l - 1] - k + 1
+    return total
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (3, 0), (0, 2)])
+def test_hook_products_match_reference(mn):
+    for b in enumerate_hooks(HookParams(*mn, 'half'), 6, upto=True):
+        h, c = hook_product_H(b), classical_hook_product(b)
+        assert h == reference_hook_product_H(b) and type(h) is Fraction, b
+        assert c == reference_classical_hook_product(b), b
+        assert type(c) is int, b
+
+
+def reference_omega(a):
+    """omega with the sign read pair by pair of odd letters."""
+    amb = a.ambient
+    terms = {}
+    for w, c in a.terms.items():
+        ps = [amb.gen_parity(g) for g in w]
+        cross = 0
+        for r in range(len(ps)):
+            for s in range(r + 1, len(ps)):
+                cross += ps[r] * ps[s]
+        sgn = (-1) ** (len(w) + cross)
+        nw = tuple(reversed(w))
+        terms[nw] = terms.get(nw, 0) + sgn * c
+    return UEAElement(amb, terms)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (0, 2), (3, 0)])
+def test_omega_matches_reference(mn):
+    amb = Ambient(*mn)
+    rng = random.Random('omega %s %s' % mn)
+    elems = [UEAElement.zero(amb), UEAElement.one(amb)]
+    elems += [gelfand_element(amb, d) for d in range(1, 4)]
+    elems += [random_uea(amb, rng) for _ in range(30)]
+    for x in elems:
+        assert_same(omega(x), reference_omega(x))

@@ -271,7 +271,9 @@ def test_dict_vectors_rank_on_filtered_product_families(monkeypatch):
 def test_mat_reduce_equals_reference_on_interpolation_systems(monkeypatch):
     """The augmented systems [m | B] the interpolation bases solve at
     (2,1), d=6: the node rows m and the unit column of every node of size
-    6, one system per basis."""
+    6, one system per basis.  Fresh Weyl contexts, so a bases table that
+    an earlier test filled does not skip the solves."""
+    monkeypatch.setattr(weyl, '_ctx_cache', {})
     systems = []
     real_solve = solver.lin_solve
 

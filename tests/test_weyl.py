@@ -305,7 +305,8 @@ def reference_highest_weight_vectors(ambient, k, eps_coords):
             for vec in dict_columns_kernel(columns)]
 
 
-@pytest.mark.parametrize('mn', [(1, 2), (2, 2), (1, 4), (0, 2), (3, 0)])
+@pytest.mark.parametrize('mn', [(1, 2), (2, 2), (1, 4), (0, 2), (3, 0),
+                                (2, 1)])
 def test_highest_weight_vectors_equal_the_filter_route(mn):
     amb = Ambient(*mn)
     ctx = weyl_context(amb)
