@@ -7,6 +7,11 @@ success, 1 when a verification case fails, 2 on invalid input, 3 when an
 internal consistency check of the library fails (an AssertionError, such
 as a singular Capelli system).
 
+Invalid input is rejected before any side effect: the commands that need
+theta = 1/2 (capelli-op, capelli-preimage, d-poly, c-poly, gamma-star)
+exit 2 at theta = 1 before they open --cache-dir, and t-sigma exits 2 on
+a sigma that is not a permutation of 1..2d.
+
 Each suite reads (m, n) either as the ambient gl(m|n) or as the pair
 ranks with ambient gl(m|2n), and runs its default configurations
 {(m, n): degree}:
@@ -79,9 +84,6 @@ def _sigma(args):
         raise ValueError('--sigma must be comma-separated integers, the '
                          'images of 1..2d (e.g. 2,1,4,3), got %r'
                          % args.sigma) from None
-    if len(sigma) % 2 or sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError('sigma must be a permutation of 1..2d '
-                         'as a comma-separated image tuple')
     return sigma
 
 
@@ -98,6 +100,9 @@ def _cached_weyl(args, key_parts, compute):
 
 
 def _capelli(args, params, b):
+    """D_b through the cache; theta is checked first, so a rejected
+    command opens no cache directory."""
+    params._require('half', args.command)
     key = ('capelli-op', params.m, params.n, params.theta, list(b.parts))
     return _cached_weyl(args, key, lambda: capelli_operator(params, b))
 
@@ -114,20 +119,13 @@ def cmd_hooks(args):
     return payload, '\n'.join(names), 0
 
 
-def _weight_payload(w):
-    return {'frame': w.frame, 'coords': [str(c) for c in w.coords]}
-
-
 def cmd_gamma(args):
+    """gamma and gamma-star: the weight gamma_map(b) or gamma_star_map(b)."""
     params = _params(args)
-    w = gamma_map(_partition(args, params))
-    return ({'partition': args.partition, **_weight_payload(w)}, str(w), 0)
-
-
-def cmd_gamma_star(args):
-    params = _params(args)
-    w = gamma_star_map(_partition(args, params))
-    return ({'partition': args.partition, **_weight_payload(w)}, str(w), 0)
+    weight_map = gamma_map if args.command == 'gamma' else gamma_star_map
+    w = weight_map(_partition(args, params))
+    return ({'partition': args.partition, 'frame': w.frame,
+             'coords': [str(c) for c in w.coords]}, str(w), 0)
 
 
 def cmd_frobenius(args):
@@ -158,16 +156,12 @@ def cmd_t_sigma(args):
 
 def cmd_capelli_op(args):
     params = _params(args)
-    if params.theta != 'half':
-        raise ValueError('capelli-op requires theta = 1/2')
     D = _capelli(args, params, _partition(args, params))
     return D.to_json(), str(D), 0
 
 
 def cmd_capelli_preimage(args):
     params = _params(args)
-    if params.theta != 'half':
-        raise ValueError('capelli-preimage requires theta = 1/2')
     D = _capelli(args, params, _partition(args, params))
     z = full_preimage(D, check_invariant=False)
     return z.to_json(), str(z), 0
@@ -176,18 +170,13 @@ def cmd_capelli_preimage(args):
 def cmd_c_poly(args):
     params = _params(args)
     b = _partition(args, params)
-    method = args.method or 'hc'
-    if method == 'hc':
-        poly = c_poly_hc(params, b).poly
-    elif method == 'interp':
-        poly = c_poly_interp(params, b).poly
-    elif method == 'dual':
-        poly = c_star_poly(params, b).poly
-    else:
-        raise ValueError("method must be 'hc', 'interp' or 'dual'")
+    # the routes are read at call time, so a rebound cli name is the one run
+    route = {'hc': c_poly_hc, 'interp': c_poly_interp,
+             'dual': c_star_poly}[args.method]
+    poly = route(params, b).poly
     payload = poly.to_json()
     payload['partition'] = args.partition
-    payload['method'] = method
+    payload['method'] = args.method
     return payload, str(poly), 0
 
 
@@ -304,7 +293,7 @@ def suite_abstract_capelli(args):
             D = capelli_operator(params, b)
             z = full_preimage(D, check_invariant=False)
             cases.append(('gl(%d|%d) preimage roundtrip %s'
-                          % (m, 2 * params.n, b), rho_check(z) == D, ''))
+                          % (m, params.ambient.n, b), rho_check(z) == D, ''))
     return cases
 
 
@@ -312,7 +301,7 @@ def suite_eigenvalue_coherence(args):
     cases = []
     for m, n, d in _configs(args, 'eigenvalue-coherence'):
         params = HookParams(m, n, 'half')
-        amb = Ambient(m, 2 * n)
+        amb = params.ambient
         for b in _hooks(params, d):
             D = capelli_operator(params, b)
             z = central_preimage(params, b, capelli=D)
@@ -452,7 +441,7 @@ def suite_duality(args):
                 if c.value(w) != cs.value(dual_weight(w, params)):
                     bad.append(str(mu))
             cases.append(_case('duality for %s' % b, bad, 'mismatch at mu'))
-        amb = Ambient(m, 2 * n)
+        amb = params.ambient
         for d in range(1, dmax + 1):
             z = gelfand_element(amb, d)
             lhs = hc_project(omega(z), 'minus')
@@ -559,7 +548,7 @@ def build_parser():
 
     add('hooks', cmd_hooks, mn='req', theta=True, size=True)
     add('gamma', cmd_gamma, mn='req', theta=True, partition=True)
-    add('gamma-star', cmd_gamma_star, mn='req', theta=True, partition=True)
+    add('gamma-star', cmd_gamma, mn='req', theta=True, partition=True)
     add('frobenius', cmd_frobenius, mn='req', theta=True, partition=True)
     add('gelfand', cmd_gelfand, mn='req', dmax=1)
     add('hc', cmd_hc, mn='req', dmax=1, sign=True)

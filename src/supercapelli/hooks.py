@@ -9,6 +9,7 @@ home is gl(m|n) itself and weights are written in the epsilon basis.
 from fractions import Fraction
 
 from .multipoly import AffineSubstitution
+from .superlie import Ambient
 
 
 class HookParams:
@@ -25,9 +26,18 @@ class HookParams:
         self.theta = theta
 
     @property
-    def odd_dim(self):
-        """Odd dimension of the ambient superspace."""
-        return 2 * self.n if self.theta == 'half' else self.n
+    def ambient(self):
+        """The ambient of the pair ranks: gl(m|2n), whose pair with
+        osp(m|2n) acts on S^2(C^{m|2n}), at theta = 1/2; gl(m|n), home of
+        the shifted Schur family, at theta = 1."""
+        return Ambient(self.m, 2 * self.n if self.theta == 'half' else self.n)
+
+    def _require(self, theta, caller):
+        """The regime check of every entry point that exists at one theta
+        only: ValueError naming caller unless self.theta is theta."""
+        if self.theta != theta:
+            raise ValueError('%s requires theta = %s'
+                             % (caller, '1/2' if theta == 'half' else '1'))
 
     def __eq__(self, other):
         return (isinstance(other, HookParams)
@@ -199,10 +209,8 @@ def gamma_map(b):
 def gamma_star_map(b):
     """Highest weight of the degree-|b| summand of the polynomial space,
     half regime only."""
-    params = b.params
-    if params.theta != 'half':
-        raise ValueError('gamma_star_map is defined in the half regime only')
-    m, n = params.m, params.n
+    b.params._require('half', 'gamma_star_map')
+    m, n = b.params.m, b.params.n
     t = b.transpose()
     coords = [-2 * max(b.part(m + 1 - i) - n, 0) for i in range(1, m + 1)]
     coords += [-2 * (t[n - j] if n - j < len(t) else 0) for j in range(1, n + 1)]

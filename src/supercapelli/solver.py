@@ -15,10 +15,11 @@ from .linalg import lin_solve, solve_in_span, dict_vectors_rank
 from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     classical_hook_product, frobenius_point,
                     frobenius_affine_map, a_context, xy_context, partitions)
-from .superlie import (Ambient, UEAElement, hc_project, q_projection,
+from .superlie import (UEAElement, hc_project, q_projection,
                        gd_element, omega_cartan)
 from .weyl import (rho_check_gen, weyl_context, _entry, _commutator,
-                   capelli_operator, spherical_poly, gelfand_product)
+                   _check_permutation, capelli_operator, spherical_poly,
+                   gelfand_product)
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +36,8 @@ def coset_type(sigma):
     points, and the halves b are the type.  A product of consecutive
     cycles with block sizes b_1, b_2, ... has type the b_s, largest
     first."""
+    _check_permutation(sigma)
     two_d = len(sigma)
-    if two_d % 2 or sorted(sigma) != list(range(1, two_d + 1)):
-        raise ValueError('not a permutation of even size')
     partner = [0] * (two_d + 1)
     for t in range(0, two_d, 2):
         p, q = sigma[t], sigma[t + 1]
@@ -136,9 +136,8 @@ def _hc_poly(params, b, preimage, sign):
     """The q projection of the sign Harish-Chandra projection of a central
     preimage of the Capelli operator, with each variable negated for the
     minus sign."""
-    if params.theta != 'half':
-        raise ValueError('half regime required')
-    amb = Ambient(params.m, 2 * params.n)
+    params._require('half', 'c_poly_hc' if sign == 'plus' else 'c_star_poly')
+    amb = params.ambient
     if preimage is None:
         preimage = central_preimage(params, b)
     poly = q_projection(hc_project(preimage, sign), amb)
@@ -293,7 +292,7 @@ def _basis(params, d, build):
     """build(params, d), built once per (family, params, d) in the bases
     table of the ambient's Weyl context; interpolate returns fresh
     polynomials, so a shared basis is never changed."""
-    bases = weyl_context(Ambient(params.m, params.odd_dim)).bases
+    bases = weyl_context(params.ambient).bases
     key = (build.__name__, params, d)
     return bases[key] if key in bases else bases.setdefault(
         key, build(params, d))
@@ -302,9 +301,8 @@ def _basis(params, d, build):
 def ia_star_basis(params, d):
     """Filtered basis of the interpolation algebra on the weight context:
     span of products of projected center generators."""
-    if params.theta != 'half':
-        raise ValueError('half regime required')
-    amb = Ambient(params.m, 2 * params.n)
+    params._require('half', 'ia_star_basis')
+    amb = params.ambient
     ctx = a_context(params.m, params.n)
     gens = {k: q_projection(gd_element(amb, k), amb).rename(ctx)
             for k in range(1, d + 1)}
@@ -474,8 +472,7 @@ def verify_main(params, b, capelli=None):
 def theta_one_family(params, b):
     """The shifted supersymmetric Schur interpolation polynomial and its
     top homogeneous part, in Frobenius coordinates."""
-    if params.theta != 'one':
-        raise ValueError('theta=one required')
+    params._require('one', 'theta_one_family')
     s_star = sp_star(params, b)
     s_top = s_star.top_part() if not s_star.is_zero() else s_star
     return {'s_star': s_star, 's_top': s_top}

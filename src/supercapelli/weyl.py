@@ -607,6 +607,14 @@ def _first_order(ctx, gen):
 # ---------------------------------------------------------------------------
 # Invariant symbols.
 
+def _check_permutation(sigma):
+    """The input check of every sigma indexing an invariant symbol:
+    ValueError unless sigma is a permutation of 1..2d as an image tuple."""
+    if len(sigma) % 2 or sorted(sigma) != list(range(1, len(sigma) + 1)):
+        raise ValueError('sigma must be a permutation of 1..2d, got %s'
+                         % ','.join(map(str, sigma)))
+
+
 def t_sigma(ambient, sigma):
     """The invariant bidegree-(d,d) operator attached to a permutation of
     {1..2d}, computed literally from its defining signed sum (with the
@@ -622,11 +630,8 @@ def t_sigma(ambient, sigma):
     factor order depends only on the mask, so the mask table holds it
     with the parity sign, and a leaf adds one term.  The 1/2^d is applied
     once per output term."""
+    _check_permutation(sigma)
     two_d = len(sigma)
-    if two_d % 2:
-        raise ValueError('permutation must have even size')
-    if sorted(sigma) != list(range(1, two_d + 1)):
-        raise ValueError('not a permutation of 1..%d' % two_d)
     if not two_d:
         return WeylElement.one(ambient)     # the empty tuple alone
     d = two_d // 2
@@ -901,18 +906,9 @@ def eigenvalue_on(op, vec):
     """Scalar by which an invariant operator acts on a vector spanning a
     one-dimensional isotypic slot; asserts proportionality."""
     img = apply_weyl(op, vec)
-    if not img:
-        return Fraction(0)
-    key = next(iter(sorted(vec)))
-    if key not in img:
+    s = img.get(min(vec), 0) / vec[min(vec)] if img else Fraction(0)
+    if img != {kk: s * c for kk, c in vec.items() if s}:
         raise AssertionError('image not proportional to the vector')
-    s = img[key] / vec[key]
-    for kk, c in vec.items():
-        if img.get(kk, 0) != s * c:
-            raise AssertionError('image not proportional to the vector')
-    for kk in img:
-        if kk not in vec:
-            raise AssertionError('image not proportional to the vector')
     return s
 
 
@@ -921,14 +917,13 @@ def capelli_operator(params, b, inv_basis=None):
     indexed by b and as zero on the other modules of the same degree, one
     lincomb of the invariant basis; b must be a hook partition of params.
     An inv_basis of another ambient, bidegree or size raises ValueError."""
-    if params.theta != 'half':
-        raise ValueError('capelli operators live in the half regime')
+    params._require('half', 'capelli_operator')
     d = b.size
     hooks = enumerate_hooks(params, d)
     if b not in hooks:
         raise ValueError('partition %s of %r is not a hook partition of %r'
                          % (b, b.params, params))
-    amb = Ambient(params.m, 2 * params.n)
+    amb = params.ambient
     if inv_basis is None:
         inv_basis = invariant_symbol_space(amb, d, verify=False)
     if any(t.ambient != amb for t in inv_basis):
@@ -939,10 +934,12 @@ def capelli_operator(params, b, inv_basis=None):
     if len(inv_basis) != len(hooks):
         raise ValueError('inv_basis has %d elements, not %d'
                          % (len(inv_basis), len(hooks)))
+    # P^d(W) grouped by weight once, for the highest weights of all hooks
+    spaces = _weight_spaces(amb, d)
     rows = []
     for bp in hooks:
         mu = gamma_star_map(bp)
-        hw = highest_weight_vectors(amb, d, eps_extension(mu))
+        hw = _highest_in(amb, spaces.get(eps_extension(mu), []))
         if len(hw) != 1:
             raise AssertionError('highest weight space at %s has dimension %d'
                                  % (mu, len(hw)))
@@ -972,8 +969,9 @@ def _cartan_generators(params):
     <y_kk, x_kk> = 2 and <y_{(2l-1)b,(2l)b}, x_{(2l-1)b,(2l)b}> = 1, y_kk
     restricts to -a_k, y_{(2l-1)b,(2l)b} to -ab_l / 2, and every other
     y-generator to 0."""
+    params._require('half', 'the spherical vector')
     m, n = params.m, params.n
-    ctx = weyl_context(Ambient(m, 2 * n))
+    ctx = weyl_context(params.ambient)
     table = {ctx.index[(k, k)]: (k, Fraction(-1)) for k in range(m)}
     for l in range(n):
         table[ctx.index[(m + 2 * l, m + 2 * l + 1)]] = (m + l, Fraction(-1, 2))
@@ -1021,8 +1019,9 @@ def spherical_poly(params, b, capelli=None):
 def osp_spanning_set(params):
     """Spanning set of the fixed orthosymplectic subalgebra inside the
     ambient gl(m|2n), as degree-1 enveloping algebra elements."""
+    params._require('half', 'osp_spanning_set')
     m, n = params.m, params.n
-    amb = Ambient(m, 2 * n)
+    amb = params.ambient
 
     def E(i, j):
         return UEAElement.gen(amb, i, j)

@@ -10,6 +10,12 @@ import pytest
 import supercapelli
 from supercapelli import cli
 from supercapelli.cli import main, SUITES
+from supercapelli.hooks import HookParams, HookPartition, gamma_star_map
+from supercapelli.solver import (c_poly_hc, c_poly_interp, c_star_poly,
+                                 coset_type, ia_star_basis, theta_one_family)
+from supercapelli.superlie import Ambient
+from supercapelli.weyl import (capelli_operator, osp_spanning_set,
+                               spherical_vector, t_sigma)
 
 
 def run(capsys, *argv):
@@ -363,3 +369,77 @@ def test_main_builds_one_parser_and_runs_a_rebound_handler(capsys,
     monkeypatch.setattr(cli, 'cmd_hooks', cmd_hooks)
     assert run(capsys, *argv)[:2] == (0, '2\n1,1\n')
     assert seen == [2] and len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Pair-level input rules: one theta check, one permutation check.
+
+P_HALF, P_ONE = HookParams(1, 1, 'half'), HookParams(1, 1, 'one')
+B_HALF, B_ONE = HookPartition((1,), P_HALF), HookPartition((1,), P_ONE)
+HALF_ONLY_CALLS = {
+    # entry point -> (call at theta = 1, the name its message gives)
+    'capelli_operator': (lambda: capelli_operator(P_ONE, B_ONE),
+                         'capelli_operator'),
+    'c_poly_hc': (lambda: c_poly_hc(P_ONE, B_ONE), 'c_poly_hc'),
+    'c_star_poly': (lambda: c_star_poly(P_ONE, B_ONE), 'c_star_poly'),
+    'c_poly_interp': (lambda: c_poly_interp(P_ONE, B_ONE), 'ia_star_basis'),
+    'ia_star_basis': (lambda: ia_star_basis(P_ONE, 1), 'ia_star_basis'),
+    'gamma_star_map': (lambda: gamma_star_map(B_ONE), 'gamma_star_map'),
+    'spherical_vector': (lambda: spherical_vector(
+        P_ONE, B_ONE, capelli=capelli_operator(P_HALF, B_HALF)),
+        'the spherical vector'),
+    'osp_spanning_set': (lambda: osp_spanning_set(P_ONE), 'osp_spanning_set'),
+}
+HALF_ONLY_COMMANDS = {
+    # command line -> the name its message gives
+    'capelli-op': 'capelli-op',
+    'capelli-preimage': 'capelli-preimage',
+    'd-poly': 'd-poly',
+    'c-poly --method hc': 'c_poly_hc',
+    'c-poly --method interp': 'ia_star_basis',
+    'c-poly --method dual': 'c_star_poly',
+    'gamma-star': 'gamma_star_map',
+}
+
+
+@pytest.mark.parametrize('entry', list(HALF_ONLY_CALLS)
+                         + list(HALF_ONLY_COMMANDS))
+def test_theta_half_entry_points_reject_theta_one(capsys, entry):
+    if entry in HALF_ONLY_CALLS:
+        call, name = HALF_ONLY_CALLS[entry]
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == '%s requires theta = 1/2' % name
+    else:
+        code, out, err = run(capsys, *entry.split(), '--m', '1', '--n', '1',
+                             '--partition', '1', '--theta', '1')
+        assert code == 2 and out == ''
+        assert err == 'error: %s requires theta = 1/2\n' \
+            % HALF_ONLY_COMMANDS[entry]
+
+
+def test_theta_one_family_rejects_theta_half():
+    with pytest.raises(ValueError) as info:
+        theta_one_family(P_HALF, B_HALF)
+    assert str(info.value) == 'theta_one_family requires theta = 1'
+
+
+@pytest.mark.parametrize('cmd', ['capelli-op', 'capelli-preimage', 'd-poly'])
+def test_rejected_theta_opens_no_cache_dir(capsys, tmp_path, cmd):
+    cache_dir = tmp_path / 'c'
+    code, out, err = run(capsys, cmd, '--m', '1', '--n', '1', '--partition',
+                         '1', '--theta', '1', '--cache-dir', str(cache_dir))
+    assert code == 2 and out == '' and err.startswith('error: ')
+    assert not cache_dir.exists()
+
+
+def test_one_permutation_message(capsys):
+    want = 'sigma must be a permutation of 1..2d, got 2,1,3'
+    for call in (lambda: t_sigma(Ambient(1, 1), (2, 1, 3)),
+                 lambda: coset_type((2, 1, 3))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
+    code, out, err = run(capsys, 't-sigma', '--m', '1', '--n', '1',
+                         '--sigma', '2,1,3')
+    assert code == 2 and out == '' and err == 'error: %s\n' % want

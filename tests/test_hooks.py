@@ -11,6 +11,7 @@ from supercapelli.hooks import (HookParams, HookPartition, Weight,
                                 frobenius_point, frobenius_affine_map,
                                 a_context, eps_context, xy_context,
                                 eps_extension)
+from supercapelli.superlie import Ambient
 
 P11 = HookParams(1, 1, 'half')
 P21 = HookParams(2, 1, 'half')
@@ -21,8 +22,18 @@ def test_params_validation():
         HookParams(-1, 0)
     with pytest.raises(ValueError):
         HookParams(1, 1, 'third')
-    assert HookParams(1, 2, 'half').odd_dim == 4
-    assert HookParams(1, 2, 'one').odd_dim == 2
+    assert HookParams(1, 2, 'half').ambient == Ambient(1, 4)
+    assert HookParams(1, 2, 'one').ambient == Ambient(1, 2)
+
+
+@pytest.mark.parametrize('mn', [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2),
+                                (3, 2)])
+def test_ambient_of_the_pair_ranks(mn):
+    m, n = mn
+    assert HookParams(m, n, 'half').ambient == Ambient(m, 2 * n)
+    assert HookParams(m, n, 'one').ambient == Ambient(m, n)
+    with pytest.raises(AttributeError):
+        HookParams(m, n).ambient = Ambient(m, n)
 
 
 def test_hook_condition():

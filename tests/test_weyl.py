@@ -382,3 +382,79 @@ def test_symbol():
     assert symbol(a, 1) == WeylElement(amb, {((0,), (0,)): Fraction(1)})
     with pytest.raises(ValueError):
         symbol(a, 0)
+
+
+def test_capelli_operator_groups_p_d_by_weight_once(monkeypatch):
+    # one weight grouping of P^d(W) per call, not one per hook of degree d
+    calls = []
+    real = weyl.monomial_basis
+
+    def monomial_basis(ambient, k):
+        calls.append((ambient, k))
+        return real(ambient, k)
+
+    monkeypatch.setattr(weyl, 'monomial_basis', monomial_basis)
+    params = HookParams(2, 1, 'half')
+    hooks = enumerate_hooks(params, 3)
+    assert len(hooks) == 3
+    for b in hooks:
+        calls.clear()
+        D = capelli_operator(params, b)
+        assert calls == [(params.ambient, 3)]
+        # the eigenvalues, read on highest weight vectors found per hook
+        for mu in hooks:
+            hw = highest_weight_vectors(params.ambient, 3,
+                                        eps_extension(gamma_star_map(mu)))
+            assert eigenvalue_on(D, hw[0]) == (6 if mu == b else 0)
+
+
+def reference_eigenvalue_on(op, vec):
+    """eigenvalue_on as it checked proportionality before: the first key,
+    then every key of the vector, then every key of the image."""
+    img = apply_weyl(op, vec)
+    if not img:
+        return Fraction(0)
+    key = next(iter(sorted(vec)))
+    if key not in img:
+        raise AssertionError('image not proportional to the vector')
+    s = img[key] / vec[key]
+    for kk, c in vec.items():
+        if img.get(kk, 0) != s * c:
+            raise AssertionError('image not proportional to the vector')
+    for kk in img:
+        if kk not in vec:
+            raise AssertionError('image not proportional to the vector')
+    return s
+
+
+def _eigenvalue_or_error(fn, op, vec):
+    try:
+        return fn(op, vec)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_eigenvalue_on_equals_the_three_loop_check():
+    amb = Ambient(1, 2)
+    rng = random.Random(5)
+    ctx = weyl_context(amb)
+    monos = monomial_basis(amb, 1) + monomial_basis(amb, 2)
+    ops = [rho_check_gen(amb, i, j) for i in range(3) for j in range(3)]
+    ops += [random_weyl(amb, rng, nterms=2, maxlen=1) for _ in range(20)]
+    # the Euler operator scales every degree-2 vector by 2
+    euler = WeylElement(amb, {((g,), (g,)): Fraction(1, ctx.pairing(g, g))
+                              for g in range(len(ctx.pairs))})
+    outcomes = set()
+    for _ in range(200):
+        vec = {mm: Fraction(rng.randrange(1, 5), rng.randrange(1, 3))
+               for mm in rng.sample(monos, rng.randrange(1, 4))}
+        for op in [euler] + rng.sample(ops, 3):
+            got = _eigenvalue_or_error(eigenvalue_on, op, vec)
+            assert got == _eigenvalue_or_error(reference_eigenvalue_on,
+                                               op, vec), (op, vec)
+            outcomes.add(type(got))
+    assert outcomes == {Fraction, str}
+    vec = {mm: Fraction(1) for mm in monomial_basis(amb, 2)[:3]}
+    assert eigenvalue_on(euler, vec) == 2
+    with pytest.raises(AssertionError, match='image not proportional'):
+        eigenvalue_on(euler + rho_check_gen(amb, 0, 1), vec)
