@@ -16,9 +16,9 @@ from .superlie import (Ambient, UEAElement, bracket, pbw_normalize,
 from .weyl import (WeylElement, weyl_mul, rho_check, rho_check_gen, t_sigma,
                    invariant_symbol_space, highest_weight_vectors,
                    capelli_operator, spherical_vector, spherical_poly,
-                   symbol, gelfand_product)
-from .solver import (coset_type, symbol_preimage, full_preimage,
-                     central_preimage, c_poly_hc, c_poly_interp, c_star_poly,
+                   symbol, gelfand_product, hook_vectors)
+from .solver import (coset_type, full_preimage, central_preimage,
+                     c_poly_hc, c_poly_interp, c_star_poly,
                      ia_star_basis, deformed_power_sum, sp_basis, sp_star,
                      frobenius_transform, verify_sv, verify_main,
                      theta_one_family, natural_algebra_check)

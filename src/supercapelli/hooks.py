@@ -9,7 +9,7 @@ home is gl(m|n) itself and weights are written in the epsilon basis.
 from fractions import Fraction
 
 from .multipoly import AffineSubstitution
-from .superlie import Ambient
+from .superlie import Ambient, a_context
 
 
 class HookParams:
@@ -302,12 +302,6 @@ def frobenius_point(b):
     parts = [b.part(k) for k in range(1, m + 1)] + list(b.star_parts())
     v = [p + s for p, s in zip(parts, shifts)]
     return FrobeniusPoint(v[:m], v[m:])
-
-
-def a_context(m, n):
-    """Variable names for the gamma-basis dual coordinates."""
-    return tuple('a%d' % k for k in range(1, m + 1)) + \
-        tuple('ab%d' % l for l in range(1, n + 1))
 
 
 def eps_context(m, n):

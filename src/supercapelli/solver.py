@@ -14,12 +14,12 @@ from .multipoly import MultiPoly, AffineSubstitution, lincomb
 from .linalg import lin_solve, solve_in_span, dict_vectors_rank
 from .hooks import (enumerate_hooks, gamma_star_map, hook_product_H,
                     classical_hook_product, frobenius_point,
-                    frobenius_affine_map, a_context, xy_context, partitions)
-from .superlie import (UEAElement, hc_project, q_projection,
+                    frobenius_affine_map, xy_context, partitions)
+from .superlie import (UEAElement, a_context, hc_project, q_projection,
                        gd_element, omega_cartan)
 from .weyl import (rho_check_gen, weyl_context, _entry, _commutator,
-                   _check_permutation, capelli_operator, spherical_poly,
-                   gelfand_product)
+                   _check_permutation, _order_part, capelli_operator,
+                   spherical_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -57,18 +57,6 @@ def coset_type(sigma):
     return tuple(sorted(out, reverse=True))
 
 
-def symbol_preimage(ambient, sigma):
-    """A central element whose polarized image has top symbol equal to the
-    invariant attached to sigma: the Gelfand product of the coset type of
-    sigma (its factors are central, so their order does not matter)."""
-    return gelfand_product(ambient, coset_type(sigma))
-
-
-def _ddeg_part(ints, d):
-    """The terms of derivative degree d of an {(y, d-mono): int} map."""
-    return {k: c for k, c in ints.items() if len(k[1]) == d}
-
-
 def full_preimage(D, check_invariant=True):
     """A central enveloping algebra element z with polarized image exactly
     D, built by peeling top symbols down the order filtration.
@@ -96,8 +84,8 @@ def full_preimage(D, check_invariant=True):
         d = max(len(dm) for _, dm in ints)
         span = [(part, _entry(ctx, 'images', part)) for part in partitions(d)]
         # sum c_i ints_i = ints in degree d, with image_i = ints_i / den_i
-        coeffs = solve_in_span([_ddeg_part(v, d) for _, (_, v) in span],
-                               _ddeg_part(ints, d))
+        coeffs = solve_in_span([_order_part(v, d) for _, (_, v) in span],
+                               _order_part(ints, d))
         if coeffs is None:
             raise AssertionError('symbol of order %d not in the invariant '
                                  'span' % d)
@@ -133,17 +121,16 @@ def central_preimage(params, b, capelli=None):
 
 
 def _hc_poly(params, b, preimage, sign):
-    """The q projection of the sign Harish-Chandra projection of a central
-    preimage of the Capelli operator, with each variable negated for the
-    minus sign."""
+    """The q projection (in the a-coordinates) of the sign Harish-Chandra
+    projection of a central preimage of the Capelli operator, with each
+    variable negated for the minus sign."""
     params._require('half', 'c_poly_hc' if sign == 'plus' else 'c_star_poly')
-    amb = params.ambient
     if preimage is None:
         preimage = central_preimage(params, b)
-    poly = q_projection(hc_project(preimage, sign), amb)
+    poly = q_projection(hc_project(preimage, sign), params.ambient)
     if sign == 'minus':
         poly = omega_cartan(poly)
-    return EigenPoly(b, poly.rename(a_context(params.m, params.n)))
+    return EigenPoly(b, poly)
 
 
 def c_poly_hc(params, b, preimage=None):
@@ -168,15 +155,15 @@ class InterpolationBasis:
     The element of the span that is 1 at a node and 0 at every other node
     has coefficients the solution of the node system for that node's
     unit right-hand side, so one solve with the unit column of every node
-    of size d (the nodes check() admits) serves every interpolation at
-    that degree, read back by combine() as one lincomb of the basis.
+    of size d serves every interpolation at that degree, read back by
+    interpolate() as one lincomb of the basis.
 
     The check that the family has one element per node is what proves
     the top-part filter of _filtered_products exact: the span of the
     products has at most that dimension."""
 
     __slots__ = ('params', 'd', 'context', 'gens', 'polys', 'records',
-                 'point', 'nodes', '_rows', '_columns', '_cleared')
+                 'point', 'nodes', '_columns', '_cleared')
 
     def __init__(self, params, d, context, gens, point):
         self.params = params
@@ -192,15 +179,14 @@ class InterpolationBasis:
             raise AssertionError('interpolation algebra dimension %d does '
                                  'not match hook count %d at degree %d'
                                  % (len(polys), len(self.nodes), d))
-        self._rows = tuple(tuple(self.values_at(point(b)))
-                           for b in self.nodes)
+        rows = [self.values_at(point(b)) for b in self.nodes]
         top = [b for b in self.nodes if b.size == d]
         units = [[int(bp == b) for bp in self.nodes] for b in top]
-        results = lin_solve(self._rows, units, len(self))
+        results = lin_solve(rows, units, len(self))
         if not all(res.unique for res in results):
             raise AssertionError('interpolation system is singular')
         self._columns = {b: res.solution for b, res in zip(top, results)}
-        self._cleared = tuple(p.cleared() for p in polys)   # for combine()
+        self._cleared = tuple(p.cleared() for p in polys)
 
     def __len__(self):
         return len(self.polys)
@@ -218,13 +204,12 @@ class InterpolationBasis:
                          prod(map(den.__getitem__, rec)))
                 for rec in self.records]
 
-    def node_rows(self):
-        """values_at at each node, in node order, as fresh lists."""
-        return [list(row) for row in self._rows]
-
-    def check(self, params, b, point):
-        """Raise ValueError unless the basis was built for params, the
-        degree |b| and the evaluation points given by `point`."""
+    def interpolate(self, params, b, point, value):
+        """The element of the basis span taking `value` at the node b and
+        0 at every other node: `value` times the coefficient column of b
+        solved when the basis was built, one lincomb of the basis
+        polynomials cleared then.  ValueError unless the basis was built
+        for params, the degree |b| and the evaluation points `point`."""
         if (self.params != params or self.d != b.size
                 or self.point is not point or b not in self.nodes):
             raise ValueError(
@@ -232,19 +217,8 @@ class InterpolationBasis:
                 'not match %r, partition %s of %r and %s nodes'
                 % (self.params, self.d, self.point.__name__.strip('_'),
                    params, b, b.params, point.__name__.strip('_')))
-
-    def interpolate(self, params, b, point, value):
-        """The element of the basis span taking `value` at the node b and
-        0 at every other node: `value` times the coefficient column of b
-        solved when the basis was built, combined; check() runs first."""
-        self.check(params, b, point)
-        return self.combine([value * c for c in self._columns[b]])
-
-    def combine(self, coeffs):
-        """The polynomial sum c_j p_j, one lincomb of the basis
-        polynomials, cleared once when the basis is built."""
         return MultiPoly.from_cleared(self.context, *lincomb(
-            zip(coeffs, self._cleared)))
+            (value * c, p) for c, p in zip(self._columns[b], self._cleared)))
 
 
 def _gamma_star_point(b):
@@ -304,7 +278,7 @@ def ia_star_basis(params, d):
     params._require('half', 'ia_star_basis')
     amb = params.ambient
     ctx = a_context(params.m, params.n)
-    gens = {k: q_projection(gd_element(amb, k), amb).rename(ctx)
+    gens = {k: q_projection(gd_element(amb, k), amb)
             for k in range(1, d + 1)}
     return InterpolationBasis(params, d, ctx, gens, _gamma_star_point)
 
@@ -457,13 +431,13 @@ def verify_sv(params, b, preimage=None):
 
 def verify_main(params, b, capelli=None):
     """Top homogeneous part of the eigenvalue polynomial against the
-    spherical polynomial."""
+    spherical polynomial, which is formed first, so a capelli of other
+    ranks or degree raises its ValueError."""
     if capelli is None:
         capelli = capelli_operator(params, b)
-    c = c_poly_hc(params, b, preimage=full_preimage(capelli,
-                                                    check_invariant=False))
-    top = c.poly.top_part() if not c.poly.is_zero() else c.poly
     d = spherical_poly(params, b, capelli=capelli)
+    c = c_poly_hc(params, b, preimage=central_preimage(params, b, capelli))
+    top = c.poly.top_part() if not c.poly.is_zero() else c.poly
     ok = top == d
     detail = '' if ok else 'top=%s spherical=%s' % (top, d)
     return Report('main:%s' % b, ok, detail)

@@ -310,20 +310,21 @@ def omega_cartan(p):
     return MultiPoly(p.vars, terms)
 
 
-def q_context(m, n):
-    return tuple('h%d' % k for k in range(1, m + 1)) + \
-        tuple('hb%d' % l for l in range(1, n + 1))
+def a_context(m, n):
+    """Variable names for the gamma-basis dual coordinates."""
+    return tuple('a%d' % k for k in range(1, m + 1)) + \
+        tuple('ab%d' % l for l in range(1, n + 1))
 
 
 def q_projection(c, ambient):
-    """Restrict a Cartan polynomial of gl(m|2n) to the even Cartan of the
-    symmetric pair: E_kk -> h_k and both odd diagonal entries of the l-th
-    pair -> hb_l / 2."""
+    """Restrict a Cartan polynomial of gl(m|2n) to the even Cartan a of
+    the symmetric pair, in the a-coordinates: E_kk -> a_k and both odd
+    diagonal entries of the l-th pair -> ab_l / 2."""
     m, nn = ambient.m, ambient.n
     if nn % 2:
         raise ValueError('odd dimension must be even for the q projection')
     n = nn // 2
-    ctx = q_context(m, n)
+    ctx = a_context(m, n)
     terms = {}
     for e, coef in c.terms.items():
         exp = list(e[:m])

@@ -27,12 +27,11 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, gcd
 
-from .hooks import (a_context, enumerate_hooks, eps_extension,
-                    gamma_star_map, partitions)
+from .hooks import enumerate_hooks, eps_extension, gamma_star_map, partitions
 from .linalg import (Span, dict_columns_kernel, dict_vectors_basis, lin_solve,
                      _cleared)
 from .multipoly import Combination, MultiPoly, lincomb
-from .superlie import Ambient, UEAElement, gelfand_element, _concat
+from .superlie import Ambient, UEAElement, a_context, gelfand_element, _concat
 
 _ctx_cache = {}
 
@@ -163,15 +162,6 @@ class WeylContext:
     def mono_parity(self, mono):
         return sum(self.parity[g] for g in mono) % 2
 
-    def mono_counts(self, mono):
-        """Occurrences of each basis index across the pairs of a monomial."""
-        counts = [0] * self.ambient.dim
-        for g in mono:
-            i, j = self.pairs[g]
-            counts[i] += 1
-            counts[j] += 1
-        return tuple(counts)
-
     def gen_label(self, g):
         i, j = self.pairs[g]
         return '%s,%s' % (self.ambient.label(i), self.ambient.label(j))
@@ -218,11 +208,6 @@ class WeylElement(Combination):
         if len(ps) > 1:
             raise ValueError('element is not homogeneous in parity')
         return ps.pop() if ps else 0
-
-    def ddeg_part(self, ddeg):
-        return WeylElement(self.ambient,
-                           {(y, d): c for (y, d), c in self.terms.items()
-                            if len(d) == ddeg})
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -842,8 +827,13 @@ def invariant_symbol_space(ambient, d, verify=True):
 # Highest weight vectors and module bookkeeping.
 
 def mono_weight(ctx, mono):
-    """Weight of a y-monomial in the epsilon frame (negative counts)."""
-    return tuple(-c for c in ctx.mono_counts(mono))
+    """Weight of a y-monomial in the epsilon frame: minus the occurrences
+    of each basis index across its pairs."""
+    weight = [0] * ctx.ambient.dim
+    for g in mono:
+        for i in ctx.pairs[g]:
+            weight[i] -= 1
+    return tuple(weight)
 
 
 def highest_weight_vectors(ambient, k, eps_coords):
@@ -869,6 +859,24 @@ def _highest_in(ambient, cands):
         columns.append(vec)
     return [{mm: c for mm, c in zip(cands, vec) if c}
             for vec in dict_columns_kernel(columns)]
+
+
+def hook_vectors(params, k):
+    """{hook mu of size k: the highest weight vector of the summand of
+    P^k(W) indexed by mu}, from one weight grouping of P^k(W).  P(W) is
+    multiplicity free, so an AssertionError naming the weight is raised
+    when a highest weight space is not one-dimensional."""
+    amb = params.ambient
+    spaces = _weight_spaces(amb, k)
+    out = {}
+    for mu in enumerate_hooks(params, k):
+        w = gamma_star_map(mu)
+        hw = _highest_in(amb, spaces.get(eps_extension(w), []))
+        if len(hw) != 1:
+            raise AssertionError('highest weight space at %s has dimension %d'
+                                 % (w, len(hw)))
+        out[mu] = hw[0]
+    return out
 
 
 def all_highest_weight_vectors(ambient, k):
@@ -919,8 +927,8 @@ def capelli_operator(params, b, inv_basis=None):
     An inv_basis of another ambient, bidegree or size raises ValueError."""
     params._require('half', 'capelli_operator')
     d = b.size
-    hooks = enumerate_hooks(params, d)
-    if b not in hooks:
+    vectors = hook_vectors(params, d)
+    if b not in vectors:
         raise ValueError('partition %s of %r is not a hook partition of %r'
                          % (b, b.params, params))
     amb = params.ambient
@@ -931,21 +939,11 @@ def capelli_operator(params, b, inv_basis=None):
     if any(len(y) != d or len(x) != d for t in inv_basis for y, x in t.terms):
         raise ValueError('inv_basis has an element not of bidegree (%d,%d)'
                          % (d, d))
-    if len(inv_basis) != len(hooks):
+    if len(inv_basis) != len(vectors):
         raise ValueError('inv_basis has %d elements, not %d'
-                         % (len(inv_basis), len(hooks)))
-    # P^d(W) grouped by weight once, for the highest weights of all hooks
-    spaces = _weight_spaces(amb, d)
-    rows = []
-    for bp in hooks:
-        mu = gamma_star_map(bp)
-        hw = _highest_in(amb, spaces.get(eps_extension(mu), []))
-        if len(hw) != 1:
-            raise AssertionError('highest weight space at %s has dimension %d'
-                                 % (mu, len(hw)))
-        v = hw[0]
-        rows.append([eigenvalue_on(t, v) for t in inv_basis])
-    rhs = [Fraction(factorial(d)) if bp == b else Fraction(0) for bp in hooks]
+                         % (len(inv_basis), len(vectors)))
+    rows = [[eigenvalue_on(t, v) for t in inv_basis] for v in vectors.values()]
+    rhs = [Fraction(factorial(d) if bp == b else 0) for bp in vectors]
     res = lin_solve(rows, rhs, len(inv_basis))
     if not res.unique:
         raise AssertionError('capelli operator system is singular')
@@ -983,10 +981,17 @@ def spherical_vector(params, b, capelli=None):
     with the form beta.  beta is 1 on the Cartan generators and 0 on every
     other pair (see _cartan_generators), so a term keeps its y-monomial
     and coefficient exactly when all its derivatives are Cartan
-    generators.  Returns {y-monomial: coeff}."""
+    generators.  Returns {y-monomial: coeff}.  A capelli of another
+    ambient or not of bidegree (|b|,|b|) raises ValueError."""
     if capelli is None:
         capelli = capelli_operator(params, b)
     cartan = _cartan_generators(params)
+    if capelli.ambient != params.ambient:
+        raise ValueError('capelli operator in %r, not in %r'
+                         % (capelli.ambient, params.ambient))
+    if any(len(y) != b.size or len(x) != b.size for y, x in capelli.terms):
+        raise ValueError('capelli operator not of bidegree (%d,%d)'
+                         % (b.size, b.size))
     out = {}
     for (y, dd), c in capelli.terms.items():
         if all(g in cartan for g in dd):
@@ -1046,9 +1051,14 @@ def osp_spanning_set(params):
     return out
 
 
+def _order_part(terms, d):
+    """The terms of derivative degree d of a {(y-mono, d-mono): c} map."""
+    return {k: c for k, c in terms.items() if len(k[1]) == d}
+
+
 def symbol(a, d):
     """The order-d symbol: the part of pure derivative degree d.  Errors
     when the operator has order above d."""
     if a.order() > d:
         raise ValueError('operator order exceeds %d' % d)
-    return a.ddeg_part(d)
+    return WeylElement(a.ambient, _order_part(a.terms, d))

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import permutations
@@ -8,7 +9,7 @@ from itertools import permutations
 import pytest
 
 import supercapelli
-from supercapelli import cli
+from supercapelli import cli, weyl
 from supercapelli.cli import main, SUITES
 from supercapelli.hooks import HookParams, HookPartition, gamma_star_map
 from supercapelli.solver import (c_poly_hc, c_poly_interp, c_star_poly,
@@ -211,6 +212,31 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert code == 2 and 'unknown suite' in err
 
 
+def _defaults(cell):
+    """{(m, n): degree} of a documented defaults cell, such as
+    '(1,1): 3, (2,1): 2' or '(1,1) (2,1): 3'."""
+    table = {}
+    for pairs, degree in re.findall(r'((?:\(\d+,\d+\)[,\s]*)+):\s*(\d+)',
+                                    cell.replace('`', '')):
+        for m, n in re.findall(r'\((\d+),(\d+)\)', pairs):
+            table[int(m), int(n)] = int(degree)
+    return table
+
+
+def test_documented_suite_defaults_match_the_configs():
+    # the defaults are written in the cli docstring and in README's
+    # verification table as well as in _CONFIGS
+    docstring = {line.split()[0]: _defaults(line)
+                 for line in cli.__doc__.splitlines()
+                 if line.split()[:1] and line.split()[0] in SUITES}
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, 'README.md')
+    with open(readme, encoding='utf-8') as fh:
+        rows = [line.split('|') for line in fh if line.startswith('| `')]
+    table = {cells[1].strip(' `'): _defaults(cells[-2]) for cells in rows}
+    assert docstring == cli._CONFIGS
+    assert table == cli._CONFIGS
+
+
 def test_suite_registry_complete():
     assert len(SUITES) == 11
 
@@ -240,6 +266,40 @@ def test_verify_all_honours_ranks_outside_the_defaults(capsys):
                                 '--n', '1', '--dmax', '2')
     assert code == 0
     assert {rec['suite'] for rec in cases} == set(SUITES)
+
+
+def test_eigenvalue_coherence_finds_the_hook_vectors_once_per_size(
+        capsys, monkeypatch):
+    calls = []
+    real = cli.hook_vectors
+
+    def hook_vectors(params, k):
+        calls.append((params, k))
+        return real(params, k)
+
+    monkeypatch.setattr(cli, 'hook_vectors', hook_vectors)
+    code, cases = _verify_cases(capsys, '--suite', 'eigenvalue-coherence',
+                                '--m', '1', '--n', '1', '--dmax', '2')
+    assert code == 0 and len(cases) == 6
+    # sizes 0 to d + 1 of the one configuration, for every partition b
+    assert calls == [(HookParams(1, 1), k) for k in range(4)]
+
+
+def test_eigenvalue_coherence_exits_3_without_a_hook_vector(capsys,
+                                                            monkeypatch):
+    # no highest weight vector in degree d + 1 = 3: an internal error,
+    # not a failed case
+    real = weyl._highest_in
+
+    def highest_in(ambient, cands):
+        return [] if len(cands[0]) == 3 else real(ambient, cands)
+
+    monkeypatch.setattr(weyl, '_highest_in', highest_in)
+    code, out, err = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
+                         '--m', '1', '--n', '1', '--dmax', '2')
+    assert code == 3 and out == ''
+    assert err.startswith('internal error: highest weight space at ')
+    assert err.endswith(' has dimension 0\n')
 
 
 def test_verify_pair_outside_the_defaults_takes_smallest_degree(capsys):

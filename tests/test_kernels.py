@@ -25,7 +25,7 @@ from supercapelli.hooks import (HookParams, a_context, classical_hook_product,
                                 xy_context, FrobeniusPoint)
 from supercapelli.linalg import dict_columns_kernel
 from supercapelli.multipoly import AffineSubstitution, MultiPoly
-from supercapelli.solver import full_preimage, symbol_preimage
+from supercapelli.solver import coset_type, full_preimage
 from supercapelli import weyl
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
                                    gelfand_element, omega, pbw_normalize,
@@ -665,7 +665,7 @@ def test_kernels_leave_no_reference_cycle():
     amb = Ambient(1, 2)
     op = t_sigma(amb, consecutive_cycles_perm((2,)))
     vec = {mm: Fraction(1, 3) for mm in monomial_basis(amb, 2)}
-    z = symbol_preimage(amb, (2, 3, 1, 4))
+    z = gelfand_product(amb, coset_type((2, 3, 1, 4)))
     ctx = weyl_context(amb)
     ints = op.cleared()[1]
     gc.collect()
@@ -847,7 +847,7 @@ def test_rho_check_matches_reference_on_symbol_preimages(mn):
     sigmas = list(permutations(range(1, 5)))
     sigmas += random.Random(0).sample(list(permutations(range(1, 7))), 20)
     for sig in sigmas:
-        z = symbol_preimage(amb, sig)
+        z = gelfand_product(amb, coset_type(sig))
         assert_same(rho_check(z), reference_rho_check(z))
 
 
@@ -1405,11 +1405,17 @@ def test_monomial_basis_matches_the_recursion():
 
 
 def reference_invariant_kernel(ambient, d):
-    """invariant_kernel with its candidates grouped by mono_counts."""
+    """invariant_kernel with its candidates grouped by the occurrences of
+    each basis index across the pairs of a monomial."""
     ctx = weyl_context(ambient)
     by_counts = {}
     for mm in reference_monomial_basis(ambient, d):
-        by_counts.setdefault(ctx.mono_counts(mm), []).append(mm)
+        counts = [0] * ambient.dim
+        for g in mm:
+            i, j = ctx.pairs[g]
+            counts[i] += 1
+            counts[j] += 1
+        by_counts.setdefault(tuple(counts), []).append(mm)
     cands = []
     for counts, group in sorted(by_counts.items()):
         for y in group:

@@ -6,7 +6,7 @@ import pytest
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import (Ambient, UEAElement, bracket, bracket_gen,
                                    pbw_normalize, gelfand_element, omega,
-                                   hc_project, omega_cartan, q_context,
+                                   a_context, hc_project, omega_cartan,
                                    q_projection, gd_element)
 
 
@@ -258,11 +258,11 @@ def test_omega_cartan():
 def test_q_projection():
     amb = Ambient(1, 2)
     ctx = amb.cartan_context()
-    assert q_context(1, 1) == ('h1', 'hb1')
+    assert a_context(1, 1) == ('a1', 'ab1')
     p = MultiPoly(ctx, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1,
                         (0, 1, 1): 4})
     q = q_projection(p, amb)
-    assert q == MultiPoly(('h1', 'hb1'), {(1, 0): 1, (0, 1): 1, (0, 2): 1})
+    assert q == MultiPoly(('a1', 'ab1'), {(1, 0): 1, (0, 1): 1, (0, 2): 1})
     with pytest.raises(ValueError):
         q_projection(MultiPoly(Ambient(1, 1).cartan_context(), {}),
                      Ambient(1, 1))
@@ -274,7 +274,7 @@ def test_gd_element():
     ctx = amb.cartan_context()
     want = MultiPoly(ctx, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     assert g1 == want
-    assert q_projection(g1, amb) == MultiPoly(('h1', 'hb1'),
+    assert q_projection(g1, amb) == MultiPoly(('a1', 'ab1'),
                                               {(1, 0): 1, (0, 1): 1})
 
 

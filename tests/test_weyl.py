@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from supercapelli.hooks import (HookParams, enumerate_hooks, gamma_star_map,
-                                eps_extension, a_context, partitions)
+                                eps_extension, a_context, parse_partition,
+                                partitions)
 from supercapelli.linalg import dict_columns_kernel
 from supercapelli.multipoly import MultiPoly
 from supercapelli.superlie import Ambient, UEAElement, bracket, gelfand_element
@@ -18,7 +20,8 @@ from supercapelli.weyl import (WeylElement, _symbol_mul_ints, weyl_context,
                                all_highest_weight_vectors, cyclic_span_dim,
                                eigenvalue_on, capelli_operator,
                                spherical_vector, spherical_poly,
-                               osp_spanning_set, symbol)
+                               osp_spanning_set, symbol, hook_vectors)
+from supercapelli.solver import verify_main
 
 
 def random_weyl(amb, rng, nterms=3, maxlen=2):
@@ -406,6 +409,51 @@ def test_capelli_operator_groups_p_d_by_weight_once(monkeypatch):
             hw = highest_weight_vectors(params.ambient, 3,
                                         eps_extension(gamma_star_map(mu)))
             assert eigenvalue_on(D, hw[0]) == (6 if mu == b else 0)
+
+
+@pytest.mark.parametrize('mn', [(1, 1), (2, 1), (1, 2), (3, 0), (0, 2)])
+def test_hook_vectors_are_the_highest_weight_vectors_of_the_hooks(mn):
+    params = HookParams(*mn, 'half')
+    for k in range(5):
+        vectors = hook_vectors(params, k)
+        assert list(vectors) == enumerate_hooks(params, k), k
+        for mu, v in vectors.items():
+            w = eps_extension(gamma_star_map(mu))
+            assert v == highest_weight_vectors(params.ambient, k, w)[0], mu
+
+
+def test_hook_vectors_name_a_weight_without_a_vector(monkeypatch):
+    params = HookParams(2, 1, 'half')
+    mu = enumerate_hooks(params, 2)[1]
+    w = gamma_star_map(mu)
+    gone = set(weyl._weight_spaces(params.ambient, 2)[eps_extension(w)])
+    real = weyl._highest_in
+
+    def highest_in(ambient, cands):
+        return [] if set(cands) == gone else real(ambient, cands)
+
+    monkeypatch.setattr(weyl, '_highest_in', highest_in)
+    with pytest.raises(AssertionError,
+                       match=r'highest weight space at %s has dimension 0'
+                       % re.escape(str(w))):
+        hook_vectors(params, 2)
+
+
+def test_spherical_vector_rejects_a_capelli_of_other_ranks_or_degree():
+    params, small = HookParams(2, 1, 'half'), HookParams(1, 1, 'half')
+    b = parse_partition('2', params)
+    other = capelli_operator(small, parse_partition('2', small))
+    cubic = capelli_operator(params, parse_partition('3', params))
+    for fn in (spherical_vector, spherical_poly, verify_main):
+        with pytest.raises(ValueError, match=r'capelli operator in '
+                           r'Ambient\(1\|2\), not in Ambient\(2\|2\)'):
+            fn(params, b, capelli=other)
+        with pytest.raises(ValueError,
+                           match=r'capelli operator not of bidegree \(2,2\)'):
+            fn(params, b, capelli=cubic)
+    # the operator of the right ranks and degree is accepted
+    assert spherical_poly(params, b, capelli=capelli_operator(params, b)) \
+        == spherical_poly(params, b)
 
 
 def reference_eigenvalue_on(op, vec):
