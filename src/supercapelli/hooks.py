@@ -9,7 +9,7 @@ home is gl(m|n) itself and weights are written in the epsilon basis.
 from fractions import Fraction
 
 from .multipoly import AffineSubstitution
-from .superlie import Ambient, a_context
+from .superlie import Ambient, a_context, _integer
 
 
 class HookParams:
@@ -17,6 +17,7 @@ class HookParams:
     __slots__ = ('m', 'n', 'theta')
 
     def __init__(self, m, n, theta='half'):
+        m, n = _integer(m, 'm'), _integer(n, 'n')
         if m < 0 or n < 0:
             raise ValueError('m, n must be nonnegative')
         if theta not in ('half', 'one'):
@@ -64,7 +65,7 @@ class HookPartition:
     __slots__ = ('parts', 'params')
 
     def __init__(self, parts, params):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(_integer(p, 'a partition part') for p in parts)
         if any(p < 0 for p in parts):
             raise ValueError('parts must be nonnegative')
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

@@ -7,7 +7,9 @@ and silently identifying them is the main bug risk.
 
 Terms are kept in canonical form (no zero coefficients) and rendered in
 graded lexicographic order so that printing and JSON output are
-deterministic.
+deterministic.  They are read-only (a MappingProxyType over the dict the
+constructor builds): arithmetic returns new elements, and a value derived
+from the terms and kept on the element stays valid.
 
 Combination is the sparse-combination base shared with the enveloping
 algebra (superlie.UEAElement) and the Weyl algebra (weyl.WeylElement):
@@ -16,12 +18,15 @@ there, and each subclass adds its context, product, term order,
 monomial format and JSON form.  Exact linear combinations run on
 Python ints, as cleared (den, ints) pairs: Combination.cleared makes
 one, lincomb sums scaled ones and Combination.from_cleared reads one.
-MultiPoly products run on the cleared ints of both factors too.
+MultiPoly products run on the cleared ints of both factors too, and
+MultiPoly.evaluate clears its polynomial once, on its first call, into
+an integer plan that every later point reuses.
 """
 
 from fractions import Fraction
 from math import lcm
 from operator import add
+from types import MappingProxyType
 
 
 def grlex_key(exp):
@@ -47,17 +52,19 @@ def lincomb(pairs):
 class Combination:
     """A finite exact-rational combination of monomials over a context.
 
-    `terms` maps monomial keys to nonzero Fractions.  A subclass keeps its
-    context in a slot of its own, exposes it as `context`, and supplies
-    the product, `sorted_terms` and `_format_monomial`; the linear
-    arithmetic, equality, hashing and printing are shared."""
+    `terms` is a read-only map from monomial keys to nonzero Fractions.
+    A subclass keeps its context in a slot of its own, exposes it as
+    `context`, and supplies the product, `sorted_terms` and
+    `_format_monomial`; the linear arithmetic, equality, hashing and
+    printing are shared."""
 
     __slots__ = ('terms',)
 
     def __init__(self, terms=None):
         # a plain Fraction is immutable and already reduced: keep it
-        self.terms = {k: c if type(c) is Fraction else Fraction(c)
-                      for k, c in (terms or {}).items() if c != 0}
+        self.terms = MappingProxyType(
+            {k: c if type(c) is Fraction else Fraction(c)
+             for k, c in (terms or {}).items() if c != 0})
 
     @classmethod
     def zero(cls, context):
@@ -88,7 +95,7 @@ class Combination:
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
+        terms = self.terms.copy()
         for k, c in other.terms.items():
             terms[k] = terms.get(k, 0) + c
         return type(self)(self.context, terms)
@@ -141,7 +148,7 @@ class Combination:
 
 class MultiPoly(Combination):
 
-    __slots__ = ('vars',)
+    __slots__ = ('vars', '_plan')
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
@@ -149,6 +156,7 @@ class MultiPoly(Combination):
         if any(len(e) != len(self.vars) for e in terms):
             raise ValueError('exponent length does not match context')
         super().__init__(terms)
+        self._plan = None       # evaluate's integer plan, built on demand
 
     @property
     def context(self):
@@ -217,16 +225,23 @@ class MultiPoly(Combination):
         of variable i, a term c x^e contributes c * prod n_i^e_i
         d_i^(K_i - e_i) over the common denominator prod d_i^K_i, so the
         sum takes one table lookup per variable and term and a single
-        division at the end."""
-        point = [Fraction(p) for p in point]
+        division at the end.  The cleared terms and the K_i are the
+        polynomial's plan, built on the first call and kept: the terms
+        are read-only, and the plan is rebuilt only if `terms` itself
+        has been replaced."""
+        point = [p if type(p) is Fraction else Fraction(p) for p in point]
         if len(point) != len(self.vars):
             raise ValueError('point length does not match context')
         if not self.terms:
             return Fraction(0)
-        den, terms = self.cleared()
+        plan = self._plan
+        if plan is None or plan[0] is not self.terms:
+            den, ints = self.cleared()
+            plan = self._plan = (self.terms, den, list(ints.items()),
+                                 [max(col) for col in zip(*ints)])
+        _, den, terms, tops = plan
         tables = []
-        for i, p in enumerate(point):
-            top = max(e[i] for e in terms)
+        for p, top in zip(point, tops):
             num, pden = p.numerator, p.denominator
             npow = [1]
             dpow = [1]
@@ -236,7 +251,7 @@ class MultiPoly(Combination):
             tables.append([a * b for a, b in zip(npow, reversed(dpow))])
             den *= dpow[-1]
         total = 0
-        for e, c in terms.items():
+        for e, c in terms:
             for table, k in zip(tables, e):
                 c *= table[k]
             total += c
@@ -262,7 +277,7 @@ class MultiPoly(Combination):
         new_vars = tuple(new_vars)
         if len(new_vars) != len(self.vars):
             raise ValueError('context length mismatch')
-        return MultiPoly(new_vars, dict(self.terms))
+        return MultiPoly(new_vars, self.terms)
 
     def _format_monomial(self, e):
         return '*'.join(name if k == 1 else '%s^%d' % (name, k)

@@ -196,7 +196,9 @@ class InterpolationBasis:
         of each generator: evaluation is a ring homomorphism and each
         basis element is the product of the generators its record names,
         so each entry is one Fraction of the products of their numerators
-        and of their denominators."""
+        and of their denominators.  Each generator keeps the integer plan
+        of its first evaluation, so it is cleared once per basis, not
+        once per node."""
         vals = {k: g.evaluate(point) for k, g in self.gens.items()}
         num = {k: v.numerator for k, v in vals.items()}
         den = {k: v.denominator for k, v in vals.items()}
@@ -265,7 +267,8 @@ def _filtered_products(gens_by_degree, d, context):
 def _basis(params, d, build):
     """build(params, d), built once per (family, params, d) in the bases
     table of the ambient's Weyl context; interpolate returns fresh
-    polynomials, so a shared basis is never changed."""
+    polynomials and every polynomial's terms are read-only, so a shared
+    basis is never changed."""
     bases = weyl_context(params.ambient).bases
     key = (build.__name__, params, d)
     return bases[key] if key in bases else bases.setdefault(

@@ -13,8 +13,19 @@ with the bracket understood as the supercommutator.
 
 from fractions import Fraction
 from itertools import product
+from operator import index
 
 from .multipoly import Combination, MultiPoly
+
+
+def _integer(value, what):
+    """value as an int, by operator.index: ValueError naming `what` and
+    the value unless it is an integer, never a silent truncation."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError('%s must be an integer, got %r'
+                         % (what, value)) from None
 
 
 class Ambient:
@@ -23,6 +34,7 @@ class Ambient:
     __slots__ = ('m', 'n')
 
     def __init__(self, m, n):
+        m, n = _integer(m, 'm'), _integer(n, 'n')
         if m < 0 or n < 0:
             raise ValueError('dimensions must be nonnegative')
         self.m = m

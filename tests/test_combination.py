@@ -4,6 +4,7 @@ WeylElement."""
 import random
 from fractions import Fraction
 from math import lcm
+from operator import delitem, setitem
 
 import pytest
 
@@ -135,6 +136,32 @@ def test_lincomb_edge_cases():
     assert lincomb([(-3, (1, {'a': 2})),
                     (Fraction(-1, 4), (1, {'a': 4, 'b': -1}))]) == \
         (4, {'a': -28, 'b': 1})
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_terms_are_read_only(name):
+    """Every change to the terms of an element raises and leaves it as it
+    was; equality, hashing and dict copies behave as on a plain dict."""
+    cls, ctx, _, keys = CASES[name]
+    x = sample(name)
+    before = dict(x.terms)
+    assert x.terms == before and before == x.terms
+    for change in (lambda: setitem(x.terms, keys[0], Fraction(9)),
+                   lambda: setitem(x.terms, 'new', Fraction(1)),
+                   lambda: delitem(x.terms, keys[1])):
+        with pytest.raises(TypeError):
+            change()
+    for change in (lambda: x.terms.clear(), lambda: x.terms.pop(keys[0]),
+                   lambda: x.terms.update({keys[0]: 1}),
+                   lambda: x.terms.setdefault(keys[0], 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert dict(x.terms) == before and x == sample(name)
+    assert hash(x) == hash(sample(name)) == hash(cls(ctx, before))
+    # arithmetic copies the terms and never shares them
+    y = x + x
+    assert y.terms is not x.terms and dict(x.terms) == before
+    assert y == x.scale(2) and x.terms.copy() == before
 
 
 @pytest.mark.parametrize('name', sorted(CASES))

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,22 @@ def test_params_validation():
         HookParams(1, 1, 'third')
     assert HookParams(1, 2, 'half').ambient == Ambient(1, 4)
     assert HookParams(1, 2, 'one').ambient == Ambient(1, 2)
+
+
+@pytest.mark.parametrize('bad', [1.5, 2.0, Fraction(5, 2), '3', None])
+def test_non_integer_ranks_and_parts_are_rejected(bad):
+    """A rank or a part that is not an integer raises a ValueError naming
+    it, never a silent truncation."""
+    for make in (lambda: HookParams(bad, 1), lambda: HookParams(1, bad),
+                 lambda: Ambient(bad, 1), lambda: Ambient(1, bad),
+                 lambda: HookPartition((3, bad), P11)):
+        with pytest.raises(ValueError, match='must be an integer, got %s'
+                           % re.escape(repr(bad))):
+            make()
+    # booleans and other int subclasses are integers, as before
+    assert HookParams(True, 1) == HookParams(1, 1)
+    assert repr(Ambient(2, True)) == 'Ambient(2|1)'
+    assert HookPartition((2, True), P11).parts == (2, 1)
 
 
 @pytest.mark.parametrize('mn', [(0, 0), (1, 0), (0, 1), (2, 1), (1, 2),

@@ -166,3 +166,58 @@ def test_evaluate_equals_fraction_power_loop():
     assert checked == 5 * 60 * 3 * 3
     with pytest.raises(ValueError, match='point length'):
         MultiPoly.const(CTX, 1).evaluate([1, 2])
+
+
+def test_each_polynomial_keeps_its_values_over_many_points():
+    """evaluate clears a polynomial once and reuses that plan: every
+    polynomial below, however it was built, gives the reference value at
+    each of 40 points, in one run of calls on the same object."""
+    rng = random.Random(30)
+    p = MultiPoly(CTX, {(2, 0, 1): Fraction(-3, 4), (0, 3, 0): Fraction(5, 6),
+                        (1, 1, 1): -2, (0, 0, 0): Fraction(7, 3)})
+    q = random_poly(rng, nterms=6)
+    sub = AffineSubstitution(CTX, ('u', 'v', 'w'), {
+        'x': ((Fraction(1, 2), 0, 1), Fraction(-1, 3)),
+        'y': ((0, -1, Fraction(2, 5)), 1),
+        'z': ((3, 0, 0), 0)})
+    polys = [
+        MultiPoly.zero(CTX),
+        MultiPoly.const(CTX, 0),
+        MultiPoly.const(CTX, Fraction(-5, 7)),
+        MultiPoly.const((), 4),
+        p,
+        MultiPoly.from_cleared(CTX, *p.cleared()),
+        MultiPoly.from_cleared(CTX, 6, {(1, 0, 2): -4, (0, 2, 0): 9}),
+        p + q,
+        p + 1,
+        p - p,
+        p * q,
+        q * q * q,
+        p.homogeneous_part(3),
+        p.homogeneous_part(1),
+        p.rename(('a', 'b', 'c')),
+        sub.apply(p),
+        sub.apply(q),
+    ]
+    for poly in polys:
+        points = [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 6))
+                   for _ in poly.vars] for _ in range(38)]
+        points += [[0] * len(poly.vars), [-1] * len(poly.vars)]
+        for pt in points:
+            got = poly.evaluate(pt)
+            assert type(got) is Fraction
+            assert got == reference_evaluate(poly, pt), (poly, pt)
+
+
+def test_a_polynomial_built_after_an_evaluation_evaluates_fresh():
+    p = MultiPoly(CTX, {(1, 2, 0): Fraction(3, 2), (0, 0, 1): -1})
+    pt = [Fraction(2, 3), -3, Fraction(5, 4)]
+    assert p.evaluate(pt) == reference_evaluate(p, pt)
+    for q in (p + 1, p * p, p.scale(Fraction(-2, 5)), -p):
+        assert q.evaluate(pt) == reference_evaluate(q, pt)
+    assert (p + 1).evaluate(pt) == p.evaluate(pt) + 1
+    # a plan is rebuilt when the terms themselves are replaced
+    r = MultiPoly(CTX, {(1, 0, 0): 1})
+    assert r.evaluate(pt) == Fraction(2, 3)
+    r.terms = (p + 1).terms
+    assert r.evaluate(pt) == p.evaluate(pt) + 1

@@ -182,8 +182,9 @@ def test_gelfand_product_image_is_rho_check_of_product():
 
 
 def test_gelfand_product_image_hands_out_fresh_elements(monkeypatch):
-    """Changing an element built from the symbols or the images table
-    changes neither the table nor a later preimage."""
+    """Elements built from the symbols or the images table are fresh and
+    read-only: an attempt to change one raises and changes neither the
+    table nor a later preimage."""
     monkeypatch.setattr(weyl, '_ctx_cache', {})
     params = HookParams(1, 1, 'half')
     amb = Ambient(1, 2)
@@ -201,8 +202,10 @@ def test_gelfand_product_image_hands_out_fresh_elements(monkeypatch):
     for old, new in zip(want, got):
         assert new is not old and new.terms is not old.terms
         for k in new.terms:
-            new.terms[k] += 1
-        new.terms[((), (0,))] = Fraction(5)
+            with pytest.raises(TypeError):
+                new.terms[k] += 1
+        with pytest.raises(TypeError):
+            new.terms[((), (0,))] = Fraction(5)
     assert handed_out() == want
     ctx = weyl_context(amb)
     assert set(ctx.images) == set(ctx.symbols) == set(parts)
@@ -307,8 +310,9 @@ def test_gelfand_product_equals_the_loop(mn):
 
 
 def test_gelfand_elements_and_products_are_fresh(monkeypatch):
-    """Changing a returned Gelfand element or product changes neither a
-    later call nor a preimage built after it on a fresh Weyl context."""
+    """A returned Gelfand element or product is fresh and read-only: an
+    attempt to change one raises and changes neither a later call nor a
+    preimage built after it on a fresh Weyl context."""
     params = HookParams(1, 1, 'half')
     amb = Ambient(1, 2)
     D = capelli_operator(params, parse_partition('2,1', params))
@@ -321,12 +325,14 @@ def test_gelfand_elements_and_products_are_fresh(monkeypatch):
 
     want = [dict(x.terms) for x in handed_out()]
     for x in handed_out():
-        x.terms.clear()
+        with pytest.raises(AttributeError):
+            x.terms.clear()
     monkeypatch.setattr(weyl, '_ctx_cache', {})
     assert [x.terms for x in handed_out()] == want
     monkeypatch.setattr(weyl, '_ctx_cache', {})
     for x in handed_out():
-        x.terms[()] = Fraction(7)
+        with pytest.raises(TypeError):
+            x.terms[()] = Fraction(7)
     assert full_preimage(D, check_invariant=False) == z
 
 
@@ -589,15 +595,18 @@ def test_callers_without_a_basis_share_one_node_solve(monkeypatch):
     assert sorted((name, p.theta, d) for name, p, d in ctx.bases) == [
         ('ia_star_basis', 'half', 3), ('sp_basis', 'half', 3)]
     assert list(weyl_context(Ambient(2, 1)).bases) == [('sp_basis', one, 3)]
-    # callers get fresh polynomials: changing one changes no later call
+    # callers get fresh, read-only polynomials: an attempt to change one
+    # raises and changes no later call
     b = hooks[0]
     want = c_poly_interp(half, b).poly
     got = c_poly_interp(half, b).poly
     assert got == want and got is not want and got.terms is not want.terms
     for k in got.terms:
-        got.terms[k] += 1
+        with pytest.raises(TypeError):
+            got.terms[k] += 1
     sp = sp_star(half, b)
-    sp.terms.clear()
+    with pytest.raises(AttributeError):
+        sp.terms.clear()
     assert c_poly_interp(half, b).poly == want
     assert sp_star(half, b) == sp_star(half, b, basis=sp_basis(half, 3))
     assert len(solves) == 4         # the explicit sp_basis above

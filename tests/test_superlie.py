@@ -161,7 +161,8 @@ def test_gelfand_element_is_fresh_on_every_call():
     z = gelfand_element(amb, 2)
     want = dict(z.terms)
     assert want
-    z.terms.clear()
+    with pytest.raises(AttributeError):
+        z.terms.clear()
     again = gelfand_element(amb, 2)
     assert again is not z and again.terms == want
 
