@@ -10,8 +10,9 @@ one-dimensional, which eigenvalue-coherence does not report as a case).
 
 Invalid input is rejected before any side effect: the commands that need
 theta = 1/2 (capelli-op, capelli-preimage, d-poly, c-poly, gamma-star)
-exit 2 at theta = 1 before they open --cache-dir, and t-sigma exits 2 on
-a sigma that is not a permutation of 1..2d.
+exit 2 at theta = 1 before they open --cache-dir, t-sigma exits 2 on
+a sigma that is not a permutation of 1..2d, and verify exits 2 at
+--m 0 --n 0, where every suite would compare zero with zero.
 
 Each suite reads (m, n) either as the ambient gl(m|n) or as the pair
 ranks with ambient gl(m|2n), and runs its default configurations
@@ -171,28 +172,22 @@ def cmd_c_poly(args):
     route = {'hc': c_poly_hc, 'interp': c_poly_interp,
              'dual': c_star_poly}[args.method]
     poly = route(params, b).poly
-    payload = poly.to_json()
-    payload['partition'] = args.partition
-    payload['method'] = args.method
-    return payload, str(poly), 0
+    return ({**poly.to_json(), 'partition': args.partition,
+             'method': args.method}, str(poly), 0)
 
 
 def cmd_d_poly(args):
     params = _params(args)
     b = _partition(args, params)
     poly = spherical_poly(params, b, capelli=_capelli(args, params, b))
-    payload = poly.to_json()
-    payload['partition'] = args.partition
-    return payload, str(poly), 0
+    return {**poly.to_json(), 'partition': args.partition}, str(poly), 0
 
 
 def cmd_sp_star(args):
     params = _params(args)
     poly = sp_star(params, _partition(args, params))
-    payload = poly.to_json()
-    payload['partition'] = args.partition
-    payload['theta'] = args.theta
-    return payload, str(poly), 0
+    return ({**poly.to_json(), 'partition': args.partition,
+             'theta': args.theta}, str(poly), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +466,8 @@ def cmd_verify(args):
     for flag in ('m', 'n'):
         if getattr(args, flag) is not None and getattr(args, flag) < 0:
             raise ValueError('--%s must be nonnegative' % flag)
+    if args.m == args.n == 0:
+        raise ValueError('--m 0 --n 0 has no hook partition to verify')
     if args.dmax is not None and args.dmax < 1:
         raise ValueError('--dmax must be at least 1')
     records = []

@@ -234,8 +234,11 @@ def dual_weight(mu, params):
     rows = max(cols + [m])
     parts = [sum(1 for c in cols if c >= k) + (excess[k - 1] if k <= m else 0)
              for k in range(1, rows + 1)]
-    b = HookPartition(parts, params)
-    if gamma_star_map(b) != mu:
+    try:
+        b = HookPartition(parts, params)
+    except ValueError:      # negative, increasing or outside the hook
+        b = None
+    if b is None or gamma_star_map(b) != mu:
         raise ValueError('weight %s is not in the image of gamma_star_map'
                          % (mu,))
     return gamma_map(b)

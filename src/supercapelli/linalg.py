@@ -25,23 +25,9 @@ one back-substitution on ints, _check, a lincomb of the columns.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .multipoly import lincomb
-
-
-def _cleared(items):
-    """(den, ints) for (key, value) pairs with Fraction-coercible values:
-    den is the lcm of the denominators, and ints maps the key of each
-    nonzero value to the value times den."""
-    den, fr = 1, []
-    for k, x in items:
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        if x:
-            den = lcm(den, x.denominator)
-            fr.append((k, x))
-    return den, {k: x.numerator * (den // x.denominator) for k, x in fr}
+from .multipoly import _clear, lincomb
 
 
 def _divide_content(row):
@@ -105,7 +91,7 @@ class Span:
     def add(self, v):
         """Reduce the dict vector v against the kept rows; keep what is
         left and return True when v is outside the span, else False."""
-        row = _cleared(v.items())[1]
+        row = _clear(v.items())[1]
         p = self._residue(row)
         if p is None:
             return False
@@ -192,13 +178,6 @@ def _width(rows, ncols):
     return ncols
 
 
-def _columns(rows, ncols):
-    """The ncols columns of the matrix rows, cleared and keyed by row."""
-    if not rows:
-        return [(1, {})] * ncols
-    return [_cleared(enumerate(col)) for col in zip(*rows)]
-
-
 def mat_reduce(rows, ncols=None):
     """Reduced row echelon form with pivot bookkeeping and kernel basis.
 
@@ -207,7 +186,9 @@ def mat_reduce(rows, ncols=None):
     """
     rows = list(rows)
     ncols = _width(rows, ncols)
-    columns = _columns(rows, ncols)
+    # the columns, cleared and keyed by row
+    columns = ([_clear(enumerate(col)) for col in zip(*rows)] if rows
+               else [(1, {})] * ncols)
     relations = _relations(columns)
     pivots = [j for j, rel in enumerate(relations) if rel is None]
     at = {p: r for r, p in enumerate(pivots)}
@@ -303,7 +284,7 @@ def dict_vectors_basis(vectors):
 def dict_columns_kernel(columns):
     """Kernel basis of the matrix whose columns are the dict vectors, as
     dense coefficient lists."""
-    return _kernel(_relations([_cleared(v.items()) for v in columns]))
+    return _kernel(_relations([_clear(v.items()) for v in columns]))
 
 
 def solve_in_span(vectors, target):
@@ -314,8 +295,8 @@ def solve_in_span(vectors, target):
     coefficients, 0 at every non-pivot vector.  The answer is the reduced
     row echelon solution of [vectors | target] with free coefficients 0,
     checked by back-substitution on ints."""
-    cleared = [_cleared(v.items()) for v in vectors]
-    tcleared = _cleared(target.items())
+    cleared = [_clear(v.items()) for v in vectors]
+    tcleared = _clear(target.items())
     rel = _relations(cleared + [tcleared])[-1]
     if rel is None:
         return None

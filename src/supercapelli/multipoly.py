@@ -16,15 +16,15 @@ algebra (superlie.UEAElement) and the Weyl algebra (weyl.WeylElement):
 canonical form, linear arithmetic, equality, hashing and printing live
 there, and each subclass adds its context, product, term order,
 monomial format and JSON form.  Exact linear combinations run on
-Python ints, as cleared (den, ints) pairs: Combination.cleared makes
-one, lincomb sums scaled ones and Combination.from_cleared reads one.
-MultiPoly products run on the cleared ints of both factors too, and
-MultiPoly.evaluate clears its polynomial once, on its first call, into
-an integer plan that every later point reuses.
+Python ints, as cleared (den, ints) pairs made by one rule, _clear:
+Combination.cleared keeps an element's pair, read-only, on the element,
+lincomb sums scaled pairs and Combination.from_cleared reads one back
+and keeps it, so an element a kernel built is never cleared again.
+MultiPoly products and MultiPoly.evaluate run on the kept pairs too.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from types import MappingProxyType
 
@@ -32,6 +32,16 @@ from types import MappingProxyType
 def grlex_key(exp):
     """Sort key for graded-lex order, largest term first when reversed."""
     return (sum(exp), exp)
+
+
+def _clear(items):
+    """(den, ints) for (key, value) pairs with Fraction-coercible values:
+    den is the lcm of the denominators, and ints maps the key of each
+    nonzero value to the value times den."""
+    fr = [(k, f) for k, x in items
+          if (f := x if type(x) in (Fraction, int) else Fraction(x))]
+    den = lcm(*[x.denominator for _, x in fr])
+    return den, {k: x.numerator * (den // x.denominator) for k, x in fr}
 
 
 def lincomb(pairs):
@@ -58,13 +68,14 @@ class Combination:
     `_format_monomial`; the linear arithmetic, equality, hashing and
     printing are shared."""
 
-    __slots__ = ('terms',)
+    __slots__ = ('terms', '_cleared')
 
     def __init__(self, terms=None):
         # a plain Fraction is immutable and already reduced: keep it
         self.terms = MappingProxyType(
             {k: c if type(c) is Fraction else Fraction(c)
              for k, c in (terms or {}).items() if c != 0})
+        self._cleared = None    # (terms, cleared pair), kept by cleared()
 
     @classmethod
     def zero(cls, context):
@@ -72,8 +83,13 @@ class Combination:
 
     @classmethod
     def from_cleared(cls, context, den, ints):
-        """The element with terms ints / den, the inverse of cleared()."""
-        return cls(context, {k: Fraction(v, den) for k, v in ints.items()})
+        """The element with terms ints / den, the inverse of cleared(); it
+        keeps the pair reduced by gcd(den, *ints), as cleared() makes it."""
+        g = gcd(den, *ints.values())
+        den, ints = den // g, {k: v // g for k, v in ints.items() if v}
+        elem = cls(context, {k: Fraction(v, den) for k, v in ints.items()})
+        elem._cleared = (elem.terms, (den, MappingProxyType(ints)))
+        return elem
 
     def is_zero(self):
         return not self.terms
@@ -86,10 +102,12 @@ class Combination:
     def cleared(self):
         """(den, {key: int}): the lcm of the denominators and the terms
         times it, for kernels that run on Python ints and divide back
-        once per output term."""
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        return den, {k: c.numerator * (den // c.denominator)
-                     for k, c in self.terms.items()}
+        once per output term.  Kept, with read-only ints, and made again
+        only if `terms` itself has been replaced."""
+        if self._cleared is None or self._cleared[0] is not self.terms:
+            den, ints = _clear(self.terms.items())
+            self._cleared = (self.terms, (den, MappingProxyType(ints)))
+        return self._cleared[1]
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -197,8 +215,7 @@ class MultiPoly(Combination):
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
-        den1, ints1 = self.cleared()
-        den2, ints2 = other.cleared()
+        (den1, ints1), (den2, ints2) = self.cleared(), other.cleared()
         terms = {}
         for e1, c1 in ints1.items():
             for e2, c2 in ints2.items():
@@ -225,21 +242,20 @@ class MultiPoly(Combination):
         of variable i, a term c x^e contributes c * prod n_i^e_i
         d_i^(K_i - e_i) over the common denominator prod d_i^K_i, so the
         sum takes one table lookup per variable and term and a single
-        division at the end.  The cleared terms and the K_i are the
-        polynomial's plan, built on the first call and kept: the terms
-        are read-only, and the plan is rebuilt only if `terms` itself
-        has been replaced."""
+        division at the end.  The K_i and the kept cleared terms as a
+        list are the polynomial's plan, built on the first call and kept
+        with the ints it was read from."""
         point = [p if type(p) is Fraction else Fraction(p) for p in point]
         if len(point) != len(self.vars):
             raise ValueError('point length does not match context')
         if not self.terms:
             return Fraction(0)
+        den, ints = self.cleared()
         plan = self._plan
-        if plan is None or plan[0] is not self.terms:
-            den, ints = self.cleared()
-            plan = self._plan = (self.terms, den, list(ints.items()),
+        if plan is None or plan[0] is not ints:
+            plan = self._plan = (ints, list(ints.items()),
                                  [max(col) for col in zip(*ints)])
-        _, den, terms, tops = plan
+        _, terms, tops = plan
         tables = []
         for p, top in zip(point, tops):
             num, pden = p.numerator, p.denominator

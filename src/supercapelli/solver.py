@@ -163,7 +163,7 @@ class InterpolationBasis:
     products has at most that dimension."""
 
     __slots__ = ('params', 'd', 'context', 'gens', 'polys', 'records',
-                 'point', 'nodes', '_columns', '_cleared')
+                 'point', 'nodes', '_columns')
 
     def __init__(self, params, d, context, gens, point):
         self.params = params
@@ -186,7 +186,6 @@ class InterpolationBasis:
         if not all(res.unique for res in results):
             raise AssertionError('interpolation system is singular')
         self._columns = {b: res.solution for b, res in zip(top, results)}
-        self._cleared = tuple(p.cleared() for p in polys)
 
     def __len__(self):
         return len(self.polys)
@@ -209,8 +208,8 @@ class InterpolationBasis:
     def interpolate(self, params, b, point, value):
         """The element of the basis span taking `value` at the node b and
         0 at every other node: `value` times the coefficient column of b
-        solved when the basis was built, one lincomb of the basis
-        polynomials cleared then.  ValueError unless the basis was built
+        solved when the basis was built, one lincomb of the kept cleared
+        pairs of the basis polynomials.  ValueError unless the basis was built
         for params, the degree |b| and the evaluation points `point`."""
         if (self.params != params or self.d != b.size
                 or self.point is not point or b not in self.nodes):
@@ -220,7 +219,8 @@ class InterpolationBasis:
                 % (self.params, self.d, self.point.__name__.strip('_'),
                    params, b, b.params, point.__name__.strip('_')))
         return MultiPoly.from_cleared(self.context, *lincomb(
-            (value * c, p) for c, p in zip(self._columns[b], self._cleared)))
+            (value * c, p.cleared())
+            for c, p in zip(self._columns[b], self.polys)))
 
 
 def _gamma_star_point(b):

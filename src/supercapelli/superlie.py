@@ -246,8 +246,8 @@ def pbw_normalize(a, mirrored=False):
         for g, c in brackets:
             nw = head + (g,) + tail
             frontier[nw] = frontier.get(nw, 0) + c * coeff
-    return UEAElement(amb, {tuple(gens[g] for g in w): Fraction(c, den)
-                            for w, c in done.items() if c})
+    return UEAElement.from_cleared(
+        amb, den, {tuple(gens[g] for g in w): c for w, c in done.items()})
 
 
 def gelfand_element(ambient, d):

@@ -28,9 +28,8 @@ from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 from .hooks import enumerate_hooks, eps_extension, gamma_star_map, partitions
-from .linalg import (Span, dict_columns_kernel, dict_vectors_basis, lin_solve,
-                     _cleared)
-from .multipoly import Combination, MultiPoly, lincomb
+from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
+from .multipoly import Combination, MultiPoly, lincomb, _clear
 from .superlie import Ambient, UEAElement, a_context, gelfand_element, _concat
 
 _ctx_cache = {}
@@ -383,8 +382,7 @@ def weyl_mul(a, b):
     in any order; packing sorts it); divided back once per output term."""
     a._check(b)
     ctx = weyl_context(a.ambient)
-    den_a, ints_a = a.cleared()
-    den_b, ints_b = b.cleared()
+    (den_a, ints_a), (den_b, ints_b) = a.cleared(), b.cleared()
     terms = _mul_ints(ctx, *_pack_ints(ctx, ints_a, ints_b))
     return WeylElement.from_cleared(a.ambient, den_a * den_b,
                                     _unpack_ints(ctx, terms))
@@ -442,17 +440,17 @@ def _contract(ctx, dop, mono):
 def apply_weyl(op, poly):
     """Apply a WeylElement to an element of P(W) (dict {y-mono: coeff}).
 
-    Runs on Python ints: the operator and the polynomial are cleared of
-    their denominators (Combination.cleared, linalg._cleared).  The
-    operator terms are grouped by d-monomial, and d^dop(y^mono) is
-    computed once per (dop, mono) pair, only when dop is contained in
-    mono (see _contract); for a bidegree-(d,d) operator on a degree-d
-    vector only dop == mono survives.  Each output term is divided back
-    into a Fraction once."""
+    Runs on Python ints: the operator is read as its kept cleared pair
+    (Combination.cleared) and the polynomial is cleared by
+    multipoly._clear.  The operator terms are grouped by d-monomial,
+    and d^dop(y^mono) is computed once per (dop, mono) pair, only when
+    dop is contained in mono (see _contract); for a bidegree-(d,d)
+    operator on a degree-d vector only dop == mono survives.  Each output
+    term is divided back into a Fraction once."""
     ctx = weyl_context(op.ambient)
     sort_mono = ctx.sort_mono
     den_op, op_ints = op.cleared()
-    den_p, poly_ints = _cleared(poly.items())
+    den_p, poly_ints = _clear(poly.items())
     by_dop = {}
     for (yop, dop), c in op_ints.items():
         by_dop.setdefault(dop, []).append((yop, c))
@@ -515,8 +513,8 @@ def rho_check(x):
     nodes = []
     root_id, content = _rho_intern(root, {}, nodes)
     img = _unpack_ints(ctx, _rho_eval(ctx, nodes, root_id))
-    return WeylElement(amb, {k: Fraction(content * v, den)
-                             for k, v in img.items()})
+    return WeylElement.from_cleared(amb, den, {k: content * v
+                                               for k, v in img.items()})
 
 
 def _rho_intern(node, table, nodes):
@@ -803,9 +801,10 @@ def invariant_symbol_space(ambient, d, verify=True):
     since it would contradict the structure theory the solvers rely on.
     """
     span = invariant_spanning_set(ambient, d)
-    vecs = [t.terms for _, t in span]
-    basis_vecs = dict_vectors_basis(vecs)
-    basis = [WeylElement(ambient, v) for v in basis_vecs]
+    # the basis is made of the spanning elements themselves, which keep
+    # the cleared pairs they were built from
+    kept = {id(v) for v in dict_vectors_basis([t.terms for _, t in span])}
+    basis = [t for _, t in span if id(t.terms) in kept]
     if verify:
         for part, t in span:
             if t != t_sigma(ambient, consecutive_cycles_perm(part)):

@@ -241,17 +241,27 @@ def test_suite_registry_complete():
     assert len(SUITES) == 11
 
 
-def test_verify_empty_suite_fails(capsys):
-    # (0,0) has no nonempty hook partition: nothing is checked
-    code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
-                       '--m', '0', '--n', '0')
+def test_verify_empty_suite_fails(capsys, monkeypatch):
+    # a suite that runs no case checks nothing
+    monkeypatch.setitem(cli.SUITES, 'eigenvalue-coherence', lambda args: [])
+    code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence')
     assert code == 1
     assert '(0 cases' in out and 'overall: FAIL' in out
     code, out, _ = run(capsys, 'verify', '--suite', 'eigenvalue-coherence',
-                       '--m', '0', '--n', '0', '--format', 'json')
+                       '--format', 'json')
     assert code == 1
     data = json.loads(out)
     assert data['passed'] is False and data['cases'] == []
+
+
+@pytest.mark.parametrize('suite', [*SUITES, 'all'])
+def test_verify_rejects_the_empty_ranks(capsys, suite):
+    # at m = n = 0 every suite would compare zero with zero and pass
+    for fmt in ('text', 'json'):
+        code, out, err = run(capsys, 'verify', '--suite', suite, '--m', '0',
+                             '--n', '0', '--format', fmt)
+        assert code == 2 and out == ''
+        assert err == 'error: --m 0 --n 0 has no hook partition to verify\n'
 
 
 def _verify_cases(capsys, *argv):

@@ -5,12 +5,19 @@ import random
 from fractions import Fraction
 from math import lcm
 from operator import delitem, setitem
+from types import MappingProxyType
 
 import pytest
 
-from supercapelli.multipoly import MultiPoly, lincomb
-from supercapelli.superlie import Ambient, UEAElement
-from supercapelli.weyl import WeylElement
+from supercapelli import superlie, weyl
+from supercapelli.hooks import HookParams, enumerate_hooks, parse_partition
+from supercapelli.multipoly import Combination, MultiPoly, lincomb, _clear
+from supercapelli.solver import c_poly_hc, c_star_poly, full_preimage
+from supercapelli.superlie import (Ambient, UEAElement, gelfand_element,
+                                   pbw_normalize)
+from supercapelli.weyl import (WeylElement, capelli_operator,
+                               consecutive_cycles_perm, rho_check,
+                               spherical_poly, t_sigma, weyl_mul)
 
 A11 = Ambient(1, 1)
 
@@ -188,3 +195,141 @@ def test_multipoly_keeps_scalar_coercion():
     p = MultiPoly.variable(('x',), 'x')
     assert p + 1 == 1 + p == MultiPoly(('x',), {(1,): 1, (0,): 1})
     assert p - 1 == MultiPoly(('x',), {(1,): 1, (0,): -1})
+
+
+# ---------------------------------------------------------------------------
+# The cleared (den, ints) pair kept on each element, against the clearing
+# rules recomputed from scratch on every call.
+
+def reference_cleared(x):
+    """The lcm of the denominators of the terms and the terms times it,
+    recomputed from the terms on every call."""
+    den = lcm(*(c.denominator for c in x.terms.values()))
+    return den, {k: c.numerator * (den // c.denominator)
+                 for k, c in x.terms.items()}
+
+
+def reference_clear(items):
+    """The clearing of (key, value) pairs with Fraction-coercible values,
+    zeros dropped, written as an incremental lcm."""
+    den, fr = 1, []
+    for k, x in items:
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        if x:
+            den = lcm(den, x.denominator)
+            fr.append((k, x))
+    return den, {k: x.numerator * (den // x.denominator) for k, x in fr}
+
+
+def _kernel_built():
+    """(label, element) for an element built by each kernel path."""
+    amb = Ambient(1, 2)
+    params = HookParams(1, 1, 'half')
+    z = gelfand_element(amb, 2).scale(Fraction(-1, 3))
+    t = t_sigma(amb, consecutive_cycles_perm((2,)))
+    D = capelli_operator(params, parse_partition('2,1', params))
+    return [('pbw_normalize', pbw_normalize(z)),
+            ('pbw_normalize mirrored', pbw_normalize(z, mirrored=True)),
+            ('rho_check', rho_check(z)),
+            ('weyl_mul', weyl_mul(t, rho_check(z))),
+            ('t_sigma', t),
+            ('capelli_operator', D),
+            ('full_preimage', full_preimage(D, check_invariant=False))]
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_kept_pair_equals_reference_on_every_path(name):
+    cls, ctx, _, keys = CASES[name]
+    x = sample(name)
+    y = cls(ctx, {keys[0]: Fraction(5, 4), keys[2]: Fraction(-7, 6)})
+    built = [('constructor', x), ('+', x + y), ('-', x - y),
+             ('scale', x.scale(Fraction(-3, 10))), ('*', x * y),
+             ('zero', cls.zero(ctx)),
+             # an unreduced den and zero entries: kept reduced, zeros gone
+             ('from_cleared', cls.from_cleared(
+                 ctx, 12, {keys[0]: 4, keys[1]: 0, keys[2]: -6, keys[3]: 8})),
+             ('from_cleared zeros', cls.from_cleared(ctx, 6, {keys[0]: 0})),
+             ('from_cleared unit', cls.from_cleared(ctx, 5, {keys[1]: 5}))]
+    if name == 'WeylElement':
+        built += _kernel_built()
+    for label, elem in built:
+        pair = elem.cleared()
+        assert pair == reference_cleared(elem), label
+        assert elem.cleared() is pair, label
+        den, ints = pair
+        assert type(den) is int and den > 0, label
+        assert all(type(v) is int and v for v in ints.values()), label
+        assert type(elem).from_cleared(elem.context, *pair) == elem, label
+    by_label = dict(built)
+    assert by_label['from_cleared'].cleared() == \
+        (6, {keys[0]: 2, keys[2]: -3, keys[3]: 4})
+    assert by_label['from_cleared zeros'].cleared() == (1, {})
+    assert by_label['from_cleared unit'].cleared() == (1, {keys[1]: 1})
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_kept_ints_are_read_only_and_follow_the_terms(name):
+    cls, ctx, _, keys = CASES[name]
+    x = sample(name)
+    den, ints = x.cleared()
+    assert isinstance(ints, MappingProxyType)
+    with pytest.raises(TypeError):
+        ints[keys[0]] = 7
+    with pytest.raises(TypeError):
+        del ints[keys[1]]
+    assert x.cleared() == reference_cleared(sample(name))
+    # a reassigned terms map is cleared again
+    y = x.scale(Fraction(2, 7)) + cls(ctx, {keys[3]: Fraction(1, 5)})
+    x.terms = y.terms
+    assert x.cleared() == reference_cleared(y) != (den, ints)
+    assert x.cleared() is x.cleared()
+
+
+def test_clear_equals_the_incremental_rule():
+    rng = random.Random(31)
+    values = [0, Fraction(0), '0', '-0/5']
+    for _ in range(400):
+        items = []
+        for k in range(rng.randrange(7)):
+            kind = rng.randrange(4)
+            num, den = rng.randrange(-9, 10), rng.randrange(1, 13)
+            v = (num if kind == 0 else Fraction(num, den) if kind == 1
+                 else '%d/%d' % (num, den) if kind == 2
+                 else rng.choice(values))
+            items.append((k, v))
+        got = _clear(iter(items))
+        assert got == reference_clear(items), items
+        assert all(type(v) is int and v for v in got[1].values())
+    assert _clear([]) == (1, {})
+    assert _clear([('a', '3/4'), ('b', 2), ('c', Fraction(-1, 6))]) == \
+        (12, {'a': 9, 'b': 24, 'c': -2})
+
+
+def _frontier_objects(m, n, d):
+    """D, z, c, c* and d for every hook of size d at (m, n)."""
+    params = HookParams(m, n, 'half')
+    out = {}
+    for b in enumerate_hooks(params, d):
+        D = capelli_operator(params, b)
+        z = full_preimage(D, check_invariant=False)
+        out[b] = (D, z, c_poly_hc(params, b, preimage=z).poly,
+                  c_star_poly(params, b, preimage=z).poly,
+                  spherical_poly(params, b, capelli=D))
+    return out
+
+
+@pytest.mark.parametrize('m, n, d', [(2, 2, 3), (1, 2, 4)])
+def test_kept_pairs_equal_the_recomputed_route_at_the_frontier(
+        m, n, d, monkeypatch):
+    routes = []
+    for cleared in (Combination.cleared, reference_cleared):
+        monkeypatch.setattr(Combination, 'cleared', cleared)
+        monkeypatch.setattr(weyl, '_ctx_cache', {})
+        monkeypatch.setattr(superlie, '_pbw_tables', {})
+        routes.append(_frontier_objects(m, n, d))
+    kept, recomputed = routes
+    assert list(kept) == list(recomputed) and kept
+    for b, objs in kept.items():
+        for got, want in zip(objs, recomputed[b]):
+            assert got == want and str(got) == str(want), b

@@ -161,6 +161,25 @@ def test_dual_weight_rejects_weights_outside_the_image():
             dual_weight(mu, params)
 
 
+def test_dual_weight_names_every_weight_outside_the_image():
+    # a positive even coordinate gives a negative part, and a larger row
+    # excess below than above gives increasing parts: no hook partition
+    # has them, so the weight is outside the image like any other
+    P22 = HookParams(2, 2, 'half')
+    bad = [
+        (Weight('a_star_gamma', (2, 0), 1, 1), P11),
+        (Weight('a_star_gamma', (2, 0, 0, 0), 2, 2), P22),
+        (Weight('a_star_gamma', (0, 2, 0, 0), 2, 2), P22),
+        (Weight('a_star_gamma', (4, 2, 0, 0), 2, 2), P22),
+        (Weight('a_star_gamma', (-2, 0, 0, 0), 2, 2), P22),
+        (Weight('a_star_gamma', (0, 0, 0, 2), 2, 2), P22),
+    ]
+    for mu, params in bad:
+        with pytest.raises(ValueError, match=r'^weight .* is not in the '
+                           r'image of gamma_star_map$'):
+            dual_weight(mu, params)
+
+
 def test_dual_weight_has_no_size_cap():
     b = parse_partition('70', P11)
     assert dual_weight(gamma_star_map(b), P11) == gamma_map(b)
