@@ -5,22 +5,21 @@ over an explicit ordered variable context.  Contexts are plain tuples of
 names and are never implicit: the library mixes several coordinate systems
 and silently identifying them is the main bug risk.
 
-Terms are kept in canonical form (no zero coefficients) and rendered in
-graded lexicographic order so that printing and JSON output are
-deterministic.  They are read-only (a MappingProxyType over the dict the
-constructor builds): arithmetic returns new elements, and a value derived
-from the terms and kept on the element stays valid.
+An element stores one form, its reduced cleared pair (den, ints): the
+lcm of the denominators and the nonzero coefficients times it.  The
+constructor makes it by one rule, _clear, and from_cleared stores a
+pair a kernel built, divided by gcd(den, *ints); so two elements are
+equal exactly when their contexts and pairs are.  The pair never
+changes; `terms`, the read-only map from monomials to Fractions, is a
+view of it built on first read.  Terms print in graded lexicographic
+order, so printing and JSON output are deterministic.
 
-Combination is the sparse-combination base shared with the enveloping
-algebra (superlie.UEAElement) and the Weyl algebra (weyl.WeylElement):
-canonical form, linear arithmetic, equality, hashing and printing live
-there, and each subclass adds its context, product, term order,
-monomial format and JSON form.  Exact linear combinations run on
-Python ints, as cleared (den, ints) pairs made by one rule, _clear:
-Combination.cleared keeps an element's pair, read-only, on the element,
-lincomb sums scaled pairs and Combination.from_cleared reads one back
-and keeps it, so an element a kernel built is never cleared again.
-MultiPoly products and MultiPoly.evaluate run on the kept pairs too.
+Combination is the base shared with the enveloping algebra
+(superlie.UEAElement) and the Weyl algebra (weyl.WeylElement): linear
+arithmetic, equality, hashing and printing live there, and each
+subclass adds its context, product, term order, monomial format and
+JSON form.  lincomb sums scaled pairs on Python ints: +, -, scale and
+the kernels read their sums and products back by from_cleared.
 """
 
 from fractions import Fraction
@@ -60,22 +59,18 @@ def lincomb(pairs):
 
 
 class Combination:
-    """A finite exact-rational combination of monomials over a context.
+    """A finite exact-rational combination of monomials over a context,
+    stored as its reduced cleared pair.  A subclass keeps its context in
+    a slot of its own, exposes it as `context`, and supplies the
+    product, `sorted_terms` and `_format_monomial`; the linear
+    arithmetic, equality, hashing and printing are shared."""
 
-    `terms` is a read-only map from monomial keys to nonzero Fractions.
-    A subclass keeps its context in a slot of its own, exposes it as
-    `context`, and supplies the product, `sorted_terms` and
-    `_format_monomial`; the linear arithmetic, equality, hashing and
-    printing are shared."""
-
-    __slots__ = ('terms', '_cleared')
+    __slots__ = ('_pair', '_terms')
 
     def __init__(self, terms=None):
-        # a plain Fraction is immutable and already reduced: keep it
-        self.terms = MappingProxyType(
-            {k: c if type(c) is Fraction else Fraction(c)
-             for k, c in (terms or {}).items() if c != 0})
-        self._cleared = None    # (terms, cleared pair), kept by cleared()
+        den, ints = _clear((terms or {}).items())
+        self._pair = (den, MappingProxyType(ints))
+        self._terms = None      # the Fraction view, built on first read
 
     @classmethod
     def zero(cls, context):
@@ -84,15 +79,24 @@ class Combination:
     @classmethod
     def from_cleared(cls, context, den, ints):
         """The element with terms ints / den, the inverse of cleared(); it
-        keeps the pair reduced by gcd(den, *ints), as cleared() makes it."""
+        stores the pair reduced by gcd(den, *ints), zeros dropped."""
         g = gcd(den, *ints.values())
-        den, ints = den // g, {k: v // g for k, v in ints.items() if v}
-        elem = cls(context, {k: Fraction(v, den) for k, v in ints.items()})
-        elem._cleared = (elem.terms, (den, MappingProxyType(ints)))
+        elem = cls(context)
+        elem._pair = (den // g, MappingProxyType(
+            {k: v // g for k, v in ints.items() if v}))
         return elem
 
+    @property
+    def terms(self):
+        """Read-only {key: nonzero Fraction} view of the pair, kept."""
+        if self._terms is None:
+            den, ints = self._pair
+            self._terms = MappingProxyType(
+                {k: Fraction(v, den) for k, v in ints.items()})
+        return self._terms
+
     def is_zero(self):
-        return not self.terms
+        return not self._pair[1]
 
     def _check(self, other):
         if self.context != other.context:
@@ -100,36 +104,30 @@ class Combination:
                              % (self.context, other.context))
 
     def cleared(self):
-        """(den, {key: int}): the lcm of the denominators and the terms
-        times it, for kernels that run on Python ints and divide back
-        once per output term.  Kept, with read-only ints, and made again
-        only if `terms` itself has been replaced."""
-        if self._cleared is None or self._cleared[0] is not self.terms:
-            den, ints = _clear(self.terms.items())
-            self._cleared = (self.terms, (den, MappingProxyType(ints)))
-        return self._cleared[1]
+        """The stored (den, {key: int}) pair, with read-only ints, for
+        kernels that run on Python ints and divide back once per term."""
+        return self._pair
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
-        terms = self.terms.copy()
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return type(self)(self.context, terms)
+        return self.from_cleared(self.context, *lincomb(
+            ((1, self._pair), (1, other._pair))))
 
     def __neg__(self):
-        return type(self)(self.context, {k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        return self.from_cleared(self.context, *lincomb(
+            ((1, self._pair), (-1, other._pair))))
 
     def scale(self, c):
-        c = Fraction(c)
-        return type(self)(self.context,
-                          {k: c * v for k, v in self.terms.items()})
+        return self.from_cleared(self.context,
+                                 *lincomb(((Fraction(c), self._pair),)))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -137,10 +135,11 @@ class Combination:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.context == other.context and self.terms == other.terms
+        return self.context == other.context and self._pair == other._pair
 
     def __hash__(self):
-        return hash((self.context, frozenset(self.terms.items())))
+        den, ints = self._pair
+        return hash((self.context, den, frozenset(ints.items())))
 
     def __str__(self):
         if not self.terms:
@@ -176,6 +175,12 @@ class MultiPoly(Combination):
         super().__init__(terms)
         self._plan = None       # evaluate's integer plan, built on demand
 
+    @classmethod
+    def from_cleared(cls, vars, den, ints):
+        if any(len(e) != len(vars) for e in ints):
+            raise ValueError('exponent length does not match context')
+        return super().from_cleared(vars, den, ints)
+
     @property
     def context(self):
         return self.vars
@@ -194,9 +199,7 @@ class MultiPoly(Combination):
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self._pair[1]), default=-1)
 
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
@@ -242,20 +245,18 @@ class MultiPoly(Combination):
         of variable i, a term c x^e contributes c * prod n_i^e_i
         d_i^(K_i - e_i) over the common denominator prod d_i^K_i, so the
         sum takes one table lookup per variable and term and a single
-        division at the end.  The K_i and the kept cleared terms as a
-        list are the polynomial's plan, built on the first call and kept
-        with the ints it was read from."""
+        division at the end.  The stored ints as a list and the K_i are
+        the polynomial's plan, built on the first call and kept: the pair
+        never changes."""
         point = [p if type(p) is Fraction else Fraction(p) for p in point]
         if len(point) != len(self.vars):
             raise ValueError('point length does not match context')
-        if not self.terms:
+        den, ints = self._pair
+        if not ints:
             return Fraction(0)
-        den, ints = self.cleared()
-        plan = self._plan
-        if plan is None or plan[0] is not ints:
-            plan = self._plan = (ints, list(ints.items()),
-                                 [max(col) for col in zip(*ints)])
-        _, terms, tops = plan
+        if self._plan is None:
+            self._plan = (list(ints.items()), [max(col) for col in zip(*ints)])
+        terms, tops = self._plan
         tables = []
         for p, top in zip(point, tops):
             num, pden = p.numerator, p.denominator
@@ -275,13 +276,14 @@ class MultiPoly(Combination):
 
     def top_part(self):
         """Homogeneous part of highest total degree."""
-        if not self.terms:
+        if self.is_zero():
             raise ValueError('zero polynomial has no top part')
         return self.homogeneous_part(self.degree())
 
     def homogeneous_part(self, d):
-        return MultiPoly(self.vars, {e: c for e, c in self.terms.items()
-                                     if sum(e) == d})
+        den, ints = self._pair
+        return MultiPoly.from_cleared(
+            self.vars, den, {e: v for e, v in ints.items() if sum(e) == d})
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
@@ -293,7 +295,7 @@ class MultiPoly(Combination):
         new_vars = tuple(new_vars)
         if len(new_vars) != len(self.vars):
             raise ValueError('context length mismatch')
-        return MultiPoly(new_vars, self.terms)
+        return MultiPoly.from_cleared(new_vars, *self._pair)
 
     def _format_monomial(self, e):
         return '*'.join(name if k == 1 else '%s^%d' % (name, k)

@@ -100,7 +100,7 @@ class UEAElement(Combination):
 
     def order(self):
         """Filtration degree: maximal word length."""
-        return max((len(w) for w in self.terms), default=0)
+        return max((len(w) for w in self.cleared()[1]), default=0)
 
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
@@ -297,12 +297,13 @@ def hc_project(a, sign='plus'):
     mir = sign == 'minus'
     block = {g: _gen_key(amb, g, mir)[0]
              for g in product(range(amb.dim), repeat=2)}
-    normal = pbw_normalize(UEAElement(amb, {
-        w: c for w, c in a.terms.items()
-        if not w or (block[w[0]] != 0 and block[w[-1]] != 2)}), mirrored=mir)
-    ctx = amb.cartan_context()
+    den, ints = a.cleared()
+    den, ints = pbw_normalize(UEAElement.from_cleared(amb, den, {
+        w: c for w, c in ints.items()
+        if not w or (block[w[0]] != 0 and block[w[-1]] != 2)}),
+        mirrored=mir).cleared()
     terms = {}
-    for w, c in normal.terms.items():
+    for w, c in ints.items():
         if any(i != j for i, j in w):
             continue
         exp = [0] * amb.dim
@@ -310,7 +311,7 @@ def hc_project(a, sign='plus'):
             exp[i] += 1
         exp = tuple(exp)
         terms[exp] = terms.get(exp, 0) + c
-    return MultiPoly(ctx, terms)
+    return MultiPoly.from_cleared(amb.cartan_context(), den, terms)
 
 
 def omega_cartan(p):

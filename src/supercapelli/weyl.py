@@ -193,7 +193,7 @@ class WeylElement(Combination):
 
     def order(self):
         """Maximal d-degree across terms."""
-        return max((len(d) for _, d in self.terms), default=0)
+        return max((len(d) for _, d in self.cleared()[1]), default=0)
 
     def __mul__(self, other):
         if not isinstance(other, WeylElement):
@@ -610,9 +610,9 @@ def t_sigma(ambient, sigma):
     sign and that of the odd pairs it passes (as in WeylContext.pack),
     and a branch is cut at an odd diagonal or repeated odd pair.  Pairs
     join in the order their positions close; the sign from there to
-    factor order depends only on the mask, so the mask table holds it
-    with the parity sign, and a leaf adds one term.  The 1/2^d is applied
-    once per output term."""
+    factor order depends only on the mask, so a table filled at each
+    mask's first leaf holds it with the parity sign, and a leaf adds one
+    term.  The 1/2^d is applied once per output term."""
     _check_permutation(sigma)
     two_d = len(sigma)
     if not two_d:
@@ -634,9 +634,6 @@ def t_sigma(ambient, sigma):
         cross += [(1 << side[k][0] | 1 << side[k][1],
                    1 << side[l][0] | 1 << side[l][1]) for k in range(d)
                   for l in range(k) if max(side[k]) < max(side[l])]
-    sign_of = [-1 if (mask.bit_count() + sum(
-        (mask & a).bit_count() & (mask & b).bit_count() & 1
-        for a, b in cross)) % 2 else 1 for mask in range(2 ** two_d)]
     # per shift (y, x) and index order, the packed step of every canonical
     # pair: (unit, odd unit, odd pairs after it, sign), None if it vanishes
     steps = [[[None if g is None else
@@ -653,7 +650,7 @@ def t_sigma(ambient, sigma):
     bits = [[ambient.parity(i) << pos for i in range(dim)]
             for pos in range(two_d)]
     terms = {}
-    _t_sigma_walk((dim, bits, closing, two_d - 1, [0] * two_d, sign_of,
+    _t_sigma_walk((dim, bits, closing, two_d - 1, [0] * two_d, cross, {},
                    terms), 0, 0, 1, 0)
     return WeylElement.from_cleared(ambient, 2 ** d, _unpack_ints(ctx, terms))
 
@@ -662,7 +659,7 @@ def _t_sigma_walk(env, pos, mask, sign, key):
     """Fix position pos of the index tuple in every way and descend; at
     the last position add the leaf terms.  A plain function of its
     arguments, so a t_sigma call leaves no reference cycle behind."""
-    dim, bits, closing, last, tup, sign_of, terms = env
+    dim, bits, closing, last, tup, cross, sign_of, terms = env
     rows = [steps[tup[other]] for other, steps in closing[pos]]
     pos_bits = bits[pos]
     for i in range(dim):
@@ -679,7 +676,12 @@ def _t_sigma_walk(env, pos, mask, sign, key):
                 tup[pos] = i
                 _t_sigma_walk(env, pos + 1, mask | pos_bits[i], sg, k)
             else:
-                terms[k] = terms.get(k, 0) + sign_of[mask | pos_bits[i]] * sg
+                m = mask | pos_bits[i]
+                if m not in sign_of:
+                    sign_of[m] = -1 if (m.bit_count() + sum(
+                        (m & a).bit_count() & (m & b).bit_count() & 1
+                        for a, b in cross)) % 2 else 1
+                terms[k] = terms.get(k, 0) + sign_of[m] * sg
 
 
 def consecutive_cycles_perm(blocks):
@@ -801,10 +803,10 @@ def invariant_symbol_space(ambient, d, verify=True):
     since it would contradict the structure theory the solvers rely on.
     """
     span = invariant_spanning_set(ambient, d)
-    # the basis is made of the spanning elements themselves, which keep
-    # the cleared pairs they were built from
-    kept = {id(v) for v in dict_vectors_basis([t.terms for _, t in span])}
-    basis = [t for _, t in span if id(t.terms) in kept]
+    # the basis is the spanning elements themselves, ranked on their ints
+    ints = [t.cleared()[1] for _, t in span]
+    kept = set(map(id, dict_vectors_basis(ints)))
+    basis = [t for (_, t), v in zip(span, ints) if id(v) in kept]
     if verify:
         for part, t in span:
             if t != t_sigma(ambient, consecutive_cycles_perm(part)):
@@ -812,12 +814,12 @@ def invariant_symbol_space(ambient, d, verify=True):
                                      'literal t_sigma at %s' % (part,))
         kernel = Span()
         for k in invariant_kernel(ambient, d):
-            kernel.add(k.terms)
+            kernel.add(k.cleared()[1])
         if kernel.rank != len(basis):
             raise AssertionError('invariant span does not match the kernel '
                                  'of the polarized action at degree %d' % d)
         for _, t in span:
-            if kernel.add(t.terms):
+            if kernel.add(t.cleared()[1]):
                 raise AssertionError('symbol outside the invariant kernel')
     return basis
 
@@ -935,7 +937,8 @@ def capelli_operator(params, b, inv_basis=None):
         inv_basis = invariant_symbol_space(amb, d, verify=False)
     if any(t.ambient != amb for t in inv_basis):
         raise ValueError('inv_basis has an element outside %r' % amb)
-    if any(len(y) != d or len(x) != d for t in inv_basis for y, x in t.terms):
+    if any(len(y) != d or len(x) != d
+           for t in inv_basis for y, x in t.cleared()[1]):
         raise ValueError('inv_basis has an element not of bidegree (%d,%d)'
                          % (d, d))
     if len(inv_basis) != len(vectors):
@@ -1060,4 +1063,5 @@ def symbol(a, d):
     when the operator has order above d."""
     if a.order() > d:
         raise ValueError('operator order exceeds %d' % d)
-    return WeylElement(a.ambient, _order_part(a.terms, d))
+    den, ints = a.cleared()
+    return WeylElement.from_cleared(a.ambient, den, _order_part(ints, d))

@@ -3,13 +3,14 @@ WeylElement."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import delitem, setitem
 from types import MappingProxyType
 
 import pytest
 
-from supercapelli import superlie, weyl
+from supercapelli import multipoly, superlie, weyl
 from supercapelli.hooks import HookParams, enumerate_hooks, parse_partition
 from supercapelli.multipoly import Combination, MultiPoly, lincomb, _clear
 from supercapelli.solver import c_poly_hc, c_star_poly, full_preimage
@@ -91,8 +92,6 @@ def test_constructor_keeps_exact_fractions(name):
     k0, k1, k2, k3 = keys
     f = Fraction(-2, 3)
     x = cls(ctx, {k0: f, k1: 3, k2: '1/4', k3: SubFraction(5, 2)})
-    # a value of type exactly Fraction is the input object itself
-    assert x.terms[k0] is f
     # ints, strings and Fraction subclasses become plain Fractions
     assert x.terms == {k0: f, k1: 3, k2: Fraction(1, 4), k3: Fraction(5, 2)}
     assert all(type(c) is Fraction for c in x.terms.values())
@@ -279,10 +278,13 @@ def test_kept_ints_are_read_only_and_follow_the_terms(name):
     with pytest.raises(TypeError):
         del ints[keys[1]]
     assert x.cleared() == reference_cleared(sample(name))
-    # a reassigned terms map is cleared again
+    # the terms are a view of the pair and cannot be replaced
     y = x.scale(Fraction(2, 7)) + cls(ctx, {keys[3]: Fraction(1, 5)})
-    x.terms = y.terms
-    assert x.cleared() == reference_cleared(y) != (den, ints)
+    with pytest.raises(AttributeError):
+        x.terms = y.terms
+    with pytest.raises(AttributeError):
+        del x.terms
+    assert x.cleared() == (den, ints) and x == sample(name)
     assert x.cleared() is x.cleared()
 
 
@@ -332,4 +334,155 @@ def test_kept_pairs_equal_the_recomputed_route_at_the_frontier(
     assert list(kept) == list(recomputed) and kept
     for b, objs in kept.items():
         for got, want in zip(objs, recomputed[b]):
+            assert got == want and str(got) == str(want), b
+
+
+# ---------------------------------------------------------------------------
+# One stored form: the reduced pair, with the terms as a view of it.
+
+def _built_on_every_path(name):
+    """(label, element) for one class, with elements equal to each other
+    built along different paths."""
+    cls, ctx, _, keys = CASES[name]
+    k0, k1, k2, k3 = keys
+    x = sample(name)
+    y = cls(ctx, {k0: Fraction(5, 4), k2: Fraction(-7, 6)})
+    built = [('sample', x), ('y', y),
+             ('int', cls(ctx, {k0: 3, k1: -2})),
+             # the same ints over different denominators
+             ('unit', cls(ctx, {k0: 1})), ('half', cls(ctx, {k0: '1/2'})),
+             ('str', cls(ctx, {k0: '3', k1: '-4/2'})),
+             ('subclass', cls(ctx, {k0: SubFraction(6, 2), k1: -2})),
+             ('zero values', cls(ctx, {k0: 0, k1: Fraction(0), k2: '0',
+                                       k3: SubFraction(0)})),
+             ('zero', cls.zero(ctx)),
+             ('from_cleared unreduced', cls.from_cleared(
+                 ctx, 12, {k0: 15, k1: 0, k2: -14})),
+             ('from_cleared scaled', cls.from_cleared(
+                 ctx, 6, {k0: 18, k1: -12})),
+             ('from_cleared zeros', cls.from_cleared(ctx, 6, {k0: 0})),
+             ('+', x + y), ('-', x - y), ('+ -', x + y - y),
+             ('- self', y - y), ('neg', -y), ('neg neg', -(-x)),
+             ('scale', x.scale(Fraction(-3, 10))),
+             ('scale str', y.scale('-1/1')), ('scale 0', x.scale(0)),
+             ('rmul', 2 * x), ('sum', x + x), ('*', x * y)]
+    if name == 'WeylElement':
+        built += _kernel_built()
+    return built
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_one_stored_form_on_every_path(name):
+    """Equality is term equality on every build path, equal elements hash
+    equal, and the terms are the stored pair divided out."""
+    built = _built_on_every_path(name)
+    for label, x in built:
+        den, ints = x.cleared()
+        assert x.terms == {k: Fraction(v, den) for k, v in ints.items()}, \
+            label
+        assert x.terms is x.terms, label
+        assert all(type(c) is Fraction and c for c in x.terms.values()), \
+            label
+        assert x.is_zero() == (not x.terms), label
+    equal_pairs = 0
+    for (la, a), (lb, b) in product(built, repeat=2):
+        same = dict(a.terms) == dict(b.terms)
+        assert (a == b) == same and (a != b) != same, (la, lb)
+        if same:
+            assert hash(a) == hash(b), (la, lb)
+            equal_pairs += la != lb
+    # several paths build the same element
+    assert equal_pairs >= 12
+
+
+def _no_fraction(*args):
+    raise AssertionError('a Fraction was built')
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_pair_paths_build_no_fraction(name, monkeypatch):
+    """from_cleared, +, -, equality, hashing and the zero check run on the
+    pairs alone; the terms view is built on its first read."""
+    cls, ctx, _, keys = CASES[name]
+    x, want = sample(name), dict(sample(name).terms)
+    monkeypatch.setattr(multipoly, 'Fraction', _no_fraction)
+    y = cls.from_cleared(ctx, 12, {keys[0]: 15, keys[2]: -14})
+    z = x + y - y
+    assert z == x and hash(z) == hash(x) and not z.is_zero()
+    assert (y - y).is_zero() and z.cleared() == x.cleared()
+    monkeypatch.undo()
+    assert z.terms == want
+
+
+# ---------------------------------------------------------------------------
+# The lincomb route of +, -, and scale against the Fraction-dict loops it
+# replaced.
+
+def reference_add(x, y):
+    """x + y summed term by term over Fraction dicts."""
+    if type(y) is not type(x):
+        return NotImplemented
+    x._check(y)
+    terms = dict(x.terms)
+    for k, c in y.terms.items():
+        terms[k] = terms.get(k, 0) + c
+    return type(x)(x.context, terms)
+
+
+def reference_neg(x):
+    return type(x)(x.context, {k: -c for k, c in x.terms.items()})
+
+
+def reference_sub(x, y):
+    if type(y) is not type(x):
+        return NotImplemented
+    return reference_add(x, reference_neg(y))
+
+
+def reference_scale(x, c):
+    c = Fraction(c)
+    return type(x)(x.context, {k: c * v for k, v in x.terms.items()})
+
+
+REFERENCE_ARITHMETIC = {'__add__': reference_add, '__sub__': reference_sub,
+                        '__neg__': reference_neg, 'scale': reference_scale}
+
+
+def _random_element(rng, name):
+    cls, ctx, _, keys = CASES[name]
+    return cls(ctx, {k: Fraction(rng.randrange(-7, 8), rng.randrange(1, 7))
+                     for k in rng.sample(keys, rng.randrange(len(keys) + 1))})
+
+
+@pytest.mark.parametrize('name', sorted(CASES))
+def test_lincomb_arithmetic_equals_the_fraction_dict_loops(name):
+    rng = random.Random('arithmetic %s' % name)
+    scalars = [0, 1, -1, 3, Fraction(-5, 6), '7/4', SubFraction(2, 9)]
+    for _ in range(200):
+        x, y = _random_element(rng, name), _random_element(rng, name)
+        c = rng.choice(scalars)
+        for got, want in ((x + y, reference_add(x, y)),
+                          (x - y, reference_sub(x, y)),
+                          (-x, reference_neg(x)),
+                          (x.scale(c), reference_scale(x, c)),
+                          (x + x - y, reference_sub(reference_add(x, x), y))):
+            assert got == want and str(got) == str(want), (x, y, c)
+            assert dict(got.terms) == dict(want.terms)
+            assert got.cleared() == reference_cleared(want)
+
+
+@pytest.mark.parametrize('m, n, d', [(2, 2, 3), (1, 2, 4)])
+def test_lincomb_arithmetic_equals_the_fraction_dict_route_at_the_frontier(
+        m, n, d, monkeypatch):
+    routes = []
+    for patch in ({}, REFERENCE_ARITHMETIC):
+        for attr, fn in patch.items():
+            monkeypatch.setattr(Combination, attr, fn)
+        monkeypatch.setattr(weyl, '_ctx_cache', {})
+        monkeypatch.setattr(superlie, '_pbw_tables', {})
+        routes.append(_frontier_objects(m, n, d))
+    lincomb_route, fraction_route = routes
+    assert list(lincomb_route) == list(fraction_route) and lincomb_route
+    for b, objs in lincomb_route.items():
+        for got, want in zip(objs, fraction_route[b]):
             assert got == want and str(got) == str(want), b
