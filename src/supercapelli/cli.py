@@ -379,8 +379,7 @@ def suite_decomposition(args):
                           count == expected,
                           '' if count == expected else
                           '%d vs %d' % (count, expected)))
-            total = sum(cyclic_span_dim(amb, v) for _, basis in hw
-                        for v in basis)
+            total = sum(cyclic_span_dim(v) for _, basis in hw for v in basis)
             dim = len(monomial_basis(amb, k))
             cases.append(('gl(%d|%d) span dims k=%d' % (m, n, k),
                           total == dim,
@@ -396,10 +395,10 @@ def suite_spherical(args):
         for b in _hooks(params, d):
             D = capelli_operator(params, b)
             vec = spherical_vector(params, b, capelli=D)
-            ann = all(not apply_weyl(rho_check(k), vec) for k in kset)
+            ann = all(apply_weyl(rho_check(k), vec).is_zero() for k in kset)
             poly = spherical_poly(params, b, capelli=D)
-            ok = bool(vec) and ann and not poly.is_zero()
-            detail = '' if ok else ('vector zero' if not vec else
+            ok = not vec.is_zero() and ann and not poly.is_zero()
+            detail = '' if ok else ('vector zero' if vec.is_zero() else
                                     'not annihilated' if not ann else
                                     'restriction zero')
             cases.append(('(%d,%d) spherical data %s' % (m, n, b), ok, detail))

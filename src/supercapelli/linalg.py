@@ -281,10 +281,17 @@ def dict_vectors_basis(vectors):
     return [v for v in vectors if v and span.add(v)]
 
 
+def _stacked(blocks):
+    """The cleared (den, ints) column stacking cleared blocks, the keys of
+    the i-th block tagged (i, key): one lincomb of the blocks."""
+    return lincomb((1, (den, {(i, k): v for k, v in ints.items()}))
+                   for i, (den, ints) in enumerate(blocks))
+
+
 def dict_columns_kernel(columns):
-    """Kernel basis of the matrix whose columns are the dict vectors, as
-    dense coefficient lists."""
-    return _kernel(_relations([_clear(v.items()) for v in columns]))
+    """Kernel basis of the matrix whose columns are the dict vectors given
+    cleared as (den, ints), as dense coefficient lists."""
+    return _kernel(_relations(columns))
 
 
 def solve_in_span(vectors, target):

@@ -290,13 +290,6 @@ class MultiPoly(Combination):
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]),
                       reverse=True)
 
-    def rename(self, new_vars):
-        """Same terms over a different (equal-length) context."""
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise ValueError('context length mismatch')
-        return MultiPoly.from_cleared(new_vars, *self._pair)
-
     def _format_monomial(self, e):
         return '*'.join(name if k == 1 else '%s^%d' % (name, k)
                         for name, k in zip(self.vars, e) if k > 0)
@@ -346,18 +339,23 @@ class AffineSubstitution:
         return p
 
     def apply(self, p):
+        """The substituted polynomial: one lincomb over the pair of p of
+        the products of the powers of the variable images."""
         if p.vars != self.source:
             raise ValueError('polynomial context does not match substitution source')
         images = [self.image_poly(name) for name in self.source]
         # cache powers of the (few) variable images
-        powers = [[MultiPoly.const(self.target, 1)] for _ in images]
-        result = MultiPoly.zero(self.target)
-        for e, c in p.terms.items():
-            term = MultiPoly.const(self.target, c)
+        one = MultiPoly.const(self.target, 1)
+        powers = [[one] for _ in images]
+        den, ints = p.cleared()
+        terms = []
+        for e, c in ints.items():
+            term = one
             for i, k in enumerate(e):
                 while len(powers[i]) <= k:
                     powers[i].append(powers[i][-1] * images[i])
                 if k:
                     term = term * powers[i][k]
-            result = result + term
-        return result
+            terms.append((c, term.cleared()))
+        D, out = lincomb(terms)
+        return MultiPoly.from_cleared(self.target, D * den, out)

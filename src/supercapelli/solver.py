@@ -359,12 +359,13 @@ def frobenius_transform(params, p):
 # Hyperplane (natural algebra) membership.
 
 def _swap_vars(p, i, j):
+    den, ints = p.cleared()
     terms = {}
-    for e, c in p.terms.items():
+    for e, c in ints.items():
         e = list(e)
         e[i], e[j] = e[j], e[i]
         terms[tuple(e)] = c
-    return MultiPoly(p.vars, terms)
+    return MultiPoly.from_cleared(p.vars, den, terms)
 
 
 def natural_algebra_check(params, p):

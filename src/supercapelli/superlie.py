@@ -13,9 +13,9 @@ with the bracket understood as the supercommutator.
 
 from fractions import Fraction
 from itertools import product
-from operator import index
+from operator import add, index
 
-from .multipoly import Combination, MultiPoly
+from .multipoly import Combination, MultiPoly, lincomb
 
 
 def _integer(value, what):
@@ -151,15 +151,16 @@ def bracket_gen(ambient, g1, g2):
 
 
 def bracket(a, b):
-    """Supercommutator of two degree-1 elements (extended bilinearly)."""
+    """Supercommutator of two degree-1 elements (extended bilinearly): one
+    lincomb of the generator brackets on the pairs."""
     a._check(b)
-    if any(len(w) != 1 for w in (*a.terms, *b.terms)):
+    (den_a, ints_a), (den_b, ints_b) = a.cleared(), b.cleared()
+    if any(len(w) != 1 for w in (*ints_a, *ints_b)):
         raise ValueError('bracket expects degree-1 elements')
-    out = UEAElement.zero(a.ambient)
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            out = out + bracket_gen(a.ambient, w1[0], w2[0]).scale(c1 * c2)
-    return out
+    den, ints = lincomb(
+        (c1 * c2, bracket_gen(a.ambient, w1, w2).cleared())
+        for (w1,), c1 in ints_a.items() for (w2,), c2 in ints_b.items())
+    return UEAElement.from_cleared(a.ambient, den * den_a * den_b, ints)
 
 
 def _gen_key(ambient, g, mirrored):
@@ -195,10 +196,10 @@ def _pbw_table(ambient, mirrored):
             if a == b and parity[a]:
                 row.append((0, ()))
             elif order[a] > order[b]:
-                br = bracket_gen(ambient, g1, g2)
+                br = bracket_gen(ambient, g1, g2).cleared()[1]  # den 1
                 row.append(((-1) ** (parity[a] * parity[b]),
-                            tuple((i * dim + j, int(c))
-                                  for ((i, j),), c in br.terms.items())))
+                            tuple((i * dim + j, c)
+                                  for ((i, j),), c in br.items())))
             else:
                 row.append(None)
         rules.append(row)
@@ -270,15 +271,15 @@ def gelfand_element(ambient, d):
 def omega(a):
     """The antiautomorphism with omega(x) = -x on the superalgebra and
     omega(xy) = (-1)^{|x||y|} omega(y) omega(x): a word of length l with
-    o odd letters reverses with the sign (-1)^(l + C(o, 2))."""
+    o odd letters reverses with the sign (-1)^(l + C(o, 2)); reversal is
+    one to one on words, so the pair keeps its denominator."""
     amb = a.ambient
+    den, ints = a.cleared()
     terms = {}
-    for w, c in a.terms.items():
+    for w, c in ints.items():
         o = sum(amb.gen_parity(g) for g in w)
-        sgn = (-1) ** (len(w) + o * (o - 1) // 2)
-        nw = tuple(reversed(w))
-        terms[nw] = terms.get(nw, 0) + sgn * c
-    return UEAElement(amb, terms)
+        terms[w[::-1]] = (-1) ** (len(w) + o * (o - 1) // 2) * c
+    return UEAElement.from_cleared(amb, den, terms)
 
 
 def hc_project(a, sign='plus'):
@@ -317,10 +318,9 @@ def hc_project(a, sign='plus'):
 def omega_cartan(p):
     """The antiautomorphism on a Cartan polynomial: each variable is
     negated (words reverse trivially there)."""
-    terms = {}
-    for e, c in p.terms.items():
-        terms[e] = terms.get(e, 0) + c * (-1) ** sum(e)
-    return MultiPoly(p.vars, terms)
+    den, ints = p.cleared()
+    return MultiPoly.from_cleared(
+        p.vars, den, {e: -c if sum(e) % 2 else c for e, c in ints.items()})
 
 
 def a_context(m, n):
@@ -332,24 +332,19 @@ def a_context(m, n):
 def q_projection(c, ambient):
     """Restrict a Cartan polynomial of gl(m|2n) to the even Cartan a of
     the symmetric pair, in the a-coordinates: E_kk -> a_k and both odd
-    diagonal entries of the l-th pair -> ab_l / 2."""
+    diagonal entries of the l-th pair -> ab_l / 2.  On the pair: a term
+    of odd degree o is scaled by 2^(top - o) over the denominator times
+    2^top, top the largest odd degree."""
     m, nn = ambient.m, ambient.n
     if nn % 2:
         raise ValueError('odd dimension must be even for the q projection')
-    n = nn // 2
-    ctx = a_context(m, n)
+    den, ints = c.cleared()
+    top = max((sum(e[m:]) for e in ints), default=0)
     terms = {}
-    for e, coef in c.terms.items():
-        exp = list(e[:m])
-        odd_total = 0
-        for l in range(n):
-            pair = e[m + 2 * l] + e[m + 2 * l + 1]
-            exp.append(pair)
-            odd_total += pair
-        exp = tuple(exp)
-        coef = coef * Fraction(1, 2 ** odd_total)
-        terms[exp] = terms.get(exp, 0) + coef
-    return MultiPoly(ctx, terms)
+    for e, coef in ints.items():
+        exp = e[:m] + tuple(map(add, e[m::2], e[m + 1::2]))
+        terms[exp] = terms.get(exp, 0) + coef * 2 ** (top - sum(e[m:]))
+    return MultiPoly.from_cleared(a_context(m, nn // 2), den << top, terms)
 
 
 def gd_element(ambient, d):

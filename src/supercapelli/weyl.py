@@ -13,8 +13,8 @@ for even or odd-odd off-diagonal pairs and -1 for mixed-parity pairs.
 
 Monomials are tuples of canonical pair indices in nondecreasing order;
 odd pairs are squarefree; swapping two odd generators costs a sign.
-Elements of the polynomial algebra P(W) are plain dicts
-{y-monomial: Fraction}.
+An element f of the polynomial algebra P(W) is the operator of
+multiplication by f: a WeylElement of order 0, keyed (y-monomial, ()).
 
 Inside the kernels (weyl_mul, rho_check, t_sigma, the symbol product) a
 monomial is one packed int, a (y, d) key too (see WeylContext): a merge
@@ -28,8 +28,9 @@ from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 from .hooks import enumerate_hooks, eps_extension, gamma_star_map, partitions
-from .linalg import Span, dict_columns_kernel, dict_vectors_basis, lin_solve
-from .multipoly import Combination, MultiPoly, lincomb, _clear
+from .linalg import (Span, dict_columns_kernel, dict_vectors_basis, lin_solve,
+                     _stacked)
+from .multipoly import Combination, MultiPoly, lincomb
 from .superlie import Ambient, UEAElement, a_context, gelfand_element, _concat
 
 _ctx_cache = {}
@@ -158,9 +159,6 @@ class WeylContext:
         p, sign = self.pack(items)
         return self.unpack(p) if sign else None, sign
 
-    def mono_parity(self, mono):
-        return sum(self.parity[g] for g in mono) % 2
-
     def gen_label(self, g):
         i, j = self.pairs[g]
         return '%s,%s' % (self.ambient.label(i), self.ambient.label(j))
@@ -201,9 +199,8 @@ class WeylElement(Combination):
         return weyl_mul(self, other)
 
     def parity(self):
-        ctx = weyl_context(self.ambient)
-        ps = {(ctx.mono_parity(y) + ctx.mono_parity(d)) % 2
-              for y, d in self.terms}
+        par = weyl_context(self.ambient).parity
+        ps = {sum(par[g] for g in y + d) % 2 for y, d in self.cleared()[1]}
         if len(ps) > 1:
             raise ValueError('element is not homogeneous in parity')
         return ps.pop() if ps else 0
@@ -389,7 +386,8 @@ def weyl_mul(a, b):
 
 
 # ---------------------------------------------------------------------------
-# P(W) and the action of operators on it.  A polynomial is {y-mono: coeff}.
+# P(W) and the action of operators on it.  A polynomial f is the order-0
+# WeylElement of multiplication by f, keyed (y-mono, ()).
 
 def monomial_basis(ambient, k):
     """All degree-k monomials (odd generators squarefree), sorted."""
@@ -437,26 +435,29 @@ def _contract(ctx, dop, mono):
     return tuple(rest), coeff
 
 
-def apply_weyl(op, poly):
-    """Apply a WeylElement to an element of P(W) (dict {y-mono: coeff}).
+def apply_weyl(op, vec):
+    """The order-0 part of op * vec: the WeylElement op applied to the
+    element vec of P(W).  ValueError when the ambients differ or vec has
+    an order above 0.
 
-    Runs on Python ints: the operator is read as its kept cleared pair
-    (Combination.cleared) and the polynomial is cleared by
-    multipoly._clear.  The operator terms are grouped by d-monomial,
-    and d^dop(y^mono) is computed once per (dop, mono) pair, only when
-    dop is contained in mono (see _contract); for a bidegree-(d,d)
-    operator on a degree-d vector only dop == mono survives.  Each output
-    term is divided back into a Fraction once."""
+    Runs on the pairs of both: the operator terms are grouped by
+    d-monomial, and d^dop(y^mono) is computed once per (dop, mono) pair,
+    only when dop is contained in mono (see _contract); for a
+    bidegree-(d,d) operator on a degree-d vector only dop == mono
+    survives.  The sums are read back by from_cleared."""
+    op._check(vec)
+    (den_op, op_ints), (den_v, vec_ints) = op.cleared(), vec.cleared()
+    if any(d for _, d in vec_ints):
+        raise ValueError('apply_weyl acts on order-0 elements, got order %d'
+                         % vec.order())
     ctx = weyl_context(op.ambient)
     sort_mono = ctx.sort_mono
-    den_op, op_ints = op.cleared()
-    den_p, poly_ints = _clear(poly.items())
     by_dop = {}
     for (yop, dop), c in op_ints.items():
         by_dop.setdefault(dop, []).append((yop, c))
     out = {}
     for dop, yterms in by_dop.items():
-        for mono, c in poly_ints.items():
+        for (mono, _), c in vec_ints.items():
             rest, cc = _contract(ctx, dop, mono)
             if not cc:
                 continue
@@ -464,9 +465,8 @@ def apply_weyl(op, poly):
             for yop, cop in yterms:
                 nm, s = sort_mono(yop + rest)
                 if s:
-                    out[nm] = out.get(nm, 0) + cc * cop * s
-    den = den_op * den_p
-    return {k: Fraction(v, den) for k, v in out.items() if v}
+                    out[nm, ()] = out.get((nm, ()), 0) + cc * cop * s
+    return WeylElement.from_cleared(op.ambient, den_op * den_v, out)
 
 
 # ---------------------------------------------------------------------------
@@ -782,13 +782,9 @@ def invariant_kernel(ambient, d):
             if i != j]
     columns = []
     for (y, dd) in cands:
-        elem = WeylElement(ambient, {(y, dd): Fraction(1)})
-        vec = {}
-        for gi, g in enumerate(gens):
-            com = _commutator(rho_check_gen(ambient, *g), elem)
-            for t, c in com.terms.items():
-                vec[(gi, t)] = c
-        columns.append(vec)
+        elem = WeylElement(ambient, {(y, dd): 1})
+        columns.append(_stacked(_commutator(rho_check_gen(ambient, *g),
+                                            elem).cleared() for g in gens))
     return [WeylElement(ambient, {yd: c for yd, c in zip(cands, vec) if c})
             for vec in dict_columns_kernel(columns)]
 
@@ -838,35 +834,31 @@ def mono_weight(ctx, mono):
 
 
 def highest_weight_vectors(ambient, k, eps_coords):
-    """Basis of the space of vectors in the degree-k piece of P(W) of the
-    given epsilon-frame weight killed by the simple raising operators."""
+    """Basis (order-0 WeylElements) of the vectors of P^k(W) of the given
+    epsilon-frame weight killed by the simple raising operators."""
     eps = tuple(Fraction(c) for c in eps_coords)
     # int weights hash and compare equal to Fraction ones
     return _highest_in(ambient, _weight_spaces(ambient, k).get(eps, []))
 
 
 def _highest_in(ambient, cands):
-    """highest_weight_vectors among the monomials cands of one weight."""
+    """highest_weight_vectors among the monomials cands of one weight: the
+    kernel of the stacked raising images of the monomials."""
     if not cands:
         return []
     raising = [rho_check_gen(ambient, i, i + 1) for i in range(ambient.dim - 1)]
-    columns = []
-    for mm in cands:
-        vec = {}
-        for gi, op in enumerate(raising):
-            img = apply_weyl(op, {mm: Fraction(1)})
-            for key, c in img.items():
-                vec[(gi, key)] = c
-        columns.append(vec)
-    return [{mm: c for mm, c in zip(cands, vec) if c}
+    columns = [_stacked(apply_weyl(op, v).cleared() for op in raising)
+               for v in (WeylElement(ambient, {(mm, ()): 1}) for mm in cands)]
+    return [WeylElement(ambient, {(mm, ()): c
+                                  for mm, c in zip(cands, vec) if c})
             for vec in dict_columns_kernel(columns)]
 
 
 def hook_vectors(params, k):
-    """{hook mu of size k: the highest weight vector of the summand of
-    P^k(W) indexed by mu}, from one weight grouping of P^k(W).  P(W) is
-    multiplicity free, so an AssertionError naming the weight is raised
-    when a highest weight space is not one-dimensional."""
+    """{hook mu of size k: the highest weight vector (of order 0) of the
+    summand of P^k(W) indexed by mu}, from one weight grouping of P^k(W).
+    P(W) is multiplicity free, so an AssertionError naming the weight is
+    raised when a highest weight space is not one-dimensional."""
     amb = params.ambient
     spaces = _weight_spaces(amb, k)
     out = {}
@@ -882,27 +874,28 @@ def hook_vectors(params, k):
 
 def all_highest_weight_vectors(ambient, k):
     """All (weight, basis) pairs with nonzero highest-weight space in the
-    degree-k graded piece."""
+    degree-k graded piece, the bases of order-0 WeylElements."""
     spaces = _weight_spaces(ambient, k)
     return [(w, basis) for w in sorted(spaces, reverse=True)
             if (basis := _highest_in(ambient, spaces[w]))]
 
 
-def cyclic_span_dim(ambient, vec):
-    """Dimension of the span of a vector under repeated application of the
-    lowering operators: one Span grown breadth first, each image of a
-    newly kept vector added to it once."""
-    lowering = [rho_check_gen(ambient, i, j)
-                for i in range(ambient.dim) for j in range(ambient.dim) if i > j]
+def cyclic_span_dim(vec):
+    """Dimension of the span of a vector of P(W) under repeated application
+    of the lowering operators of its ambient: one Span grown breadth
+    first, each image of a newly kept vector added to it once."""
+    dim = vec.ambient.dim
+    lowering = [rho_check_gen(vec.ambient, i, j)
+                for i in range(dim) for j in range(dim) if i > j]
     span = Span()
-    span.add(vec)
+    span.add(vec.cleared()[1])
     frontier = [vec]
     while frontier:
         new_frontier = []
         for v in frontier:
             for op in lowering:
                 w = apply_weyl(op, v)
-                if w and span.add(w):
+                if not w.is_zero() and span.add(w.cleared()[1]):
                     new_frontier.append(w)
         frontier = new_frontier
     return span.rank
@@ -913,10 +906,13 @@ def cyclic_span_dim(ambient, vec):
 
 def eigenvalue_on(op, vec):
     """Scalar by which an invariant operator acts on a vector spanning a
-    one-dimensional isotypic slot; asserts proportionality."""
+    one-dimensional isotypic slot, read at its first key; asserts
+    proportionality."""
     img = apply_weyl(op, vec)
-    s = img.get(min(vec), 0) / vec[min(vec)] if img else Fraction(0)
-    if img != {kk: s * c for kk, c in vec.items() if s}:
+    (den_v, v), (den_i, i) = vec.cleared(), img.cleared()
+    k = min(v, default=None)
+    s = Fraction(i.get(k, 0) * den_v, den_i * v[k]) if i else Fraction(0)
+    if img != vec.scale(s):
         raise AssertionError('image not proportional to the vector')
     return s
 
@@ -983,33 +979,37 @@ def spherical_vector(params, b, capelli=None):
     with the form beta.  beta is 1 on the Cartan generators and 0 on every
     other pair (see _cartan_generators), so a term keeps its y-monomial
     and coefficient exactly when all its derivatives are Cartan
-    generators.  Returns {y-monomial: coeff}.  A capelli of another
-    ambient or not of bidegree (|b|,|b|) raises ValueError."""
+    generators.  Returns an order-0 WeylElement, read from the pair of
+    capelli.  A capelli of another ambient or not of bidegree (|b|,|b|)
+    raises ValueError."""
     if capelli is None:
         capelli = capelli_operator(params, b)
     cartan = _cartan_generators(params)
     if capelli.ambient != params.ambient:
         raise ValueError('capelli operator in %r, not in %r'
                          % (capelli.ambient, params.ambient))
-    if any(len(y) != b.size or len(x) != b.size for y, x in capelli.terms):
+    den, ints = capelli.cleared()
+    if any(len(y) != b.size or len(x) != b.size for y, x in ints):
         raise ValueError('capelli operator not of bidegree (%d,%d)'
                          % (b.size, b.size))
     out = {}
-    for (y, dd), c in capelli.terms.items():
+    for (y, dd), c in ints.items():
         if all(g in cartan for g in dd):
-            out[y] = out.get(y, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
+            out[y, ()] = out.get((y, ()), 0) + c
+    return WeylElement.from_cleared(capelli.ambient, den, out)
 
 
 def spherical_poly(params, b, capelli=None):
     """Polynomial on the weight coordinates obtained by restricting the
     spherical vector to the even Cartan: a y-monomial that lies wholly in
     the Cartan table becomes the product of its generators' coordinates
-    and values, and any other y-monomial restricts to 0."""
+    and values, and any other y-monomial restricts to 0: one lincomb
+    over the pair of the spherical vector."""
     cartan = _cartan_generators(params)
     avars = a_context(params.m, params.n)
-    terms = {}
-    for mono, c in spherical_vector(params, b, capelli=capelli).items():
+    den, ints = spherical_vector(params, b, capelli=capelli).cleared()
+    terms = []
+    for (mono, _), c in ints.items():
         exp = [0] * len(avars)
         for g in mono:
             if g not in cartan:
@@ -1018,9 +1018,8 @@ def spherical_poly(params, b, capelli=None):
             exp[idx] += 1
             c *= val
         else:
-            exp = tuple(exp)
-            terms[exp] = terms.get(exp, 0) + c
-    return MultiPoly(avars, terms)
+            terms.append((c, (den, {tuple(exp): 1})))
+    return MultiPoly.from_cleared(avars, *lincomb(terms))
 
 
 def osp_spanning_set(params):

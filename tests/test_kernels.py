@@ -24,7 +24,7 @@ from supercapelli.hooks import (HookParams, a_context, classical_hook_product,
                                 hook_product_H, partitions,
                                 xy_context, FrobeniusPoint)
 from supercapelli.linalg import dict_columns_kernel
-from supercapelli.multipoly import AffineSubstitution, MultiPoly
+from supercapelli.multipoly import AffineSubstitution, MultiPoly, _clear
 from supercapelli.solver import coset_type, full_preimage
 from supercapelli import weyl
 from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
@@ -33,13 +33,13 @@ from supercapelli.superlie import (Ambient, UEAElement, bracket_gen,
 from supercapelli.weyl import (WeylElement, all_highest_weight_vectors,
                                apply_weyl, capelli_operator,
                                consecutive_cycles_perm, cyclic_span_dim,
-                               gelfand_product, invariant_kernel,
+                               gelfand_product, hook_vectors, invariant_kernel,
                                invariant_symbol_space, monomial_basis,
                                osp_spanning_set, rho_check, rho_check_gen,
                                spherical_poly, spherical_vector, symbol,
                                t_sigma, weyl_context, weyl_mul,
                                _cartan_generators, _commutator, _entry,
-                               _rho_intern, _symbol_mul_ints)
+                               _order_part, _rho_intern, _symbol_mul_ints)
 
 from linalg_reference import reference_rank
 
@@ -455,6 +455,17 @@ def reference_apply_weyl(op, poly):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def vector(ambient, poly):
+    """The order-0 WeylElement of a {y-mono: coeff} polynomial."""
+    return WeylElement(ambient, {(mm, ()): c for mm, c in poly.items()})
+
+
+def poly_of(vec):
+    """The {y-mono: coeff} polynomial of an order-0 WeylElement, read from
+    its terms."""
+    return {mm: c for (mm, _), c in vec.terms.items()}
+
+
 def assert_same(got, want):
     assert got == want
     assert str(got) == str(want)
@@ -664,7 +675,7 @@ def test_t_sigma_matches_reference_on_random_s8():
 def test_kernels_leave_no_reference_cycle():
     amb = Ambient(1, 2)
     op = t_sigma(amb, consecutive_cycles_perm((2,)))
-    vec = {mm: Fraction(1, 3) for mm in monomial_basis(amb, 2)}
+    vec = vector(amb, {mm: Fraction(1, 3) for mm in monomial_basis(amb, 2)})
     z = gelfand_product(amb, coset_type((2, 3, 1, 4)))
     ctx = weyl_context(amb)
     ints = op.cleared()[1]
@@ -936,7 +947,7 @@ def test_apply_weyl_matches_reference_on_polarizations(mn):
             op = rho_check_gen(amb, i, j)
             for mm in monos:
                 poly = {mm: Fraction(1)}
-                assert_same_poly(apply_weyl(op, poly),
+                assert_same_poly(poly_of(apply_weyl(op, vector(amb, poly))),
                                  reference_apply_weyl(op, poly))
 
 
@@ -948,8 +959,28 @@ def test_apply_weyl_matches_reference_on_invariant_symbols(mn):
         for _, vecs in all_highest_weight_vectors(amb, d):
             for vec in vecs:
                 for op in basis:
-                    assert_same_poly(apply_weyl(op, vec),
-                                     reference_apply_weyl(op, vec))
+                    assert_same_poly(poly_of(apply_weyl(op, vec)),
+                                     reference_apply_weyl(op, poly_of(vec)))
+
+
+# apply_weyl is the order-0 part of the packed product op * vec, an
+# independent route: the packed normal ordering of weyl_mul.
+
+def order_zero_part(op, vec):
+    den, ints = weyl_mul(op, vec).cleared()
+    return WeylElement.from_cleared(op.ambient, den, _order_part(ints, 0))
+
+
+@pytest.mark.parametrize('mn,dmax', [((1, 1), 4), ((2, 1), 3), ((1, 2), 3)])
+def test_apply_weyl_is_the_order_zero_part_of_the_product_on_hooks(mn, dmax):
+    params = HookParams(*mn, 'half')
+    amb = params.ambient
+    vectors = [v for k in range(dmax + 1)
+               for v in hook_vectors(params, k).values()]
+    for d in range(dmax + 1):
+        for op in invariant_symbol_space(amb, d, verify=False):
+            for vec in vectors:
+                assert_same(apply_weyl(op, vec), order_zero_part(op, vec))
 
 
 def random_poly(ctx, rng):
@@ -999,7 +1030,20 @@ def test_apply_weyl_matches_reference_on_random_input(mn):
     for _ in range(200):
         poly = random_poly(ctx, rng)
         op = random_operator(amb, ctx, rng, poly)
-        assert_same_poly(apply_weyl(op, poly), reference_apply_weyl(op, poly))
+        assert_same_poly(poly_of(apply_weyl(op, vector(amb, poly))),
+                         reference_apply_weyl(op, poly))
+
+
+@pytest.mark.parametrize('mn', APPLY_AMBIENTS)
+def test_apply_weyl_is_the_order_zero_part_of_the_product_on_random_input(mn):
+    amb = Ambient(mn[0], 2 * mn[1])
+    ctx = weyl_context(amb)
+    rng = random.Random('order zero %s %s' % mn)
+    for _ in range(200):
+        poly = random_poly(ctx, rng)
+        op = random_operator(amb, ctx, rng, poly)
+        vec = vector(amb, poly)
+        assert_same(apply_weyl(op, vec), order_zero_part(op, vec))
 
 
 @pytest.mark.parametrize('mn', APPLY_AMBIENTS)
@@ -1011,8 +1055,8 @@ def test_apply_weyl_matches_reference_on_spherical_vectors(mn):
             continue
         vec = spherical_vector(params, b)
         for op in images:
-            assert_same_poly(apply_weyl(op, vec),
-                             reference_apply_weyl(op, vec))
+            assert_same_poly(poly_of(apply_weyl(op, vec)),
+                             reference_apply_weyl(op, poly_of(vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -1186,7 +1230,7 @@ def test_spherical_restriction_matches_reference(mn, dmax):
         if not b.size:
             continue
         D = capelli_operator(params, b)
-        vec = spherical_vector(params, b, capelli=D)
+        vec = poly_of(spherical_vector(params, b, capelli=D))
         want = reference_spherical_vector(params, D)
         assert vec == want and str(vec) == str(want)
         assert all(type(c) is Fraction for c in vec.values())
@@ -1207,7 +1251,7 @@ def reference_cyclic_span_dim(ambient, vec):
         new_frontier = []
         for v in frontier:
             for op in lowering:
-                w = apply_weyl(op, v)
+                w = poly_of(apply_weyl(op, vector(ambient, v)))
                 if not w:
                     continue
                 r = reference_rank(basis + [w])
@@ -1226,11 +1270,12 @@ def test_cyclic_span_dim_matches_reference(mn, kmax):
         total = 0
         for _, basis in all_highest_weight_vectors(amb, k):
             for vec in basis:
-                dim = cyclic_span_dim(amb, vec)
-                assert dim == reference_cyclic_span_dim(amb, vec)
+                dim = cyclic_span_dim(vec)
+                assert dim == reference_cyclic_span_dim(amb, poly_of(vec))
                 total += dim
         assert total == len(monomial_basis(amb, k))
-    assert cyclic_span_dim(amb, {}) == reference_cyclic_span_dim(amb, {}) == 0
+    assert cyclic_span_dim(WeylElement.zero(amb)) == \
+        reference_cyclic_span_dim(amb, {}) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1431,7 +1476,7 @@ def reference_invariant_kernel(ambient, d):
             com = _commutator(rho_check_gen(ambient, *g), elem)
             for t, c in com.terms.items():
                 vec[(gi, t)] = c
-        columns.append(vec)
+        columns.append(_clear(vec.items()))
     return [WeylElement(ambient, {yd: c for yd, c in zip(cands, vec) if c})
             for vec in dict_columns_kernel(columns)]
 

@@ -7,6 +7,7 @@ from supercapelli import hooks, linalg, solver, weyl
 from supercapelli.linalg import (Span, mat_reduce, lin_solve,
                                  dict_vectors_rank, dict_vectors_basis,
                                  dict_columns_kernel, solve_in_span)
+from supercapelli.multipoly import _clear
 from supercapelli.superlie import Ambient
 from supercapelli.weyl import (capelli_operator, invariant_kernel,
                                invariant_spanning_set, invariant_symbol_space)
@@ -125,10 +126,10 @@ def test_dict_columns_kernel_equals_reference_kernel():
     for rows, nc in random_matrices():
         label = list(range(len(rows)))
         rng.shuffle(label)
-        columns = [{label[i]: row[j] for i, row in enumerate(rows) if row[j]}
+        columns = [_clear((label[i], row[j]) for i, row in enumerate(rows))
                    for j in range(nc)]
         assert dict_columns_kernel(columns) == reference_reduce(rows, nc)[3]
-    assert dict_columns_kernel([{}, {}]) == [[1, 0], [0, 1]]
+    assert dict_columns_kernel([(1, {}), (1, {})]) == [[1, 0], [0, 1]]
     assert dict_columns_kernel([]) == []
 
 
@@ -232,14 +233,16 @@ def test_dict_columns_kernel_equals_reference_on_invariant_kernel(
     real_kernel = weyl.dict_columns_kernel
 
     def recording_kernel(columns):
-        systems.append([dict(v) for v in columns])
+        systems.append(list(columns))
         return real_kernel(columns)
 
     monkeypatch.setattr(weyl, 'dict_columns_kernel', recording_kernel)
     assert len(invariant_kernel(Ambient(2, 2), 3)) == 3
-    (columns,) = systems
-    assert len(columns) == 218
-    kernel = dict_columns_kernel(columns)
+    (cleared,) = systems
+    assert len(cleared) == 218
+    kernel = dict_columns_kernel(cleared)
+    columns = [{k: Fraction(v, den) for k, v in ints.items()}
+               for den, ints in cleared]
     rows = [dict(enumerate(row)) for row in dense_transposition(columns)]
     assert kernel == sparse_reference_reduce(rows, 218)[3]
     assert all(type(x) is Fraction for vec in kernel for x in vec)

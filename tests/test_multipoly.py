@@ -108,13 +108,6 @@ def test_top_and_homogeneous_parts():
         MultiPoly.zero(CTX).top_part()
 
 
-def test_rename():
-    p = MultiPoly(CTX, {(1, 2, 0): 1})
-    q = p.rename(('a', 'b', 'c'))
-    assert q.vars == ('a', 'b', 'c')
-    assert q.terms == p.terms
-
-
 def test_affine_substitution_matches_pointwise():
     rng = random.Random(13)
     target = ('u', 'v')
@@ -204,7 +197,6 @@ def test_each_polynomial_keeps_its_values_over_many_points():
         q * q * q,
         p.homogeneous_part(3),
         p.homogeneous_part(1),
-        p.rename(('a', 'b', 'c')),
         sub.apply(p),
         sub.apply(q),
     ]

@@ -684,8 +684,8 @@ def test_deformed_power_sum_is_transformed_generator():
         amb = Ambient(params.m, 2 * params.n)
         from supercapelli.hooks import a_context
         for d in (1, 2, 3):
-            gen = q_projection(gd_element(amb, d), amb).rename(
-                a_context(params.m, params.n))
+            gen = q_projection(gd_element(amb, d), amb)
+            assert gen.vars == a_context(params.m, params.n)
             assert frobenius_transform(params, gen) == \
                 deformed_power_sum(params, d)
 

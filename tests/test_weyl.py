@@ -8,7 +8,7 @@ from supercapelli.hooks import (HookParams, enumerate_hooks, gamma_star_map,
                                 eps_extension, a_context, parse_partition,
                                 partitions)
 from supercapelli.linalg import dict_columns_kernel
-from supercapelli.multipoly import MultiPoly
+from supercapelli.multipoly import MultiPoly, _clear
 from supercapelli.superlie import Ambient, UEAElement, bracket, gelfand_element
 from supercapelli import weyl
 from supercapelli.weyl import (WeylElement, _symbol_mul_ints, weyl_context,
@@ -22,6 +22,11 @@ from supercapelli.weyl import (WeylElement, _symbol_mul_ints, weyl_context,
                                spherical_vector, spherical_poly,
                                osp_spanning_set, symbol, hook_vectors)
 from supercapelli.solver import verify_main
+
+
+def vector(ambient, poly):
+    """The order-0 WeylElement of a {y-mono: coeff} polynomial."""
+    return WeylElement(ambient, {(mm, ()): c for mm, c in poly.items()})
 
 
 def random_weyl(amb, rng, nterms=3, maxlen=2):
@@ -107,8 +112,8 @@ def test_rho_check_gelfand_one_is_grading():
     op = rho_check(gelfand_element(amb, 1))
     for k in range(4):
         for mono in monomial_basis(amb, k):
-            img = apply_weyl(op, {mono: Fraction(1)})
-            assert img == ({mono: Fraction(-2 * k)} if k else {})
+            img = apply_weyl(op, vector(amb, {mono: Fraction(1)}))
+            assert img.terms == ({(mono, ()): Fraction(-2 * k)} if k else {})
 
 
 def test_t_sigma_rank_one():
@@ -281,7 +286,7 @@ def test_highest_weight_bookkeeping():
         hw = all_highest_weight_vectors(amb, k)
         count = sum(len(basis) for _, basis in hw)
         assert count == len(enumerate_hooks(params, k))
-        total = sum(cyclic_span_dim(amb, v) for _, basis in hw for v in basis)
+        total = sum(cyclic_span_dim(v) for _, basis in hw for v in basis)
         assert total == len(monomial_basis(amb, k))
 
 
@@ -300,11 +305,11 @@ def reference_highest_weight_vectors(ambient, k, eps_coords):
     for mm in cands:
         vec = {}
         for gi, op in enumerate(raising):
-            img = apply_weyl(op, {mm: Fraction(1)})
-            for key, c in img.items():
+            img = apply_weyl(op, vector(ambient, {mm: Fraction(1)}))
+            for (key, _), c in img.terms.items():
                 vec[(gi, key)] = c
-        columns.append(vec)
-    return [{mm: c for mm, c in zip(cands, vec) if c}
+        columns.append(_clear(vec.items()))
+    return [vector(ambient, {mm: c for mm, c in zip(cands, vec) if c})
             for vec in dict_columns_kernel(columns)]
 
 
@@ -364,7 +369,7 @@ def test_spherical_rank_one():
     params = HookParams(1, 0, 'half')
     b = enumerate_hooks(params, 1)[0]
     vec = spherical_vector(params, b)
-    assert vec == {(0,): Fraction(1, 2)}
+    assert vec == vector(Ambient(1, 0), {(0,): Fraction(1, 2)})
     poly = spherical_poly(params, b)
     ctx = a_context(1, 0)
     assert poly == MultiPoly.variable(ctx, 'a1').scale(Fraction(-1, 2))
@@ -374,9 +379,9 @@ def test_spherical_vector_invariance():
     params = HookParams(1, 1, 'half')
     b = enumerate_hooks(params, 2)[0]
     vec = spherical_vector(params, b)
-    assert vec
+    assert not vec.is_zero()
     for k in osp_spanning_set(params):
-        assert not apply_weyl(rho_check(k), vec)
+        assert apply_weyl(rho_check(k), vec).is_zero()
 
 
 def test_symbol():
@@ -459,7 +464,8 @@ def test_spherical_vector_rejects_a_capelli_of_other_ranks_or_degree():
 def reference_eigenvalue_on(op, vec):
     """eigenvalue_on as it checked proportionality before: the first key,
     then every key of the vector, then every key of the image."""
-    img = apply_weyl(op, vec)
+    img = {mm: c for (mm, _), c in
+           apply_weyl(op, vector(op.ambient, vec)).terms.items()}
     if not img:
         return Fraction(0)
     key = next(iter(sorted(vec)))
@@ -497,12 +503,35 @@ def test_eigenvalue_on_equals_the_three_loop_check():
         vec = {mm: Fraction(rng.randrange(1, 5), rng.randrange(1, 3))
                for mm in rng.sample(monos, rng.randrange(1, 4))}
         for op in [euler] + rng.sample(ops, 3):
-            got = _eigenvalue_or_error(eigenvalue_on, op, vec)
+            got = _eigenvalue_or_error(eigenvalue_on, op, vector(amb, vec))
             assert got == _eigenvalue_or_error(reference_eigenvalue_on,
                                                op, vec), (op, vec)
             outcomes.add(type(got))
     assert outcomes == {Fraction, str}
-    vec = {mm: Fraction(1) for mm in monomial_basis(amb, 2)[:3]}
+    vec = vector(amb, {mm: Fraction(1) for mm in monomial_basis(amb, 2)[:3]})
     assert eigenvalue_on(euler, vec) == 2
     with pytest.raises(AssertionError, match='image not proportional'):
         eigenvalue_on(euler + rho_check_gen(amb, 0, 1), vec)
+
+
+def test_p_w_vectors_are_checked_against_the_operator_ambient():
+    """D_(2) at (1,2) lives in gl(1|4), the hook vector of (2) at (2,1) in
+    gl(2|2): the action, the eigenvalue and the cyclic span no longer
+    read one against the other's ambient (they gave 0 and a span of 13)."""
+    small, big = HookParams(1, 2, 'half'), HookParams(2, 1, 'half')
+    D = capelli_operator(small, parse_partition('2', small))
+    v = hook_vectors(big, 2)[parse_partition('2', big)]
+    for fn in (apply_weyl, eigenvalue_on):
+        with pytest.raises(ValueError, match='context mismatch'):
+            fn(D, v)
+    assert cyclic_span_dim(v) == 16
+
+
+def test_apply_weyl_rejects_an_operand_of_positive_order():
+    amb = Ambient(1, 2)
+    op = rho_check_gen(amb, 0, 1)
+    for vec in (op, d_gen(amb, 0, 0), vector(amb, {(0,): 1}) + op):
+        for fn in (apply_weyl, eigenvalue_on):
+            with pytest.raises(ValueError, match='order-0 elements, got '
+                               'order 1'):
+                fn(op, vec)
